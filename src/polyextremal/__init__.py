@@ -22,7 +22,6 @@ from .linalg import (
     orthonormal_basis,
     rank,
     recession_direction,
-    solve_complex,
     solve_real,
 )
 from .polytope import (
@@ -57,7 +56,6 @@ from .supports import (
     try_strip,
 )
 from .extremal import (
-    BarycentricFrame,
     DomainError,
     EvalResult,
     barycentric,
@@ -66,8 +64,6 @@ from .extremal import (
     eval_interval,
     eval_simplex,
     eval_simplex_many,
-    eval_strip,
-    eval_strip_many,
     inv_joukowski_log,
     lundin_ball,
 )

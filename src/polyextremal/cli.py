@@ -8,15 +8,16 @@ rows appear row-major with u varying fastest, floats serialized with repr
 (shortest round-trip), and a run with --reproducible omits the timestamp
 comment so identical inputs give byte-identical files at any --jobs level.
 
-Exit codes: 0 success, 2 unreadable/ill-formed input (and usage errors),
-3 unbounded, 4 not full-dimensional, 5 redundant halfspace, 6 empty, 1
-anything else.
+Exit codes: 0 success, 2 unreadable/ill-formed input (usage errors and
+NaN or infinite coordinates included), 3 unbounded, 4 not full-dimensional,
+5 redundant halfspace, 6 empty, 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pickle
 import sys
@@ -153,16 +154,24 @@ def cmd_supports(args, tol: Tolerances) -> int:
     return 0
 
 
+def _parse_real(text: str, what: str) -> float:
+    """A finite float, or a usage failure naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise CliFailure(EXIT_PARSE, f"{what}: {exc}") from exc
+    if not math.isfinite(value):
+        raise CliFailure(EXIT_PARSE, f"{what}: {text.strip()!r} is not finite")
+    return value
+
+
 def _parse_point(text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 2 * dim:
         raise CliFailure(
             EXIT_PARSE,
             f"point {text!r}: expected {2 * dim} reals (re, im per coordinate), got {len(parts)}")
-    try:
-        reals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise CliFailure(EXIT_PARSE, f"point {text!r}: {exc}") from exc
+    reals = [_parse_real(p, f"point {text!r}") for p in parts]
     return np.array([complex(reals[2 * i], reals[2 * i + 1]) for i in range(dim)])
 
 
@@ -256,18 +265,14 @@ def cmd_grid(args, tol: Tolerances) -> int:
             if name in plane:
                 raise CliFailure(EXIT_PARSE, f"--fixed coordinate {name!r} is a plane axis")
             _coordinate_index(name, dim)
-            try:
-                fixed[name] = float(value)
-            except ValueError as exc:
-                raise CliFailure(EXIT_PARSE, f"--fixed entry {item!r}: {exc}") from exc
-    try:
-        bounds = tuple(float(b) for b in args.bounds.split(","))
-    except ValueError as exc:
-        raise CliFailure(EXIT_PARSE, f"--bounds: {exc}") from exc
+            fixed[name] = _parse_real(value, f"--fixed entry {item!r}")
+    bounds = tuple(_parse_real(b, "--bounds") for b in args.bounds.split(","))
     if len(bounds) != 4:
         raise CliFailure(EXIT_PARSE, "--bounds needs four numbers: umin,umax,vmin,vmax")
     if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
         raise CliFailure(EXIT_PARSE, "--bounds minima must be below maxima")
+    if not (math.isfinite(bounds[1] - bounds[0]) and math.isfinite(bounds[3] - bounds[2])):
+        raise CliFailure(EXIT_PARSE, "--bounds spans must be finite")
     if args.resolution < 2:
         raise CliFailure(EXIT_PARSE, "--resolution must be at least 2")
     if args.jobs < 1:

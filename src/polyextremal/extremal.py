@@ -2,11 +2,13 @@
 
 For a simplex S with apexes p_0..p_d, the value at z in C^d is
 log h(|lambda_0(z)| + ... + |lambda_d(z)|) where the lambda are barycentric
-coordinates of z (complexified by solving the same linear system) and
-h(t) = t + sqrt(t^2 - 1) inverts the Joukowski map.  A strip evaluates its
-cross-section simplex at the projected point Qz.  The polytope value is the
-maximum over all certified supports, attained first in their deterministic
-order.
+coordinates of z and h(t) = t + sqrt(t^2 - 1) inverts the Joukowski map.
+S's facets are facet hyperplanes l_k(x) = n_k.x + b_k of K, and l_k vanishes
+at every apex but p_k, so lambda_k(z) = l_k(z) / l_k(p_k), an affine map
+certification stores as the support's ``rows`` and ``shifts``.  A strip's
+rows are pulled back through Q, so one kernel evaluates every support and
+no linear system is solved on the way.  The polytope value is the maximum
+over all certified supports, attained first in their deterministic order.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -17,7 +19,9 @@ to exactly 0.0; genuine exterior points clear that band by orders of
 magnitude.  Below 1 - 1e-9 is reported as a bug (DomainError), since no
 legitimate code path can produce it.  The arccosh itself runs on u = s - 1
 (exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to dodge the s^2 - 1
-cancellation.
+cancellation; where u(u+2) overflows (u beyond ~1.3e154) it is
+log 2 + log s, exact there to double precision.  Points must be finite:
+NaN or infinite coordinates raise ValueError.
 
 Batch evaluators loop over the few support dimensions and vectorize across
 points with elementwise numpy only - no BLAS kernels - so values computed for
@@ -28,25 +32,21 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, LUFactors, lu_factor
-from .supports import SimplexSupport, StripSupport, SupportSet
+from .linalg import DEFAULT_TOL, lu_factor
+from .supports import SimplexSupport, SupportSet
 
 __all__ = [
     "DomainError",
     "EvalResult",
-    "BarycentricFrame",
     "inv_joukowski_log",
     "barycentric",
     "eval_simplex",
-    "eval_strip",
     "eval_extremal",
     "eval_simplex_many",
-    "eval_strip_many",
     "eval_extremal_many",
     "lundin_ball",
     "eval_interval",
@@ -69,7 +69,10 @@ def inv_joukowski_log(s: float) -> float:
     if s <= 1.0 + _ZERO_BAND:
         return 0.0
     u = s - 1.0
-    return math.log1p(u + math.sqrt(u * (u + 2.0)))
+    square = u * (u + 2.0)
+    if math.isinf(square):
+        return math.log(2.0) + math.log(s)
+    return math.log1p(u + math.sqrt(square))
 
 
 def _inv_joukowski_log_many(s: np.ndarray) -> np.ndarray:
@@ -78,122 +81,73 @@ def _inv_joukowski_log_many(s: np.ndarray) -> np.ndarray:
         worst = float(np.min(s))
         raise DomainError(f"inverse Joukowski argument {worst!r} below 1")
     u = np.maximum(s - 1.0, 0.0)
-    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    with np.errstate(over="ignore"):
+        square = u * (u + 2.0)
+    out = np.log1p(u + np.sqrt(square))
+    far = np.isinf(square)
+    if far.any():
+        out[far] = math.log(2.0) + np.log(s[far])
     out[s <= 1.0 + _ZERO_BAND] = 0.0
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BarycentricFrame:
-    """Prefactored barycentric solver for one simplex.
+def barycentric(simplex: SimplexSupport, z: np.ndarray) -> np.ndarray:
+    """Complex barycentric coordinates of z in a simplex, by solving
+    sum(lambda_k p_k) = z, sum(lambda_k) = 1 with a fresh LU factorization.
 
-    The defining equations - sum(lambda_k p_k) = z and sum(lambda_k) = 1 -
-    form a constant (j+1)-square system whose matrix has the apexes as
-    columns over a row of ones.  The LU factors are computed once and reused
-    for every right-hand side, which is what grid sweeps hammer on.
+    The independent route the kernel's coordinates are tested against; for a
+    strip, pass its ``cross_simplex`` and the projected point ``basis @ z``.
     """
-
-    apexes: np.ndarray
-    lu: LUFactors
-
-    @classmethod
-    def from_apexes(cls, apexes: np.ndarray) -> "BarycentricFrame":
-        apexes = np.asarray(apexes, dtype=float)
-        count, dim = apexes.shape
-        if count != dim + 1:
-            raise ValueError("a simplex in R^j has j+1 apexes")
-        matrix = np.ones((count, count))
-        matrix[:dim, :] = apexes.T
-        return cls(apexes=apexes, lu=lu_factor(matrix, DEFAULT_TOL))
-
-    @property
-    def dim(self) -> int:
-        return self.apexes.shape[1]
-
-    def solve(self, z: np.ndarray) -> np.ndarray:
-        return self.solve_many(np.asarray(z, dtype=complex)[None, :])[0]
-
-    def solve_many(self, points: np.ndarray) -> np.ndarray:
-        """Barycentric coordinates for each row of ``points`` (m, j) -> (m, j+1)."""
-        points = np.asarray(points, dtype=complex)
-        m, dim = points.shape
-        rhs = np.empty((m, dim + 1), dtype=complex)
-        rhs[:, :dim] = points
-        rhs[:, dim] = 1.0
-        return self.lu.solve_many(rhs)
-
-
-_FRAMES: "weakref.WeakKeyDictionary[SimplexSupport, BarycentricFrame]" = (
-    weakref.WeakKeyDictionary())
-
-
-def frame_for(simplex: SimplexSupport) -> BarycentricFrame:
-    """The cached barycentric frame of a certified simplex."""
-    frame = _FRAMES.get(simplex)
-    if frame is None:
-        frame = BarycentricFrame.from_apexes(simplex.apexes)
-        _FRAMES[simplex] = frame
-    return frame
-
-
-def barycentric(frame: BarycentricFrame, z: np.ndarray) -> np.ndarray:
-    """Complex barycentric coordinates of z; components sum to 1."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (frame.dim,):
-        raise ValueError(f"point must have dimension {frame.dim}")
-    return frame.solve(z)
+    count, dim = simplex.apexes.shape
+    if z.shape != (dim,):
+        raise ValueError(f"point must have dimension {dim}")
+    matrix = np.ones((count, count))
+    matrix[:dim, :] = simplex.apexes.T
+    return lu_factor(matrix, DEFAULT_TOL).solve(np.append(z, 1.0))
 
 
 def _as_points(z: np.ndarray, dim: int) -> np.ndarray:
+    """The evaluators' one entry point: rows of finite points of C^dim."""
     points = np.asarray(z, dtype=complex)
     if points.ndim == 1:
         points = points[None, :]
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(f"points must have dimension {dim}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("point coordinates must be finite")
     return points
 
 
-def eval_simplex_many(simplex: SimplexSupport, points: np.ndarray) -> np.ndarray:
-    """Simplex values for each row of ``points``; magnitude sums run in fixed
-    index order so batching cannot reorder the arithmetic."""
-    points = _as_points(points, simplex.dim)
-    coords = frame_for(simplex).solve_many(points)
-    total = np.abs(coords[:, 0])
-    for k in range(1, coords.shape[1]):
-        total = total + np.abs(coords[:, k])
+def _coordinates(support, points: np.ndarray) -> np.ndarray:
+    """lambda_k = shifts[k] + sum_c rows[k, c] z_c for checked points, one
+    row per k; the sum over c runs in fixed order, elementwise."""
+    rows, shifts = support.rows, support.shifts
+    coords = np.empty((rows.shape[0], points.shape[0]), dtype=complex)
+    for k in range(rows.shape[0]):
+        column = rows[k, 0] * points[:, 0]
+        for c in range(1, rows.shape[1]):
+            column += rows[k, c] * points[:, c]
+        coords[k] = column + shifts[k]
+    return coords
+
+
+def _values(support, points: np.ndarray) -> np.ndarray:
+    coords = _coordinates(support, points)
+    total = np.abs(coords[0])
+    for k in range(1, coords.shape[0]):
+        total = total + np.abs(coords[k])
     return _inv_joukowski_log_many(total)
 
 
-def eval_simplex(simplex: SimplexSupport, z: np.ndarray) -> float:
-    """V of one simplex at one point of C^dim."""
-    return float(eval_simplex_many(simplex, _as_points(z, simplex.dim))[0])
+def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
+    """Values of one support, simplex or strip, for each row of ``points``."""
+    return _values(support, _as_points(points, support.rows.shape[1]))
 
 
-def _project_many(basis: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply the real row basis Q to complex points, row by row of Q."""
-    m = points.shape[0]
-    j, d = basis.shape
-    out = np.zeros((m, j), dtype=complex)
-    for r in range(j):
-        for c in range(d):
-            out[:, r] += basis[r, c] * points[:, c]
-    return out
-
-
-def eval_strip_many(strip: StripSupport, points: np.ndarray) -> np.ndarray:
-    points = _as_points(points, strip.basis.shape[1])
-    return eval_simplex_many(strip.cross_simplex, _project_many(strip.basis, points))
-
-
-def eval_strip(strip: StripSupport, z: np.ndarray) -> float:
-    """V of a strip at one point: evaluate the cross-section at Qz."""
-    return float(eval_strip_many(strip, _as_points(z, strip.basis.shape[1]))[0])
-
-
-def eval_support_many(support, points: np.ndarray) -> np.ndarray:
-    if isinstance(support, StripSupport):
-        return eval_strip_many(support, points)
-    return eval_simplex_many(support, points)
+def eval_simplex(support, z: np.ndarray) -> float:
+    """V of one support, simplex or strip, at one point of C^d."""
+    return float(eval_simplex_many(support, z)[0])
 
 
 @dataclass(frozen=True)
@@ -207,14 +161,15 @@ class EvalResult:
 
 def eval_extremal_many(support_set: SupportSet,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over supports plus first attaining index, vectorized over points."""
+    """Max over supports plus first attaining index, vectorized over points;
+    ties go to the first in the sorted support order."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
     points = _as_points(points, support_set.polytope.dim)
-    best = eval_support_many(support_set[0], points)
+    best = _values(support_set[0], points)
     argmax = np.zeros(points.shape[0], dtype=np.int64)
     for i in range(1, len(support_set)):
-        values = eval_support_many(support_set[i], points)
+        values = _values(support_set[i], points)
         better = values > best
         best = np.where(better, values, best)
         argmax = np.where(better, i, argmax)
@@ -223,19 +178,14 @@ def eval_extremal_many(support_set: SupportSet,
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,
                   diagnostics: bool = False) -> EvalResult:
-    """V_K(z) = max over certified supports; ties go to the first in the
-    sorted support order so the reported argmax is reproducible."""
-    if len(support_set) == 0:
-        raise ValueError("support set is empty")
-    points = _as_points(z, support_set.polytope.dim)
-    per_support = tuple(
-        float(eval_support_many(s, points)[0]) for s in support_set)
-    argmax = 0
-    for i in range(1, len(per_support)):
-        if per_support[i] > per_support[argmax]:
-            argmax = i
-    return EvalResult(value=per_support[argmax], argmax=argmax,
-                      per_support=per_support if diagnostics else None)
+    """V_K(z) at one point: ``eval_extremal_many`` on that point, with every
+    support's own value when ``diagnostics`` is set."""
+    values, argmax = eval_extremal_many(support_set, z)
+    per_support = None
+    if diagnostics:
+        per_support = tuple(eval_simplex(s, z) for s in support_set)
+    return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
+                      per_support=per_support)
 
 
 def lundin_ball(z: np.ndarray, radius: float) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "LUFactors",
     "lu_factor",
     "solve_real",
-    "solve_complex",
     "rank",
     "orthonormal_basis",
     "interior_point",
@@ -158,15 +157,6 @@ def solve_real(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
     """Solve the real square system A x = b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError("right-hand side length must match the matrix")
-    return lu_factor(a, tol).solve(b)
-
-
-def solve_complex(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Solve the complex square system A x = b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     if b.shape != (a.shape[0],):
         raise ValueError("right-hand side length must match the matrix")
     return lu_factor(a, tol).solve(b)

@@ -61,12 +61,18 @@ class SimplexSupport:
     ``apexes[j]`` solves l_k = 0 for all k != j and satisfies l_j > 0; the
     rows of ``apexes`` live in R^dim.  For cross-sections of strips, ``dim``
     is the cross dimension and ``facet_indices`` still name K's facets.
+
+    ``rows`` (dim+1, dim) and ``shifts`` (dim+1,) are the facet functions
+    scaled by their apex heights, n_k / l_k(p_k) and b_k / l_k(p_k): the
+    barycentric coordinates are lambda_k(z) = rows[k] . z + shifts[k].
     """
 
     facet_indices: tuple[int, ...]
     apexes: np.ndarray
     halfspaces: tuple[Halfspace, ...]
     dim: int
+    rows: np.ndarray
+    shifts: np.ndarray
 
     @property
     def kind(self) -> str:
@@ -79,13 +85,17 @@ class StripSupport:
 
     ``basis`` holds orthonormal rows Q spanning the j-dimensional normal span;
     ``cross_simplex`` certifies the projected halfspaces l(x') = (Q n).x' + b
-    as a simplex in R^j.  Membership and evaluation both factor through Q.
+    as a simplex in R^j.  ``rows`` = cross_simplex.rows @ Q and ``shifts`` =
+    cross_simplex.shifts give its coordinates at Qz straight from z in R^d:
+    lambda_k(z) = rows[k] . z + shifts[k], as for a simplex.
     """
 
     facet_indices: tuple[int, ...]
     cross_dim: int
     basis: np.ndarray
     cross_simplex: SimplexSupport
+    rows: np.ndarray
+    shifts: np.ndarray
 
     @property
     def kind(self) -> str:
@@ -121,18 +131,23 @@ def _certify_simplex(halfspaces: list[Halfspace], dim: int,
     if count != dim + 1:
         raise ValueError("simplex certification needs dim+1 halfspaces")
     apexes = np.empty((count, dim))
+    heights = np.empty(count)
     for j in range(count):
         others = [halfspaces[k] for k in range(count) if k != j]
-        rows = np.vstack([h.normal for h in others])
+        normals = np.vstack([h.normal for h in others])
         rhs = -np.array([h.offset for h in others])
         try:
-            apexes[j] = solve_real(rows, rhs, tol)
+            apexes[j] = solve_real(normals, rhs, tol)
         except Singular:
             return None
-        if halfspaces[j].value(apexes[j]) <= tol.pos_abs:
+        heights[j] = halfspaces[j].value(apexes[j])
+        if heights[j] <= tol.pos_abs:
             return None
+    rows = np.vstack([h.normal for h in halfspaces]) / heights[:, None]
+    shifts = np.array([h.offset for h in halfspaces]) / heights
     return SimplexSupport(facet_indices=facet_indices, apexes=apexes,
-                          halfspaces=tuple(halfspaces), dim=dim)
+                          halfspaces=tuple(halfspaces), dim=dim,
+                          rows=rows, shifts=shifts)
 
 
 def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
@@ -174,7 +189,8 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     if cross is None:
         return None
     return StripSupport(facet_indices=subset, cross_dim=j, basis=basis,
-                        cross_simplex=cross)
+                        cross_simplex=cross, rows=cross.rows @ basis,
+                        shifts=cross.shifts)
 
 
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:

@@ -165,6 +165,53 @@ def test_eval_requires_some_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0", "0,-inf,0,0"])
+def test_eval_rejects_non_finite_point(capsys, tmp_path, point):
+    code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--point", point)
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+    points = tmp_path / "points.txt"
+    points.write_text(f"0.25,0,0.25,0\n{point}\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "eval", fixture_path("quad"), "--points-file", str(points))
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_eval_translated_square(capsys, tmp_path, shift):
+    """The unit square moved by a large shift evaluates like the unmoved one
+    at the same relative points, exactly 0 at interior ones."""
+    def square_file(offset):
+        path = tmp_path / f"square_{offset!r}.json"
+        halfspaces = [{"normal": [1.0, 0.0], "offset": -offset},
+                      {"normal": [-1.0, 0.0], "offset": offset + 1.0},
+                      {"normal": [0.0, 1.0], "offset": -offset},
+                      {"normal": [0.0, -1.0], "offset": offset + 1.0}]
+        path.write_text(json.dumps({"dim": 2, "halfspaces": halfspaces}),
+                        encoding="utf-8")
+        return str(path)
+
+    relative = [(0.25, 0.0, 0.75, 0.0), (0.5, 0.0, 0.5, 0.0),
+                (0.25, 0.5, 1.5, -0.25), (-0.75, 0.0, 0.5, 0.0), (2.0, 1.0, 0.125, 0.0)]
+
+    def values(offset):
+        argv = ["eval", square_file(offset)]
+        for re1, im1, re2, im2 in relative:
+            argv.append(f"--point={re1 + offset!r},{im1!r},{re2 + offset!r},{im2!r}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return [float(line.split()[0]) for line in out.splitlines()]
+
+    expected = values(0.0)
+    got = values(shift)
+    assert got[:2] == [0.0, 0.0]
+    assert all(v > 0.0 for v in got[2:])
+    assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-12
+
+
 def test_grid_small_csv(capsys, tmp_path):
     out_path = tmp_path / "grid.csv"
     code, _, _ = run_cli(
@@ -304,6 +351,10 @@ def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
          "--fixed", "im1=2"],
         ["--plane", "re1,im1", "--bounds", "0,1,0,1", "--resolution", "3",
          "--fixed", "bogus=2"],
+        ["--plane", "re1,im1", "--bounds", "0,1,0,1", "--resolution", "3",
+         "--fixed", "re2=nan"],
+        ["--plane", "re1,re2", "--bounds", "0,inf,0,1", "--resolution", "3"],
+        ["--plane", "re1,re2", "--bounds=-1e308,1e308,0,1", "--resolution", "3"],
     ],
 )
 def test_grid_flag_validation(capsys, tmp_path, extra):

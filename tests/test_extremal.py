@@ -8,21 +8,23 @@ import pytest
 
 from polyextremal.extremal import (
     DomainError,
+    _coordinates,
+    _inv_joukowski_log_many,
     barycentric,
     eval_extremal,
     eval_extremal_many,
     eval_interval,
     eval_simplex,
     eval_simplex_many,
-    eval_strip,
-    frame_for,
     inv_joukowski_log,
     lundin_ball,
 )
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import quad_reference
+from conftest import load_fixture, quad_reference
+
+VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
 
 LOG_2_PLUS_SQRT3 = math.log(2.0 + math.sqrt(3.0))
 LOG_3_PLUS_2SQRT2 = math.log(3.0 + 2.0 * math.sqrt(2.0))
@@ -70,58 +72,142 @@ def test_inv_joukowski_log_domain_error():
         inv_joukowski_log(0.0)
 
 
+def test_inv_joukowski_log_far_field():
+    """Where u(u+2) overflows the value is log 2 + log s; below that the
+    log1p formula is kept bit for bit, in the scalar and the batch form."""
+    for s in (1e155, 1e200, 1e300, 1.7e308):
+        expected = math.log(2.0) + math.log(s)
+        assert inv_joukowski_log(s) == pytest.approx(expected, rel=1e-15)
+        assert _inv_joukowski_log_many(np.array([s]))[0] == pytest.approx(expected, rel=1e-15)
+    for s in (3.0, 1e100, 1e150, 1e154):
+        u = s - 1.0
+        assert inv_joukowski_log(s) == math.log1p(u + math.sqrt(u * (u + 2.0)))
+        batch = np.array([u])
+        assert _inv_joukowski_log_many(np.array([s]))[0] == np.log1p(
+            batch + np.sqrt(batch * (batch + 2.0)))[0]
+
+
+def test_far_points_stay_finite(unit_interval_simplex, square_supports):
+    value = eval_simplex(unit_interval_simplex, np.array([1e200 + 0j]))
+    expected = math.log(2.0) + 200.0 * math.log(10.0)
+    assert value == pytest.approx(expected, rel=1e-12)
+    result = eval_extremal(square_supports, np.array([1e200 + 0j, 0j]))
+    assert math.isfinite(result.value)
+    assert result.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.inf), complex(math.nan, 0.0)])
+def test_non_finite_points_rejected(quad_supports, bad):
+    z = np.array([0.5 + 0j, bad])
+    with pytest.raises(ValueError, match="finite"):
+        eval_extremal(quad_supports, z)
+    with pytest.raises(ValueError, match="finite"):
+        eval_extremal_many(quad_supports, np.array([[0.25 + 0j, 0.25 + 0j], z]))
+    with pytest.raises(ValueError, match="finite"):
+        eval_simplex(quad_supports[0], z)
+
+
+def unit_square_at(shift: float):
+    """The unit square [shift, shift + 1]^2."""
+    return validate([([1.0, 0.0], -shift), ([-1.0, 0.0], shift + 1.0),
+                     ([0.0, 1.0], -shift), ([0.0, -1.0], shift + 1.0)], 2)
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_translated_square_matches_untranslated(shift):
+    """V_K is translation invariant; the kernel must not lose it to the size
+    of the shift.  Relative points are exact binary fractions, so z + shift
+    is exactly representable."""
+    base = enumerate_supports(unit_square_at(0.0))
+    moved = enumerate_supports(unit_square_at(shift))
+    inside = np.array([[0.25, 0.75], [0.5, 0.5], [0.0, 1.0], [0.875, 0.125]],
+                      dtype=complex)
+    outside = np.array([[0.25 + 0.5j, 1.5 - 0.25j], [-0.75, 0.5], [2.0 + 1j, 0.125],
+                        [0.5 + 1e-3j, 0.5], [-3.0 - 2j, 4.0 + 0.5j]])
+    points = np.vstack([inside, outside])
+    expected, _ = eval_extremal_many(base, points)
+    got, _ = eval_extremal_many(moved, points + shift)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    assert np.all(got[:len(inside)] == 0.0)
+    assert np.all(got[len(inside):] > 0.0)
+
+
+def test_kernel_coordinates_match_barycentric_oracle():
+    """On every valid fixture, each simplex's and strip's kernel coordinates
+    agree with an LU solve of the defining system (for a strip, of its
+    cross-section at Qz)."""
+    rng = np.random.default_rng(19)
+    for name in VALID_FIXTURES:
+        supports = enumerate_supports(load_fixture(name))
+        dim = supports.polytope.dim
+        points = rng.uniform(-4, 4, (30, dim)) + 1j * rng.uniform(-3, 3, (30, dim))
+        for support in supports:
+            coords = _coordinates(support, points)
+            for z, lam in zip(points, coords.T):
+                if support.kind == "strip":
+                    oracle = barycentric(support.cross_simplex, support.basis @ z)
+                else:
+                    oracle = barycentric(support, z)
+                assert np.max(np.abs(lam - oracle)) <= 1e-12, name
+
+
 def test_barycentric_closed_form_coordinates(quad_supports):
     """The triangle with apexes (1,0), (0,3), (0,0) assigns (z1, z2/3, 1-z1-z2/3)."""
-    frame = frame_for(quad_supports[1])
     rng = np.random.default_rng(31)
     for _ in range(20):
         z = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
-        lam = barycentric(frame, z)
+        lam = barycentric(quad_supports[1], z)
         expected = np.array([z[0], z[1] / 3.0, 1.0 - z[0] - z[1] / 3.0])
         assert np.max(np.abs(lam - expected)) <= 1e-12
 
 
+def test_barycentric_imaginary_sample(quad_supports):
+    """Coordinates of z = (i, 0) in the triangle with apexes (1,0), (0,3), (0,0)."""
+    z = np.array([1j, 0.0])
+    expected = [1j, 0.0, 1 - 1j]
+    assert np.allclose(barycentric(quad_supports[1], z), expected, atol=1e-14)
+    assert np.allclose(_coordinates(quad_supports[1], z[None, :])[:, 0], expected,
+                       atol=1e-14)
+
+
 def test_barycentric_apex_gives_unit_vector(triangle_supports):
-    frame = frame_for(triangle_supports[0])
-    for k, apex in enumerate(frame.apexes):
-        lam = barycentric(frame, apex.astype(complex))
+    simplex = triangle_supports[0]
+    for k, apex in enumerate(simplex.apexes):
+        lam = barycentric(simplex, apex.astype(complex))
         expected = np.zeros(3, dtype=complex)
         expected[k] = 1.0
         assert np.max(np.abs(lam - expected)) <= 1e-12
 
 
 def test_barycentric_centroid(triangle_supports):
-    frame = frame_for(triangle_supports[0])
-    centroid = frame.apexes.mean(axis=0).astype(complex)
-    lam = barycentric(frame, centroid)
+    simplex = triangle_supports[0]
+    centroid = simplex.apexes.mean(axis=0).astype(complex)
+    lam = barycentric(simplex, centroid)
     assert np.max(np.abs(lam - 1.0 / 3.0)) <= 1e-12
 
 
 def test_barycentric_components_sum_to_one(quad_supports, prism_supports):
     rng = np.random.default_rng(47)
-    frames = [frame_for(s) for s in quad_supports]
-    frames.append(frame_for(prism_supports[0].cross_simplex))
-    for frame in frames:
+    simplices = list(quad_supports) + [prism_supports[0].cross_simplex]
+    for simplex in simplices:
+        dim = simplex.dim
         for _ in range(50):
-            z = rng.uniform(-5, 5, frame.dim) + 1j * rng.uniform(-5, 5, frame.dim)
-            lam = barycentric(frame, z)
+            z = rng.uniform(-5, 5, dim) + 1j * rng.uniform(-5, 5, dim)
+            lam = barycentric(simplex, z)
             assert abs(lam.sum() - 1.0) <= 1e-12
 
 
 def test_barycentric_real_point_in_simplex_nonnegative(triangle_supports):
-    frame = frame_for(triangle_supports[0])
+    simplex = triangle_supports[0]
     rng = np.random.default_rng(13)
     for _ in range(30):
         weights = rng.dirichlet([1.0, 1.0, 1.0])
-        point = weights @ frame.apexes
-        lam = barycentric(frame, point.astype(complex))
+        point = weights @ simplex.apexes
+        lam = barycentric(simplex, point.astype(complex))
         assert np.max(np.abs(lam.imag)) <= 1e-12
         assert np.all(lam.real >= -1e-12)
         assert np.all(lam.real <= 1.0 + 1e-12)
-
-
-def test_frame_cache_returns_same_object(quad_supports):
-    assert frame_for(quad_supports[0]) is frame_for(quad_supports[0])
 
 
 def test_eval_simplex_zero_inside(quad_supports, quad):
@@ -150,30 +236,34 @@ def test_eval_simplex_interval_chebyshev_growth(unit_interval_simplex):
     assert abs(growth - value) <= 0.005
 
 
-def test_eval_simplex_many_matches_scalar_bitwise(quad_supports):
+def test_eval_simplex_many_matches_scalar_bitwise():
+    """Every simplex and strip of every valid fixture."""
     rng = np.random.default_rng(17)
-    points = rng.uniform(-4, 4, (64, 2)) + 1j * rng.uniform(-2, 2, (64, 2))
-    for support in quad_supports:
-        batch = eval_simplex_many(support, points)
-        for k in range(len(points)):
-            assert batch[k] == eval_simplex(support, points[k])
+    for name in VALID_FIXTURES:
+        supports = enumerate_supports(load_fixture(name))
+        dim = supports.polytope.dim
+        points = rng.uniform(-4, 4, (64, dim)) + 1j * rng.uniform(-2, 2, (64, dim))
+        for support in supports:
+            batch = eval_simplex_many(support, points)
+            for k in range(len(points)):
+                assert batch[k] == eval_simplex(support, points[k]), name
 
 
 def test_eval_strip_slab_ignores_free_coordinate(square_supports):
     slab = square_supports[0]
-    value = eval_strip(slab, np.array([2.0 + 0j, 17.0 + 0j]))
+    value = eval_simplex(slab, np.array([2.0 + 0j, 17.0 + 0j]))
     assert value == pytest.approx(LOG_2_PLUS_SQRT3, abs=1e-12)
-    other = eval_strip(slab, np.array([2.0 + 0j, -3.5 + 0j]))
+    other = eval_simplex(slab, np.array([2.0 + 0j, -3.5 + 0j]))
     assert other == value
 
 
 def test_eval_strip_imaginary_point(square_supports):
-    value = eval_strip(square_supports[0], np.array([1j, 0.0 + 0j]))
+    value = eval_simplex(square_supports[0], np.array([1j, 0.0 + 0j]))
     assert value == pytest.approx(LOG_1_PLUS_SQRT2, abs=1e-12)
 
 
 def test_eval_strip_zero_inside(square_supports):
-    value = eval_strip(square_supports[0], np.array([0.25 + 0j, -0.75 + 0j]))
+    value = eval_simplex(square_supports[0], np.array([0.25 + 0j, -0.75 + 0j]))
     assert value == 0.0
 
 
@@ -188,7 +278,7 @@ def test_eval_strip_translation_invariance(square_supports, prism_supports):
             z = rng.uniform(-2, 2, dim) + 1j * rng.uniform(0.05, 1.0, dim)
             w = rng.normal(size=dim)
             b = w - q.T @ (q @ w)
-            assert abs(eval_strip(strip, z + b) - eval_strip(strip, z)) <= 1e-12
+            assert abs(eval_simplex(strip, z + b) - eval_simplex(strip, z)) <= 1e-12
 
 
 def test_eval_extremal_quad_tie(quad_supports):

@@ -19,7 +19,6 @@ from polyextremal.linalg import (
     orthonormal_basis,
     rank,
     recession_direction,
-    solve_complex,
     solve_real,
 )
 
@@ -61,28 +60,6 @@ def test_solve_real_singular():
         solve_real(a, np.array([1.0, 1.0]))
 
 
-def test_solve_complex_identity():
-    b = np.array([1j, 1 + 1j])
-    x = solve_complex(np.eye(2, dtype=complex), b)
-    assert np.array_equal(x, b)
-
-
-def test_solve_complex_real_data_stays_real():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-    b = rng.normal(size=4)
-    x = solve_complex(a.astype(complex), b.astype(complex))
-    assert np.max(np.abs(x.imag)) <= 1e-14
-
-
-def test_solve_complex_barycentric_sample():
-    """Coordinates of z = (i, 0) in the triangle with apexes (0,0), (1,0), (0,3)."""
-    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]], dtype=complex)
-    b = np.array([1j, 0.0, 1.0])
-    x = solve_complex(a, b)
-    assert np.allclose(x, [1 - 1j, 1j, 0.0], atol=1e-14)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_solve_round_trip_real(n):
     rng = np.random.default_rng(100 + n)
@@ -97,7 +74,7 @@ def test_solve_round_trip_complex(n):
     rng = np.random.default_rng(200 + n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * n * np.eye(n)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    got = solve_complex(a, a @ x)
+    got = lu_factor(a).solve(a @ x)
     assert np.max(np.abs(got - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
