@@ -6,7 +6,12 @@ the rest sit at fixed values (--fixed, default 0).  Output is a CSV with
 header ``u,v,value,argmax`` (or the JSON equivalent), written atomically:
 rows appear row-major with u varying fastest, floats serialized with repr
 (shortest round-trip), and a run with --reproducible omits the timestamp
-comment so identical inputs give byte-identical files at any --jobs level.
+comment so identical inputs give byte-identical files.
+
+Every evaluation is one ``eval_extremal_many`` call over all of a command's
+points.  ``grid --jobs K`` splits the points into one contiguous chunk per
+worker, with at most min(K, points, os.cpu_count()) workers; the kernel is
+elementwise per point, so the bytes are the same at any --jobs level.
 
 Exit codes: 0 success, 2 unreadable/ill-formed input (usage errors and
 NaN or infinite coordinates included), 3 unbounded, 4 not full-dimensional,
@@ -19,16 +24,16 @@ import argparse
 import json
 import math
 import os
-import pickle
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import eval_extremal, eval_extremal_many
+from .extremal import eval_extremal_many, eval_simplex_many
+# Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
+from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
 from .polytope import (
     Empty,
@@ -55,30 +60,6 @@ class CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Two free real coordinates, bounds per axis, samples per axis, the rest fixed."""
-
-    u_name: str
-    v_name: str
-    bounds: tuple[float, float, float, float]
-    resolution: int
-    fixed: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tol: Tolerances = DEFAULT_TOL
-    jobs: int = 1
-    fmt: str = "csv"
-    reproducible: bool = False
-    diagnostics: bool = False
-
-
-def _coordinate_names(dim: int) -> list[str]:
-    return [f"{part}{i + 1}" for i in range(dim) for part in ("re", "im")]
 
 
 def _coordinate_index(name: str, dim: int) -> tuple[int, bool]:
@@ -189,62 +170,28 @@ def cmd_eval(args, tol: Tolerances) -> int:
             raise CliFailure(EXIT_PARSE, f"cannot read {args.points_file}: {exc}") from exc
     if not texts:
         raise CliFailure(EXIT_PARSE, "no points given: use --point or --points-file")
-    points = [_parse_point(text, polytope.dim) for text in texts]
+    points = np.array([_parse_point(text, polytope.dim) for text in texts])
     supports = _supports_for(polytope)
-    for z in points:
-        result = eval_extremal(supports, z, diagnostics=args.diagnostics)
-        line = f"{result.value!r} {result.argmax}"
-        if args.diagnostics:
-            line += " " + " ".join(repr(v) for v in result.per_support)
-        print(line)
+    values, argmax = eval_extremal_many(supports, points)
+    lines = [f"{value!r} {index}" for value, index in zip(values.tolist(), argmax.tolist())]
+    if args.diagnostics:
+        columns = [eval_simplex_many(support, points).tolist() for support in supports]
+        lines = [line + " " + " ".join(repr(column[j]) for column in columns)
+                 for j, line in enumerate(lines)]
+    print("\n".join(lines))
     return 0
 
 
-# --- grid evaluation -------------------------------------------------------
-#
-# Worker state is distributed once (pickle via initializer) and every task is
-# one v-row of the grid; the task list is identical at any --jobs level, so
-# parallelism can only change who computes a row, never what it contains.
-
-_WORKER: dict = {}
-
-
-def _grid_init(payload: bytes) -> None:
-    _WORKER["state"] = pickle.loads(payload)
-
-
-def _grid_row(v: float) -> tuple[np.ndarray, np.ndarray]:
-    supports, dim, u_index, u_imag, v_index, v_imag, fixed_re, fixed_im, us = _WORKER["state"]
-    m = us.shape[0]
-    re = np.tile(fixed_re, (m, 1))
-    im = np.tile(fixed_im, (m, 1))
-    (im if u_imag else re)[:, u_index] = us
-    (im if v_imag else re)[:, v_index] = v
-    points = re + 1j * im
-    return eval_extremal_many(supports, points)
-
-
-def _run_grid(supports: SupportSet, spec: GridSpec, jobs: int):
-    dim = supports.polytope.dim
-    u_index, u_imag = _coordinate_index(spec.u_name, dim)
-    v_index, v_imag = _coordinate_index(spec.v_name, dim)
-    fixed_re = np.zeros(dim)
-    fixed_im = np.zeros(dim)
-    for name, value in spec.fixed.items():
-        index, imaginary = _coordinate_index(name, dim)
-        (fixed_im if imaginary else fixed_re)[index] = value
-    us = np.linspace(spec.bounds[0], spec.bounds[1], spec.resolution)
-    vs = np.linspace(spec.bounds[2], spec.bounds[3], spec.resolution)
-    state = (supports, dim, u_index, u_imag, v_index, v_imag, fixed_re, fixed_im, us)
-    if jobs <= 1:
-        _grid_init(pickle.dumps(state))
-        rows = [_grid_row(float(v)) for v in vs]
-    else:
-        payload = pickle.dumps(state)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_grid_init,
-                                 initargs=(payload,)) as pool:
-            rows = list(pool.map(_grid_row, [float(v) for v in vs], chunksize=1))
-    return us, vs, rows
+def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
+    """``eval_extremal_many`` over the points, one contiguous chunk per
+    worker process when more than one is worth starting."""
+    workers = min(jobs, points.shape[0], os.cpu_count() or 1)
+    if workers <= 1:
+        return eval_extremal_many(supports, points)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(eval_extremal_many, [supports] * workers,
+                              np.array_split(points, workers)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def cmd_grid(args, tol: Tolerances) -> int:
@@ -254,6 +201,7 @@ def cmd_grid(args, tol: Tolerances) -> int:
     if len(plane) != 2 or plane[0] == plane[1]:
         raise CliFailure(EXIT_PARSE, "--plane needs two distinct coordinate names")
     fixed: dict[str, float] = {}
+    fixed_re, fixed_im = np.zeros(dim), np.zeros(dim)
     if args.fixed:
         for item in args.fixed.split(","):
             if not item.strip():
@@ -264,8 +212,9 @@ def cmd_grid(args, tol: Tolerances) -> int:
                 raise CliFailure(EXIT_PARSE, f"--fixed entry {item!r} is not name=value")
             if name in plane:
                 raise CliFailure(EXIT_PARSE, f"--fixed coordinate {name!r} is a plane axis")
-            _coordinate_index(name, dim)
+            index, imaginary = _coordinate_index(name, dim)
             fixed[name] = _parse_real(value, f"--fixed entry {item!r}")
+            (fixed_im if imaginary else fixed_re)[index] = fixed[name]
     bounds = tuple(_parse_real(b, "--bounds") for b in args.bounds.split(","))
     if len(bounds) != 4:
         raise CliFailure(EXIT_PARSE, "--bounds needs four numbers: umin,umax,vmin,vmax")
@@ -277,34 +226,33 @@ def cmd_grid(args, tol: Tolerances) -> int:
         raise CliFailure(EXIT_PARSE, "--resolution must be at least 2")
     if args.jobs < 1:
         raise CliFailure(EXIT_PARSE, "--jobs must be at least 1")
-
-    spec = GridSpec(u_name=plane[0], v_name=plane[1], bounds=bounds,
-                    resolution=args.resolution, fixed=fixed)
-    _coordinate_index(spec.u_name, dim)
-    _coordinate_index(spec.v_name, dim)
+    axes = [_coordinate_index(name, dim) for name in plane]
     supports = _supports_for(polytope)
-    us, vs, rows = _run_grid(supports, spec, args.jobs)
+
+    # All resolution^2 points, row-major with u varying fastest.
+    n = args.resolution
+    us = np.tile(np.linspace(bounds[0], bounds[1], n), n)
+    vs = np.repeat(np.linspace(bounds[2], bounds[3], n), n)
+    re, im = np.tile(fixed_re, (n * n, 1)), np.tile(fixed_im, (n * n, 1))
+    for (index, imaginary), axis in zip(axes, (us, vs)):
+        (im if imaginary else re)[:, index] = axis
+    values, argmax = _eval_chunks(supports, re + 1j * im, args.jobs)
+    rows = zip(us.tolist(), vs.tolist(), values.tolist(), argmax.tolist())
 
     if args.format == "csv":
         lines = []
         if not args.reproducible:
             lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
         lines.append("u,v,value,argmax")
-        for v, (values, argmax) in zip(vs, rows):
-            for u, value, index in zip(us, values, argmax):
-                lines.append(f"{float(u)!r},{float(v)!r},{float(value)!r},{int(index)}")
+        lines.extend(f"{u!r},{v!r},{value!r},{index}" for u, v, value, index in rows)
         text = "\n".join(lines) + "\n"
     else:
         body = {
-            "plane": [spec.u_name, spec.v_name],
-            "bounds": list(spec.bounds),
-            "resolution": spec.resolution,
+            "plane": plane,
+            "bounds": list(bounds),
+            "resolution": n,
             "fixed": {k: fixed[k] for k in sorted(fixed)},
-            "rows": [
-                [float(u), float(v), float(value), int(index)]
-                for v, (values, argmax) in zip(vs, rows)
-                for u, value, index in zip(us, values, argmax)
-            ],
+            "rows": [list(row) for row in rows],
         }
         if not args.reproducible:
             body["generated"] = datetime.now(timezone.utc).isoformat()

@@ -152,7 +152,13 @@ def eval_simplex(support, z: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of V_K at a point, which support attains it, optional diagnostics."""
+    """Value of V_K at a point, which support attains it, optional diagnostics.
+
+    ``argmax`` is the first support, in the sorted support order, whose
+    computed value equals the maximum.  At real points of K every value is
+    exactly 0, so argmax is 0 there.  Where two supports tie mathematically,
+    rounding decides, and the index may move with any change to the arithmetic.
+    """
 
     value: float
     argmax: int

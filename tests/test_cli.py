@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polyextremal import cli
-from polyextremal.extremal import eval_interval
+from polyextremal import enumerate_supports
+from polyextremal.extremal import eval_extremal_many, eval_interval, eval_simplex_many
 
 from conftest import fixture_path, load_fixture, quad_reference
 
@@ -152,6 +153,33 @@ def test_eval_points_file(capsys, tmp_path):
     )
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("name", ["quad", "prism"])
+def test_eval_points_file_matches_batch_bitwise(capsys, tmp_path, name):
+    """Every line parses back to eval_extremal_many's value and argmax, and
+    every diagnostic column to eval_simplex_many of its support."""
+    polytope = load_fixture(name)
+    supports = enumerate_supports(polytope)
+    rng = np.random.default_rng(7)
+    points = (rng.uniform(-2.0, 3.0, (40, polytope.dim))
+              + 1j * rng.choice([0.0, 1e-7, 0.5], (40, polytope.dim)))
+    points[:5] = polytope.interior
+    lines = [",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in z) for z in points]
+    points_file = tmp_path / "points.txt"
+    points_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", fixture_path(name),
+                             "--points-file", str(points_file), "--diagnostics")
+    assert code == 0, err
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == len(points)
+    assert all(len(row) == 2 + len(supports) for row in rows)
+    values, argmax = eval_extremal_many(supports, points)
+    assert np.array_equal([float(row[0]) for row in rows], values)
+    assert np.array_equal([int(row[1]) for row in rows], argmax)
+    for k, support in enumerate(supports):
+        column = [float(row[2 + k]) for row in rows]
+        assert np.array_equal(column, eval_simplex_many(support, points))
 
 
 def test_eval_rejects_wrong_arity(capsys):
@@ -322,18 +350,61 @@ def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
 
 
 def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
-    paths = []
-    for jobs in ("1", "2"):
+    """Any --jobs gives the bytes of --jobs 1: 3 does not divide the rows,
+    and 5 asks for more workers than a resolution-2 grid has points."""
+    for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
+        outputs = []
+        for jobs in jobs_values:
+            out_path = tmp_path / f"res{resolution}-jobs{jobs}.csv"
+            code, _, _ = run_cli(
+                capsys, "grid", fixture_path("quad"),
+                "--plane", "re1,re2", "--bounds=-1,4,-1,4",
+                "--resolution", resolution, "--out", str(out_path),
+                "--jobs", jobs, "--reproducible",
+            )
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert all(output == outputs[0] for output in outputs)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, function, *iterables):
+        return map(function, *iterables)
+
+
+@pytest.mark.parametrize("cpus,expected", [(3, 3), (None, None), (64, 25)])
+def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected):
+    """--jobs 100000 starts at most min(points, os.cpu_count()) workers, and
+    none at all when only one is worth it; the bytes stay those of --jobs 1."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    outputs = []
+    for jobs in ("1", "100000"):
         out_path = tmp_path / f"jobs{jobs}.csv"
         code, _, _ = run_cli(
-            capsys, "grid", fixture_path("quad"),
-            "--plane", "re1,re2", "--bounds=-1,4,-1,4",
-            "--resolution", "15", "--out", str(out_path),
+            capsys, "grid", fixture_path("prism"),
+            "--plane", "re1,im3", "--bounds=-2,2,-2,2", "--fixed", "re2=0.1",
+            "--resolution", "5", "--out", str(out_path),
             "--jobs", jobs, "--reproducible",
         )
         assert code == 0
-        paths.append(out_path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert _SerialPool.created == ([] if expected is None else [expected])
 
 
 @pytest.mark.parametrize(
