@@ -86,7 +86,7 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True, eq=False)
 class LUFactors:
-    """Packed LU factors with partial pivoting, reusable across right-hand sides.
+    """Packed LU factors with partial pivoting.
 
     ``packed`` holds U on and above the diagonal and the unit-lower-triangular
     multipliers strictly below it; ``perm`` is the row permutation applied to
@@ -101,30 +101,22 @@ class LUFactors:
         return self.packed.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.solve_many(np.asarray(b)[None, :])[0]
-
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = b for every row b of ``rhs``; returns solutions as rows.
-
-        Substitution runs as explicit loops over the (tiny) system dimension
-        with numpy elementwise work across right-hand sides, so results do not
-        depend on how callers batch their points.
-        """
-        lu = self.packed
+        """Solve A x = b by forward then back substitution, in a fixed order,
+        on Python scalars: at this size numpy's per-call cost would dominate."""
+        b = np.asarray(b)
         n = self.size
-        rhs = np.asarray(rhs)
-        if rhs.ndim != 2 or rhs.shape[1] != n:
-            raise ValueError(f"right-hand sides must have shape (m, {n})")
-        dtype = np.promote_types(lu.dtype, rhs.dtype)
-        x = rhs[:, self.perm].astype(dtype, copy=True)
+        if b.shape != (n,):
+            raise ValueError(f"right-hand side must have shape ({n},)")
+        lu = self.packed.tolist()
+        x = b[self.perm].tolist()
         for i in range(1, n):
             for j in range(i):
-                x[:, i] -= lu[i, j] * x[:, j]
+                x[i] -= lu[i][j] * x[j]
         for i in range(n - 1, -1, -1):
             for j in range(i + 1, n):
-                x[:, i] -= lu[i, j] * x[:, j]
-            x[:, i] /= lu[i, i]
-        return x
+                x[i] -= lu[i][j] * x[j]
+            x[i] /= lu[i][i]
+        return np.array(x, dtype=np.promote_types(self.packed.dtype, b.dtype))
 
 
 def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:

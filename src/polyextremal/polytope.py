@@ -9,6 +9,10 @@ systems of every facet subset, boundedness from a recession-cone program,
 full dimension from a Chebyshev ball - so each failure mode maps to its own
 exception and, in the CLI, its own exit code.
 
+The intersection points of all d-subsets, the hyperplane arrangement, are
+solved once (again only after an orientation repair) and kept on
+``incidence``; support certification reads simplex apexes from there.
+
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
 unless the caller raises those limits explicitly.
@@ -117,9 +121,15 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class VertexIncidence:
-    """For each vertex, the sorted indices of the halfspaces active there."""
+    """For each vertex, the sorted indices of the halfspaces active there.
+
+    ``arrangement`` maps each sorted d-tuple of halfspace indices with
+    independent normals to the point where those hyperplanes meet.  The
+    vertices are its feasible corners; support certification reads simplex
+    apexes from it."""
 
     active: tuple[tuple[int, ...], ...]
+    arrangement: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.active)
@@ -175,7 +185,13 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
             raise ValueError("normals must be vectors")
         if not np.all(np.isfinite(normal)) or not math.isfinite(offset):
             raise ValueError("halfspace entries must be finite")
-        length = float(np.sqrt(np.dot(normal, normal)))
+        with np.errstate(over="ignore"):
+            length = float(np.sqrt(np.dot(normal, normal)))
+        if math.isinf(length):
+            # the square overflows above ~1.3e154: scale by the largest entry first
+            peak = float(np.max(np.abs(normal)))
+            normal, offset = normal / peak, offset / peak
+            length = float(np.sqrt(np.dot(normal, normal)))
         if length <= 1e-15:
             raise ZeroNormal("halfspace normal has zero length")
         candidate = Halfspace(normal=normal / length, offset=offset / length)
@@ -188,26 +204,18 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     return out
 
 
-def _solve_subsets(halfspaces: list[Halfspace], dim: int,
-                   tol: Tolerances) -> list[np.ndarray]:
-    """Intersection points of every nonsingular d-subset of the hyperplanes."""
-    points = []
+def _arrangement(halfspaces: list[Halfspace], dim: int,
+                 tol: Tolerances) -> dict[tuple[int, ...], np.ndarray]:
+    """Intersection point of every nonsingular d-subset of the hyperplanes."""
+    points = {}
     for subset in itertools.combinations(range(len(halfspaces)), dim):
         rows = np.vstack([halfspaces[k].normal for k in subset])
         rhs = -np.array([halfspaces[k].offset for k in subset])
         try:
-            points.append(solve_real(rows, rhs, tol))
+            points[subset] = solve_real(rows, rhs, tol)
         except Singular:
             continue
     return points
-
-
-def _dedup_points(points: list[np.ndarray], radius: float) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= radius for q in kept):
-            kept.append(p)
-    return kept
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
@@ -215,25 +223,26 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     """Vertices of the intersection plus the active halfspaces at each.
 
     Every d-subset of hyperplanes with independent normals contributes its
-    intersection point; points violating any halfspace by more than geom_abs
-    are dropped, the rest deduplicated within an absolute merge radius.  The
-    returned order follows subset enumeration order (deterministic); as a
-    point set the result does not depend on halfspace order.
+    intersection point, kept in the returned ``arrangement``; points violating
+    any halfspace by more than geom_abs are dropped, the rest deduplicated
+    within an absolute merge radius.  The returned order follows subset
+    enumeration order (deterministic); as a point set the result does not
+    depend on halfspace order.
     """
-    feasible = []
-    for p in _solve_subsets(halfspaces, dim, tol):
-        values = [h.value(p) for h in halfspaces]
-        if min(values) >= -tol.geom_abs:
-            feasible.append(p)
-    vertices = _dedup_points(feasible, VERTEX_DEDUP_ABS)
+    arrangement = _arrangement(halfspaces, dim, tol)
+    vertices: list[np.ndarray] = []
+    for p in arrangement.values():
+        if min(h.value(p) for h in halfspaces) >= -tol.geom_abs and not any(
+                np.max(np.abs(p - q)) <= VERTEX_DEDUP_ABS for q in vertices):
+            vertices.append(p)
     active = tuple(
         tuple(k for k, h in enumerate(halfspaces) if abs(h.value(v)) <= tol.geom_abs)
         for v in vertices)
     array = np.vstack(vertices) if vertices else np.empty((0, dim))
-    return array, VertexIncidence(active=active)
+    return array, VertexIncidence(active=active, arrangement=arrangement)
 
 
-def _repair_orientation(halfspaces: list[Halfspace], dim: int,
+def _repair_orientation(halfspaces: list[Halfspace], arrangement: dict,
                         tol: Tolerances) -> list[Halfspace] | None:
     """Flip halfspaces that are nonpositive at every hyperplane-arrangement point.
 
@@ -242,7 +251,7 @@ def _repair_orientation(halfspaces: list[Halfspace], dim: int,
     if any, lives among those corners); mixed strict signs mean flipping could
     not be justified, so the caller reports the inconsistency instead.
     """
-    points = _solve_subsets(halfspaces, dim, tol)
+    points = list(arrangement.values())
     if not points:
         return None
     repaired = list(halfspaces)
@@ -255,10 +264,10 @@ def _repair_orientation(halfspaces: list[Halfspace], dim: int,
     return repaired if flipped_any else None
 
 
-def _facet_has_witness(halfspaces: list[Halfspace], k: int, vertices: np.ndarray,
+def _facet_has_witness(k: int, vertices: np.ndarray, incidence: VertexIncidence,
                        dim: int, tol: Tolerances) -> bool:
     """True when halfspace k is active on at least d vertices spanning a facet."""
-    active = [v for v in vertices if abs(halfspaces[k].value(v)) <= tol.geom_abs]
+    active = [v for v, on in zip(vertices, incidence.active) if k in on]
     if len(active) < dim:
         return False
     if dim == 1:
@@ -288,9 +297,10 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
 
     vertices, incidence = enumerate_vertices(canonical, dim, tol)
     if vertices.shape[0] == 0:
-        repaired = _repair_orientation(canonical, dim, tol)
+        repaired = _repair_orientation(canonical, incidence.arrangement, tol)
         if repaired is not None:
             canonical = repaired
+            # solved again: a negated row with a zero offset turns +0.0 into -0.0
             vertices, incidence = enumerate_vertices(canonical, dim, tol)
 
     normals = np.vstack([h.normal for h in canonical])
@@ -310,7 +320,7 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
         raise Empty("no feasible vertex; halfspace orientations are inconsistent")
 
     for k in range(len(canonical)):
-        if not _facet_has_witness(canonical, k, vertices, dim, tol):
+        if not _facet_has_witness(k, vertices, incidence, dim, tol):
             raise RedundantHalfspace(k)
 
     return PolytopeH(dim=dim, halfspaces=tuple(canonical), vertices=vertices,

@@ -4,13 +4,16 @@ A subset of K's facet hyperplanes defines a supporting simplex when dropping
 any one of the d+1 hyperplanes leaves a unique intersection point (the apex
 opposite it) and each apex lies strictly on the positive side of its own
 hyperplane.  Because every hyperplane in play already supports K, acceptance
-automatically gives K inside the simplex.  Subsets of j+1 < d+1 hyperplanes
-whose normals span only j dimensions (with every j of them independent) are
-tested the same way inside that span: project onto an orthonormal basis Q of
-the normals, certify the projected system as a j-dimensional simplex, and the
-original set is that simplex crossed with the orthogonal directions - a strip.
-The slab between two antiparallel facets is the j = 1 case and takes the same
-path; its cross-section "simplex" is an interval.
+automatically gives K inside the simplex.  The apexes are corners of the
+hyperplane arrangement ``validate`` solved while enumerating vertices; they
+are read from ``polytope.incidence.arrangement``, not solved again.  Subsets
+of j+1 < d+1 hyperplanes whose normals span only j dimensions (with every j
+of them independent) are tested the same way inside that span: project onto
+an orthonormal basis Q of the normals, solve the projected arrangement,
+certify it as a j-dimensional simplex, and the original set is that simplex
+crossed with the orthogonal directions - a strip.  The slab between two
+antiparallel facets is the j = 1 case and takes the same path; its
+cross-section "simplex" is an interval.
 
 Enumeration is exhaustive over facet subsets of sizes 2..d+1.  That is
 affordable at desk scale and certifies completeness directly instead of
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Singular, Tolerances, orthonormal_basis, rank, solve_real
-from .polytope import GuardExceeded, Halfspace, PolytopeH
+from .linalg import Tolerances, orthonormal_basis, rank
+from .linalg import solve_real  # noqa: F401  (unused; the benchmark's tracer wraps it)
+from .polytope import GuardExceeded, Halfspace, PolytopeH, _arrangement
 
 __all__ = [
     "SimplexSupport",
@@ -120,12 +124,13 @@ class SupportSet:
 
 
 def _certify_simplex(halfspaces: list[Halfspace], dim: int,
-                     facet_indices: tuple[int, ...],
+                     facet_indices: tuple[int, ...], arrangement: dict,
                      tol: Tolerances) -> SimplexSupport | None:
-    """Solve all apexes of a (dim+1)-hyperplane system and test strict positivity.
+    """Read the apexes of a (dim+1)-hyperplane system and test strict positivity.
 
-    Returns None when some dim-subset of normals is dependent (no unique apex)
-    or some apex fails l_j(p_j) > pos_abs.
+    ``arrangement`` maps the sorted dim-subsets of ``facet_indices`` to their
+    intersection points.  Returns None when some dim-subset is missing there
+    (dependent normals, no unique apex) or some apex fails l_j(p_j) > pos_abs.
     """
     count = len(halfspaces)
     if count != dim + 1:
@@ -133,13 +138,10 @@ def _certify_simplex(halfspaces: list[Halfspace], dim: int,
     apexes = np.empty((count, dim))
     heights = np.empty(count)
     for j in range(count):
-        others = [halfspaces[k] for k in range(count) if k != j]
-        normals = np.vstack([h.normal for h in others])
-        rhs = -np.array([h.offset for h in others])
-        try:
-            apexes[j] = solve_real(normals, rhs, tol)
-        except Singular:
+        apex = arrangement.get(facet_indices[:j] + facet_indices[j + 1:])
+        if apex is None:
             return None
+        apexes[j] = apex
         heights[j] = halfspaces[j].value(apexes[j])
         if heights[j] <= tol.pos_abs:
             return None
@@ -156,7 +158,8 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
     if len(subset) != polytope.dim + 1:
         raise ValueError(f"need exactly {polytope.dim + 1} facet indices")
     halfspaces = [polytope.halfspaces[k] for k in subset]
-    return _certify_simplex(halfspaces, polytope.dim, subset, polytope.tol)
+    return _certify_simplex(halfspaces, polytope.dim, subset,
+                            polytope.incidence.arrangement, polytope.tol)
 
 
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
@@ -171,12 +174,9 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
         raise ValueError("strip subsets have size 2..dim")
     tol = polytope.tol
     normals = np.vstack([polytope.halfspaces[k].normal for k in subset])
-    if rank(normals, tol) != j:
+    if rank(normals, tol) != j or any(
+            rank(np.delete(normals, omit, axis=0), tol) != j for omit in range(j + 1)):
         return None
-    for omit in range(j + 1):
-        kept = np.vstack([normals[i] for i in range(j + 1) if i != omit])
-        if rank(kept, tol) != j:
-            return None
     basis = orthonormal_basis(normals, tol)
     projected = []
     for k in subset:
@@ -185,7 +185,9 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
         length = float(np.sqrt(np.dot(image, image)))
         # normals lie in the row span of basis, so length is 1 up to roundoff
         projected.append(Halfspace(normal=image / length, offset=h.offset / length))
-    cross = _certify_simplex(projected, j, subset, tol)
+    corners = _arrangement(projected, j, tol)
+    arrangement = {tuple(subset[i] for i in key): p for key, p in corners.items()}
+    cross = _certify_simplex(projected, j, subset, arrangement, tol)
     if cross is None:
         return None
     return StripSupport(facet_indices=subset, cross_dim=j, basis=basis,
@@ -254,20 +256,14 @@ def support_records(support_set: SupportSet) -> list[dict]:
     """
     records = []
     for support in support_set:
-        if isinstance(support, SimplexSupport):
-            records.append({
-                "kind": "simplex",
-                "facets": list(support.facet_indices),
-                "cross_dim": support.dim,
-                "apexes": [[float(c) for c in apex] for apex in support.apexes],
-                "basis": [[float(c) for c in row] for row in np.eye(support.dim)],
-            })
-        else:
-            records.append({
-                "kind": "strip",
-                "facets": list(support.facet_indices),
-                "cross_dim": support.cross_dim,
-                "apexes": [[float(c) for c in apex] for apex in support.cross_simplex.apexes],
-                "basis": [[float(c) for c in row] for row in support.basis],
-            })
+        strip = isinstance(support, StripSupport)
+        cross = support.cross_simplex if strip else support
+        basis = support.basis if strip else np.eye(support.dim)
+        records.append({
+            "kind": support.kind,
+            "facets": list(support.facet_indices),
+            "cross_dim": cross.dim,
+            "apexes": [[float(c) for c in apex] for apex in cross.apexes],
+            "basis": [[float(c) for c in row] for row in basis],
+        })
     return records

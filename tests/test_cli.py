@@ -48,6 +48,17 @@ def test_validate_exit_codes(capsys, name, expected):
         assert err.startswith("error:")
 
 
+def test_validate_huge_normal(capsys, tmp_path):
+    """A normal whose squared length overflows still gives the triangle."""
+    doc = json.loads(open(fixture_path("triangle"), encoding="utf-8").read())
+    doc["halfspaces"][0]["normal"] = [1e200, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "validate", fixture_path("triangle"))[1]
+
+
 def test_validate_malformed_json(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"dim": 2', encoding="utf-8")

@@ -89,16 +89,6 @@ def test_solve_matches_numpy_oracle():
         assert np.allclose(solve_real(a, b), np.linalg.solve(a, b), atol=1e-9)
 
 
-def test_lu_factor_reuse_many_right_hand_sides():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-    lu = lu_factor(a)
-    rhs = rng.normal(size=(5, 3))
-    got = lu.solve_many(rhs)
-    for k in range(5):
-        assert np.allclose(got[k], solve_real(a, rhs[k]), atol=1e-12)
-
-
 def test_rank_examples():
     assert rank(np.array([[1.0, 0.0], [0.0, 1.0]])) == 2
     assert rank(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])) == 1

@@ -1,13 +1,15 @@
 """Tests for halfspace canonicalization, vertex enumeration, and validation."""
 
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyextremal.linalg import Tolerances, rank
+from polyextremal.linalg import Singular, Tolerances, rank, solve_real
 from polyextremal.polytope import (
     Degenerate,
     Empty,
@@ -67,6 +69,18 @@ def test_canonicalize_keeps_antiparallel_pairs():
     assert len(result) == 2
 
 
+def test_canonicalize_huge_normal_does_not_overflow():
+    """The squared length of [1e200, 0] overflows; the unit normal must not."""
+    scaled = [([1e200, 0.0], 0.0)] + TRIANGLE_RAW[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        polytope = validate(scaled, 2)
+        [h] = canonicalize([([3e200, 4e200], 5e200)])
+    assert np.array_equal(polytope.vertices, validate(TRIANGLE_RAW, 2).vertices)
+    assert np.allclose(h.normal, [0.6, 0.8], atol=1e-15)
+    assert h.offset == pytest.approx(1.0, abs=1e-15)
+
+
 def test_enumerate_vertices_quad():
     vertices, incidence = enumerate_vertices(canonicalize(QUAD_RAW), 2)
     assert match_point_sets(vertices, QUAD_VERTICES)
@@ -92,6 +106,27 @@ def test_enumerate_vertices_incidence_rank():
         assert len(active) >= 2
         normals = np.array([halfspaces[i].normal for i in active])
         assert rank(normals) == 2
+
+
+@pytest.mark.parametrize("name", ["quad", "square", "triangle", "cube", "prism"])
+def test_arrangement_holds_every_nonsingular_subset(name):
+    """incidence.arrangement is the solve of each d-subset, singular ones left out."""
+    polytope = load_fixture(name)
+    halfspaces, d = polytope.halfspaces, polytope.dim
+    arrangement = polytope.incidence.arrangement
+    nonsingular = []
+    for subset in itertools.combinations(range(len(halfspaces)), d):
+        rows = np.vstack([halfspaces[k].normal for k in subset])
+        rhs = -np.array([halfspaces[k].offset for k in subset])
+        try:
+            point = solve_real(rows, rhs)
+        except Singular:
+            continue
+        nonsingular.append(subset)
+        assert arrangement[subset].tobytes() == point.tobytes()
+    assert list(arrangement) == nonsingular
+    corners = [p.tobytes() for p in arrangement.values()]
+    assert all(v.tobytes() in corners for v in polytope.vertices)
 
 
 def test_enumerate_vertices_invariant_under_permutation():

@@ -1,10 +1,14 @@
 """Tests for supporting-simplex and strip certification and enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from polyextremal import polytope as polytope_module
+from polyextremal import supports as supports_module
+from polyextremal.linalg import Singular, orthonormal_basis, rank, solve_real
 from polyextremal.polytope import enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
     SimplexSupport,
@@ -16,7 +20,54 @@ from polyextremal.supports import (
     try_strip,
 )
 
-from conftest import match_point_sets
+from conftest import load_fixture, match_point_sets
+
+VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
+
+
+def _oracle_simplex(normals, offsets, tol):
+    """Apexes, rows and shifts of a (k+1)-hyperplane system in R^k, each apex
+    solved on its own; None when some apex is singular or not strictly inside."""
+    count = len(offsets)
+    apexes = np.empty((count, count - 1))
+    heights = np.empty(count)
+    for j in range(count):
+        keep = [k for k in range(count) if k != j]
+        try:
+            apexes[j] = solve_real(normals[keep], -offsets[keep], tol)
+        except Singular:
+            return None
+        heights[j] = float(np.dot(normals[j], apexes[j]) + offsets[j])
+        if heights[j] <= tol.pos_abs:
+            return None
+    return apexes, normals / heights[:, None], offsets / heights
+
+
+def _oracle_strip(polytope, subset):
+    """The strip test of ``try_strip`` with a fresh solve per cross-section apex."""
+    tol = polytope.tol
+    normals = np.vstack([polytope.halfspaces[k].normal for k in subset])
+    j = len(subset) - 1
+    if rank(normals, tol) != j:
+        return None
+    if any(rank(np.delete(normals, omit, axis=0), tol) != j for omit in range(j + 1)):
+        return None
+    basis = orthonormal_basis(normals, tol)
+    images, offsets = [], []
+    for k in subset:
+        image = basis @ polytope.halfspaces[k].normal
+        length = float(np.sqrt(np.dot(image, image)))
+        images.append(image / length)
+        offsets.append(polytope.halfspaces[k].offset / length)
+    cross = _oracle_simplex(np.vstack(images), np.array(offsets), tol)
+    return None if cross is None else (basis,) + cross
+
+
+def _tangent_polytope(dim, count, seed):
+    """Random unit normals with offset 1: every halfspace is a facet."""
+    normals = np.random.default_rng(seed).normal(size=(count, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return [(list(n), 1.0) for n in normals]
 
 QUAD_APEX_SETS = [
     [(0.0, 0.0), (3.0, 0.0), (0.0, 1.0)],
@@ -293,3 +344,78 @@ def test_support_records_are_json_serializable(prism_supports):
 
     text = json.dumps(support_records(prism_supports))
     assert json.loads(text)[0]["kind"] == "strip"
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_certification_matches_per_subset_solve_oracle(name):
+    """Apexes read from the arrangement equal a fresh solve, bit for bit."""
+    polytope = load_fixture(name)
+    d = polytope.dim
+    normals = polytope.normals
+    offsets = polytope.offsets
+    for size in range(2, d + 2):
+        for subset in itertools.combinations(range(len(offsets)), size):
+            if size == d + 1:
+                got = cross = try_simplex(polytope, subset)
+                expected = _oracle_simplex(normals[list(subset)], offsets[list(subset)],
+                                           polytope.tol)
+            else:
+                got = try_strip(polytope, subset)
+                expected = _oracle_strip(polytope, subset)
+                cross = None if got is None else got.cross_simplex
+            assert (got is None) == (expected is None), subset
+            if got is None:
+                continue
+            if size <= d:
+                basis, *expected = expected
+                assert got.basis.tobytes() == basis.tobytes()
+                assert got.rows.tobytes() == (expected[1] @ basis).tobytes()
+                assert got.shifts.tobytes() == expected[2].tobytes()
+            apexes, rows, shifts = expected
+            assert cross.apexes.tobytes() == apexes.tobytes()
+            assert cross.rows.tobytes() == rows.tobytes()
+            assert cross.shifts.tobytes() == shifts.tobytes()
+
+
+@pytest.mark.parametrize("halfspaces,dim", [
+    ([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -3.0], 3.0), ([-3.0, -1.0], 3.0)], 2),
+    (_tangent_polytope(3, 9, seed=4), 3),
+])
+def test_each_facet_intersection_is_solved_once(monkeypatch, halfspaces, dim):
+    """validate solves every d-subset once; certifying (d+1)-subsets solves nothing."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_real(*args, **kwargs)
+
+    monkeypatch.setattr(polytope_module, "solve_real", counting)
+    monkeypatch.setattr(supports_module, "solve_real", counting)
+    polytope = validate(halfspaces, dim)
+    assert len(calls) == math.comb(len(halfspaces), dim)
+    supports = enumerate_supports(polytope)
+    assert len(calls) == math.comb(len(halfspaces), dim)
+    assert all(s.kind == "simplex" for s in supports)
+
+
+def test_only_strip_cross_sections_solve(monkeypatch, prism):
+    """On the prism, every solve during enumeration is inside a strip test."""
+    calls = []
+    inside_strip = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_real(*args, **kwargs)
+
+    def traced_strip(polytope, subset):
+        before = len(calls)
+        strip = try_strip(polytope, subset)
+        inside_strip.append(len(calls) - before)
+        return strip
+
+    monkeypatch.setattr(polytope_module, "solve_real", counting)
+    monkeypatch.setattr(supports_module, "solve_real", counting)
+    monkeypatch.setattr(supports_module, "try_strip", traced_strip)
+    supports = enumerate_supports(prism)
+    assert [s.kind for s in supports] == ["strip", "strip"]
+    assert sum(inside_strip) == len(calls) > 0
