@@ -120,7 +120,8 @@ class LUFactors:
 
 
 def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:
-    """Factor a square matrix with partial pivoting.
+    """Factor a square matrix with partial pivoting (first largest entry of a
+    column), on Python scalars in a fixed order, like ``LUFactors.solve``.
 
     Raises Singular when the best available pivot is at or below
     ``rank_rel`` times the largest entry of the input matrix.
@@ -131,18 +132,18 @@ def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:
     n = a.shape[0]
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     threshold = tol.rank_rel * scale
-    perm = np.arange(n)
+    lu = a.tolist()
+    perm = list(range(n))
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= threshold:
-            raise Singular(f"pivot {abs(a[p, k]):.3e} at column {k} below threshold {threshold:.3e}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        a[k + 1:, k] /= a[k, k]
-        if k + 1 < n:
-            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
-    return LUFactors(packed=a, perm=perm)
+        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
+        if abs(lu[p][k]) <= threshold:
+            raise Singular(f"pivot {abs(lu[p][k]):.3e} at column {k} below threshold {threshold:.3e}")
+        lu[k], lu[p], perm[k], perm[p] = lu[p], lu[k], perm[p], perm[k]
+        for row in lu[k + 1:]:
+            row[k] /= lu[k][k]
+            for c in range(k + 1, n):
+                row[c] -= row[k] * lu[k][c]
+    return LUFactors(packed=np.array(lu, dtype=a.dtype).reshape(n, n), perm=np.array(perm))
 
 
 def solve_real(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,7 @@ class ParseError(PolytopeError):
 
 
 class ZeroNormal(PolytopeError):
-    """A halfspace normal is (numerically) the zero vector."""
+    """A halfspace normal is the zero vector."""
 
 
 class Unbounded(PolytopeError):
@@ -185,15 +186,16 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
             raise ValueError("normals must be vectors")
         if not np.all(np.isfinite(normal)) or not math.isfinite(offset):
             raise ValueError("halfspace entries must be finite")
+        if not np.any(normal):
+            raise ZeroNormal("halfspace normal is the zero vector")
         with np.errstate(over="ignore"):
-            length = float(np.sqrt(np.dot(normal, normal)))
-        if math.isinf(length):
-            # the square overflows above ~1.3e154: scale by the largest entry first
+            square = float(np.dot(normal, normal))
+        if not sys.float_info.min <= square < math.inf:
+            # the square overflows or is not a normal float: scale by the largest entry first
             peak = float(np.max(np.abs(normal)))
             normal, offset = normal / peak, offset / peak
-            length = float(np.sqrt(np.dot(normal, normal)))
-        if length <= 1e-15:
-            raise ZeroNormal("halfspace normal has zero length")
+            square = float(np.dot(normal, normal))
+        length = float(np.sqrt(square))
         candidate = Halfspace(normal=normal / length, offset=offset / length)
         duplicate = any(
             np.max(np.abs(candidate.normal - h.normal)) <= tol.geom_abs

@@ -7,20 +7,21 @@ hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
 hyperplane arrangement ``validate`` solved while enumerating vertices; they
 are read from ``polytope.incidence.arrangement``, not solved again.  Subsets
-of j+1 < d+1 hyperplanes whose normals span only j dimensions (with every j
-of them independent) are tested the same way inside that span: project onto
-an orthonormal basis Q of the normals, solve the projected arrangement,
-certify it as a j-dimensional simplex, and the original set is that simplex
-crossed with the orthogonal directions - a strip.  The slab between two
-antiparallel facets is the j = 1 case and takes the same path; its
-cross-section "simplex" is an interval.
+of j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
+same way inside that span: project onto an orthonormal basis Q of the
+normals, solve the projected arrangement, certify it as a j-dimensional
+simplex, and the original set is that simplex crossed with the orthogonal
+directions - a strip.  The slab between two antiparallel facets is the j = 1
+case; its cross-section "simplex" is an interval.
 
-Enumeration is exhaustive over facet subsets of sizes 2..d+1.  That is
-affordable at desk scale and certifies completeness directly instead of
-re-deriving the constructive existence argument; a guard refuses inputs whose
-subset count explodes.  Certification of one subset never looks at another,
-so results merge deterministically: the support list is sorted by facet index
-set and deduplication is inherent (each subset is visited once).
+Enumeration is exhaustive over facet subsets of size d+1.  Strip normals make
+every d-subset containing them singular, so strips are looked for only inside
+the d-subsets the arrangement leaves out: its LU alone decides dependence.
+This certifies completeness directly instead of re-deriving the constructive
+existence argument; a guard refuses inputs whose subset count explodes.
+Certification of one subset never looks at another, so results merge
+deterministically: supports are sorted by facet index set, each subset
+visited once.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tolerances, orthonormal_basis, rank
-from .linalg import solve_real  # noqa: F401  (unused; the benchmark's tracer wraps it)
+from .linalg import Tolerances, orthonormal_basis
+from .linalg import rank, solve_real  # noqa: F401  (unused; the benchmark's tracer wraps them)
 from .polytope import GuardExceeded, Halfspace, PolytopeH, _arrangement
 
 __all__ = [
@@ -132,9 +133,7 @@ def _certify_simplex(halfspaces: list[Halfspace], dim: int,
     intersection points.  Returns None when some dim-subset is missing there
     (dependent normals, no unique apex) or some apex fails l_j(p_j) > pos_abs.
     """
-    count = len(halfspaces)
-    if count != dim + 1:
-        raise ValueError("simplex certification needs dim+1 halfspaces")
+    count = dim + 1
     apexes = np.empty((count, dim))
     heights = np.empty(count)
     for j in range(count):
@@ -165,19 +164,18 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     """Certify j+1 facet indices (j < d) as a supporting strip, or None.
 
-    Requires the normals to span exactly j dimensions with every j-subset
-    independent; the projected system must then pass the simplex test in R^j.
+    The normals must span exactly j dimensions and the projected system pass
+    the simplex test in R^j, which rejects dependent j-subsets: they have no
+    corner in the projected arrangement.
     """
     subset = tuple(sorted(subset))
     j = len(subset) - 1
     if not 1 <= j < polytope.dim:
         raise ValueError("strip subsets have size 2..dim")
     tol = polytope.tol
-    normals = np.vstack([polytope.halfspaces[k].normal for k in subset])
-    if rank(normals, tol) != j or any(
-            rank(np.delete(normals, omit, axis=0), tol) != j for omit in range(j + 1)):
+    basis = orthonormal_basis(polytope.normals[list(subset)], tol)
+    if basis.shape[0] != j:
         return None
-    basis = orthonormal_basis(normals, tol)
     projected = []
     for k in subset:
         h = polytope.halfspaces[k]
@@ -196,7 +194,8 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
 
 
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:
-    """Certify every facet subset of size 2..d+1; collect simplices and strips.
+    """Certify every facet subset of size d+1 as a simplex, and as a strip
+    every subset of size 2..d inside a d-subset the arrangement leaves out.
 
     Raises NoCover when some facet of K ends up in no accepted support, which
     signals inconsistent input or numerical failure (mathematically every
@@ -208,24 +207,22 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     if total > SUBSET_GUARD:
         raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
 
+    singular = [t for t in itertools.combinations(range(n), d)
+                if t not in polytope.incidence.arrangement]
+    strip_subsets = {part for t in singular for size in range(2, d + 1)
+                     for part in itertools.combinations(t, size)}
     accepted: list[SimplexSupport | StripSupport] = []
-    for size in range(2, d + 2):
-        for subset in itertools.combinations(range(n), size):
-            if size == d + 1:
-                support = try_simplex(polytope, subset)
-            else:
-                support = try_strip(polytope, subset)
-            if support is not None:
-                accepted.append(support)
+    for subset in [*sorted(strip_subsets), *itertools.combinations(range(n), d + 1)]:
+        support = (try_simplex if len(subset) == d + 1 else try_strip)(polytope, subset)
+        if support is not None:
+            accepted.append(support)
 
-    accepted.sort(key=lambda s: s.facet_indices)
-    covered = set()
-    for support in accepted:
-        covered.update(support.facet_indices)
+    covered = {facet for support in accepted for facet in support.facet_indices}
     for facet in range(n):
         if facet not in covered:
             raise NoCover(facet)
-    return SupportSet(polytope=polytope, supports=tuple(accepted))
+    return SupportSet(polytope=polytope,
+                      supports=tuple(sorted(accepted, key=lambda s: s.facet_indices)))
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

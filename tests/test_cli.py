@@ -59,6 +59,23 @@ def test_validate_huge_normal(capsys, tmp_path):
     assert out == run_cli(capsys, "validate", fixture_path("triangle"))[1]
 
 
+@pytest.mark.parametrize("normal,code", [([1e-16, 0.0], 0), ([1e-170, 0.0], 0), ([0.0, 0.0], 2)])
+def test_validate_tiny_normal(capsys, tmp_path, normal, code):
+    """A tiny normal, whose squared length may underflow, still gives the
+    triangle; only the zero vector is refused, with exit 2."""
+    doc = json.loads(open(fixture_path("triangle"), encoding="utf-8").read())
+    doc["halfspaces"][0]["normal"] = normal
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, out, err = run_cli(capsys, "validate", str(path))
+    assert got == code
+    if code:
+        assert err.startswith("error:") and "zero vector" in err
+    else:
+        assert err == ""
+        assert out == run_cli(capsys, "validate", fixture_path("triangle"))[1]
+
+
 def test_validate_malformed_json(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"dim": 2', encoding="utf-8")

@@ -78,6 +78,49 @@ def test_solve_round_trip_complex(n):
     assert np.max(np.abs(got - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
+def _lu_factor_by_columns(a, tol=DEFAULT_TOL):
+    """Partial-pivot LU with numpy operations on whole columns: the reference
+    the scalar ``lu_factor`` must reproduce bit for bit."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    threshold = tol.rank_rel * float(np.max(np.abs(a)))
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) <= threshold:
+            raise Singular(f"pivot {abs(a[p, k]):.3e} at column {k} below threshold {threshold:.3e}")
+        a[[k, p]] = a[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
+    return a, perm
+
+
+def test_lu_factor_matches_column_reference_bitwise():
+    rng = np.random.default_rng(7)
+    singular = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 7))
+        a = rng.normal(size=(n, n))
+        if trial % 2:
+            a[rng.random((n, n)) < 0.4] = 0.0
+        if trial % 5 == 0:
+            a[:, 0] = np.sign(a[:, 0])  # ties for the first pivot
+        try:
+            packed, perm = _lu_factor_by_columns(a)
+        except Singular as exc:
+            with pytest.raises(Singular) as raised:
+                lu_factor(a)
+            assert str(raised.value) == str(exc)
+            singular += 1
+            continue
+        factors = lu_factor(a)
+        assert factors.packed.tobytes() == packed.tobytes()
+        assert factors.perm.tobytes() == perm.tobytes()
+        assert factors.packed.dtype == packed.dtype and factors.perm.dtype == perm.dtype
+    assert 0 < singular < 300
+
+
 def test_solve_matches_numpy_oracle():
     rng = np.random.default_rng(42)
     for trial in range(25):

@@ -64,6 +64,20 @@ def test_canonicalize_rejects_zero_normal():
         canonicalize([([0.0, 0.0], 1.0)])
 
 
+@pytest.mark.parametrize("scale", [1e-16, 1e-170, 5e-324])
+def test_canonicalize_tiny_normal_is_not_zero(scale):
+    """Only the zero vector is a zero normal; a square that underflows is
+    scaled by the largest entry first, as one that overflows is."""
+    scaled = [([scale, 0.0], 0.0)] + TRIANGLE_RAW[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        polytope = validate(scaled, 2)
+        [h] = canonicalize([([3 * scale, 4 * scale], 5 * scale)])
+    assert np.array_equal(polytope.vertices, validate(TRIANGLE_RAW, 2).vertices)
+    assert np.allclose(h.normal, [0.6, 0.8], atol=1e-15)
+    assert h.offset == pytest.approx(1.0, abs=1e-15)
+
+
 def test_canonicalize_keeps_antiparallel_pairs():
     result = canonicalize([([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)])
     assert len(result) == 2

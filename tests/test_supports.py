@@ -419,3 +419,109 @@ def test_only_strip_cross_sections_solve(monkeypatch, prism):
     supports = enumerate_supports(prism)
     assert [s.kind for s in supports] == ["strip", "strip"]
     assert sum(inside_strip) == len(calls) > 0
+
+
+def _prism(dim, seed):
+    """A polygon tangent to the unit circle times dim-2 intervals."""
+    rng = np.random.default_rng(seed)
+    sides = int(rng.integers(3, 7))
+    angles = 2 * np.pi * np.arange(sides) / sides + rng.uniform(-0.2, 0.2, sides)
+    halfspaces = [([math.cos(a), math.sin(a)] + [0.0] * (dim - 2), 1.0) for a in angles]
+    for axis in np.eye(dim)[2:]:
+        halfspaces += [(list(axis), rng.uniform(0.5, 2.0)), (list(-axis), rng.uniform(0.5, 2.0))]
+    return validate(halfspaces, dim)
+
+
+def _cube(dim):
+    return validate([(list(sign * axis), 1.0) for axis in np.eye(dim) for sign in (1, -1)],
+                    dim)
+
+
+def _symmetric(dim, pairs, seed):
+    """Random antipodal pairs of unit normals with offset 1."""
+    normals = np.random.default_rng(seed).normal(size=(pairs, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return validate([(list(sign * n), 1.0) for n in normals for sign in (1, -1)], dim)
+
+
+def _tilted_prism(seed):
+    """A triangular prism whose side normals leave their plane by 1e-11..1e-9,
+    turned by a random rotation: the three sides are nearly, not exactly,
+    dependent."""
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * np.arange(3) / 3 + rng.uniform(-0.3, 0.3, 3)
+    tilts = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-11, -9, 3)
+    sides = np.column_stack([np.cos(angles), np.sin(angles), tilts])
+    normals = np.vstack([sides, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    offsets = [1.0, 1.0, 1.0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return validate([(list(n), b) for n, b in zip(normals @ q.T, offsets)], 3)
+
+
+SEARCH_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"prism-d{dim}-{seed}": lambda dim=dim, seed=seed: _prism(dim, seed)
+       for dim in (3, 4) for seed in range(3)},
+    **{f"cube-d{dim}": lambda dim=dim: _cube(dim) for dim in (2, 3, 4, 5)},
+    **{f"symmetric-d{dim}-{seed}": lambda dim=dim, seed=seed: _symmetric(dim, dim + 2, seed)
+       for dim in (2, 3, 4) for seed in range(2)},
+    **{f"tangent-d{dim}-{seed}": lambda dim=dim, seed=seed: validate(
+        _tangent_polytope(dim, 8, seed), dim) for dim in (3, 4) for seed in (0, 1)},
+}
+
+
+def _support_bytes(support):
+    strip = isinstance(support, StripSupport)
+    cross = support.cross_simplex if strip else support
+    basis = support.basis.tobytes() if strip else b""
+    return (support.kind, support.facet_indices, cross.apexes.tobytes(),
+            support.rows.tobytes(), support.shifts.tobytes(), basis)
+
+
+@pytest.mark.parametrize("name", SEARCH_CASES)
+def test_strip_search_loses_no_strip(name):
+    """Searching only inside singular d-subsets finds what an exhaustive pass
+    over every subset of sizes 2..d+1 finds, bit for bit."""
+    polytope = SEARCH_CASES[name]()
+    n, d = len(polytope.halfspaces), polytope.dim
+    exhaustive = []
+    for size in range(2, d + 2):
+        for subset in itertools.combinations(range(n), size):
+            support = (try_simplex if size == d + 1 else try_strip)(polytope, subset)
+            if support is not None:
+                exhaustive.append(_support_bytes(support))
+    assert [_support_bytes(s) for s in enumerate_supports(polytope)] == sorted(
+        exhaustive, key=lambda record: record[1])
+
+
+@pytest.mark.parametrize("dim,count,seed", [(3, 10, 1), (4, 9, 6)])
+def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, count, seed):
+    polytope = validate(_tangent_polytope(dim, count, seed), dim)
+    assert len(polytope.incidence.arrangement) == math.comb(count, dim)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return try_strip(*args)
+
+    monkeypatch.setattr(supports_module, "try_strip", counting)
+    assert all(s.kind == "simplex" for s in enumerate_supports(polytope))
+    assert calls == []
+
+
+NESTING_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", NESTING_CASES)
+def test_no_strip_inside_a_simplex(name):
+    """Nearly dependent normals give a strip or a simplex, never both: the
+    arrangement alone decides whether they are dependent."""
+    supports = enumerate_supports(NESTING_CASES[name]())
+    simplices = [set(s.facet_indices) for s in supports if s.kind == "simplex"]
+    nested = [s.facet_indices for s in supports if s.kind == "strip"
+              and any(set(s.facet_indices) <= simplex for simplex in simplices)]
+    assert nested == []
