@@ -64,6 +64,7 @@ from .extremal import (
     eval_interval,
     eval_simplex,
     eval_simplex_many,
+    eval_supports_many,
     inv_joukowski_log,
     lundin_ball,
 )

@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import eval_extremal_many, eval_simplex_many
+from .extremal import eval_extremal_many, eval_supports_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -175,9 +175,8 @@ def cmd_eval(args, tol: Tolerances) -> int:
     values, argmax = eval_extremal_many(supports, points)
     lines = [f"{value!r} {index}" for value, index in zip(values.tolist(), argmax.tolist())]
     if args.diagnostics:
-        columns = [eval_simplex_many(support, points).tolist() for support in supports]
-        lines = [line + " " + " ".join(repr(column[j]) for column in columns)
-                 for j, line in enumerate(lines)]
+        matrix = eval_supports_many(supports, points).tolist()
+        lines = [line + " " + " ".join(map(repr, row)) for line, row in zip(lines, matrix)]
     print("\n".join(lines))
     return 0
 

@@ -23,9 +23,9 @@ cancellation; where u(u+2) overflows (u beyond ~1.3e154) it is
 log 2 + log s, exact there to double precision.  Points must be finite:
 NaN or infinite coordinates raise ValueError.
 
-Batch evaluators loop over the few support dimensions and vectorize across
-points with elementwise numpy only - no BLAS kernels - so values computed for
-a point never depend on which chunk of a grid it sits in.
+One kernel evaluates a chunk of points against a set's stacked supports at
+once: a few dozen elementwise numpy calls per chunk, however many supports,
+and no BLAS, so a point's values never depend on its chunk.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "eval_simplex",
     "eval_extremal",
     "eval_simplex_many",
+    "eval_supports_many",
     "eval_extremal_many",
     "lundin_ball",
     "eval_interval",
@@ -54,6 +55,7 @@ __all__ = [
 
 _ZERO_BAND = 1e-12   # sums within this of 1 (above) collapse to value 0
 _DOMAIN_BAND = 1e-9  # sums below 1 by more than this signal an internal bug
+_CHUNK = 16_384      # point x support values per kernel pass; fastest on the benchmark
 
 
 class DomainError(Exception):
@@ -75,19 +77,20 @@ def inv_joukowski_log(s: float) -> float:
     return math.log1p(u + math.sqrt(square))
 
 
-def _inv_joukowski_log_many(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
+def _inv_joukowski_log_many(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``inv_joukowski_log`` of the float array ``s`` into ``out``, which has
+    its shape; ``s`` is overwritten, so that no array of that size is made."""
     if np.any(s < 1.0 - _DOMAIN_BAND):
-        worst = float(np.min(s))
-        raise DomainError(f"inverse Joukowski argument {worst!r} below 1")
-    u = np.maximum(s - 1.0, 0.0)
+        raise DomainError(f"inverse Joukowski argument {float(np.min(s))!r} below 1")
+    zero = s <= 1.0 + _ZERO_BAND
+    u = np.maximum(np.subtract(s, 1.0, out=s), 0.0, out=s)
     with np.errstate(over="ignore"):
-        square = u * (u + 2.0)
-    out = np.log1p(u + np.sqrt(square))
+        square = np.multiply(np.add(u, 2.0, out=out), u, out=out)
     far = np.isinf(square)
+    np.log1p(np.add(np.sqrt(square, out=out), u, out=out), out=out)
     if far.any():
-        out[far] = math.log(2.0) + np.log(s[far])
-    out[s <= 1.0 + _ZERO_BAND] = 0.0
+        out[far] = math.log(2.0) + np.log(u[far])  # u == s there
+    out[zero] = 0.0
     return out
 
 
@@ -119,35 +122,50 @@ def _as_points(z: np.ndarray, dim: int) -> np.ndarray:
     return points
 
 
-def _coordinates(support, points: np.ndarray) -> np.ndarray:
-    """lambda_k = shifts[k] + sum_c rows[k, c] z_c for checked points, one
-    row per k; the sum over c runs in fixed order, elementwise."""
-    rows, shifts = support.rows, support.shifts
-    coords = np.empty((rows.shape[0], points.shape[0]), dtype=complex)
+def _coordinates(rows, shifts, points, coords, term):
+    """lambda_k = rows[k, 0] z_0 + ... + rows[k, d-1] z_{d-1} + shifts[k] of S
+    stacked supports at checked points, into the (points, S) array ``coords``
+    for each k in turn, elementwise and in that order."""
     for k in range(rows.shape[0]):
-        column = rows[k, 0] * points[:, 0]
+        np.multiply(rows[k, 0], points[:, 0, None], out=coords)
         for c in range(1, rows.shape[1]):
-            column += rows[k, c] * points[:, c]
-        coords[k] = column + shifts[k]
-    return coords
+            coords += np.multiply(rows[k, c], points[:, c, None], out=term)
+        coords += shifts[k]
+        yield coords
 
 
-def _values(support, points: np.ndarray) -> np.ndarray:
-    coords = _coordinates(support, points)
-    total = np.abs(coords[0])
-    for k in range(1, coords.shape[0]):
-        total = total + np.abs(coords[k])
-    return _inv_joukowski_log_many(total)
+def _scratch(count: int, supports: int) -> list[np.ndarray]:
+    """Work arrays of ``_values`` for up to ``count`` points, which chunked
+    callers allocate once: fresh ones per chunk had their pages faulted anew."""
+    return [np.empty((count, supports), t) for t in (complex, complex, float, float)]
+
+
+def _values(rows, shifts, points, work=None) -> np.ndarray:
+    """(points, S) values, written to the third work array: the magnitudes
+    |lambda_k| added in k order, then the inverse Joukowski map."""
+    work = work or _scratch(points.shape[0], rows.shape[2])
+    coords, term, magnitude, total = (array[:points.shape[0]] for array in work)
+    total.fill(0.0)
+    for lam in _coordinates(rows, shifts, points, coords, term):
+        total += np.abs(lam, out=magnitude)
+    return _inv_joukowski_log_many(total, out=magnitude)
 
 
 def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
     """Values of one support, simplex or strip, for each row of ``points``."""
-    return _values(support, _as_points(points, support.rows.shape[1]))
+    points = _as_points(points, support.rows.shape[1])
+    return _values(support.rows[:, :, None], support.shifts[:, None], points)[:, 0]
 
 
 def eval_simplex(support, z: np.ndarray) -> float:
     """V of one support, simplex or strip, at one point of C^d."""
     return float(eval_simplex_many(support, z)[0])
+
+
+def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
+    """Every support's value at every point, one row per point."""
+    points = _as_points(points, support_set.polytope.dim)
+    return _values(support_set.rows, support_set.shifts, points)
 
 
 @dataclass(frozen=True)
@@ -172,13 +190,14 @@ def eval_extremal_many(support_set: SupportSet,
     if len(support_set) == 0:
         raise ValueError("support set is empty")
     points = _as_points(points, support_set.polytope.dim)
-    best = _values(support_set[0], points)
-    argmax = np.zeros(points.shape[0], dtype=np.int64)
-    for i in range(1, len(support_set)):
-        values = _values(support_set[i], points)
-        better = values > best
-        best = np.where(better, values, best)
-        argmax = np.where(better, i, argmax)
+    best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
+    step = max(1, _CHUNK // len(support_set))
+    work = _scratch(min(step, points.shape[0]), len(support_set))
+    for start in range(0, points.shape[0], step):
+        chunk = slice(start, start + step)
+        values = _values(support_set.rows, support_set.shifts, points[chunk], work)
+        argmax[chunk] = np.argmax(values, axis=1)
+        best[chunk] = np.take_along_axis(values, argmax[chunk, None], axis=1)[:, 0]
     return best, argmax
 
 
@@ -187,9 +206,7 @@ def eval_extremal(support_set: SupportSet, z: np.ndarray,
     """V_K(z) at one point: ``eval_extremal_many`` on that point, with every
     support's own value when ``diagnostics`` is set."""
     values, argmax = eval_extremal_many(support_set, z)
-    per_support = None
-    if diagnostics:
-        per_support = tuple(eval_simplex(s, z) for s in support_set)
+    per_support = tuple(eval_supports_many(support_set, z)[0].tolist()) if diagnostics else None
     return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
                       per_support=per_support)
 

@@ -206,18 +206,20 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     return out
 
 
+def _corner(halfspaces: list[Halfspace], subset, tol: Tolerances) -> np.ndarray | None:
+    """Intersection point of the hyperplanes ``subset``, None when singular."""
+    try:
+        return solve_real(np.vstack([halfspaces[k].normal for k in subset]),
+                          -np.array([halfspaces[k].offset for k in subset]), tol)
+    except Singular:
+        return None
+
+
 def _arrangement(halfspaces: list[Halfspace], dim: int,
                  tol: Tolerances) -> dict[tuple[int, ...], np.ndarray]:
     """Intersection point of every nonsingular d-subset of the hyperplanes."""
-    points = {}
-    for subset in itertools.combinations(range(len(halfspaces)), dim):
-        rows = np.vstack([halfspaces[k].normal for k in subset])
-        rhs = -np.array([halfspaces[k].offset for k in subset])
-        try:
-            points[subset] = solve_real(rows, rhs, tol)
-        except Singular:
-            continue
-    return points
+    subsets = itertools.combinations(range(len(halfspaces)), dim)
+    return {s: p for s in subsets if (p := _corner(halfspaces, s, tol)) is not None}
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int,

@@ -9,10 +9,10 @@ hyperplane arrangement ``validate`` solved while enumerating vertices; they
 are read from ``polytope.incidence.arrangement``, not solved again.  Subsets
 of j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
 same way inside that span: project onto an orthonormal basis Q of the
-normals, solve the projected arrangement, certify it as a j-dimensional
-simplex, and the original set is that simplex crossed with the orthogonal
-directions - a strip.  The slab between two antiparallel facets is the j = 1
-case; its cross-section "simplex" is an interval.
+normals, certify the projection as a j-dimensional simplex, solving its
+corners as certification reads them, and the original set is that simplex
+crossed with the orthogonal directions - a strip.  The slab between two
+antiparallel facets is the j = 1 case; its cross-section is an interval.
 
 Enumeration is exhaustive over facet subsets of size d+1.  Strip normals make
 every d-subset containing them singular, so strips are looked for only inside
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import Tolerances, orthonormal_basis
 from .linalg import rank, solve_real  # noqa: F401  (unused; the benchmark's tracer wraps them)
-from .polytope import GuardExceeded, Halfspace, PolytopeH, _arrangement
+from .polytope import GuardExceeded, Halfspace, PolytopeH, _corner
 
 __all__ = [
     "SimplexSupport",
@@ -109,10 +109,17 @@ class StripSupport:
 
 @dataclass(frozen=True, eq=False)
 class SupportSet:
-    """All certified supports of one polytope, sorted by facet index set."""
+    """All certified supports of one polytope, sorted by facet index set.
+
+    ``rows`` (d+1, d, S) and ``shifts`` (d+1, S) hold support i's ``rows``
+    and ``shifts`` at [..., i].  A strip's j+1 rows are padded with zero rows,
+    which is exact: they give lambda = 0, |lambda| = 0, and t + 0.0 == t.
+    """
 
     polytope: PolytopeH
     supports: tuple[SimplexSupport | StripSupport, ...]
+    rows: np.ndarray = field(repr=False)
+    shifts: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -125,19 +132,19 @@ class SupportSet:
 
 
 def _certify_simplex(halfspaces: list[Halfspace], dim: int,
-                     facet_indices: tuple[int, ...], arrangement: dict,
+                     facet_indices: tuple[int, ...], corner,
                      tol: Tolerances) -> SimplexSupport | None:
     """Read the apexes of a (dim+1)-hyperplane system and test strict positivity.
 
-    ``arrangement`` maps the sorted dim-subsets of ``facet_indices`` to their
-    intersection points.  Returns None when some dim-subset is missing there
-    (dependent normals, no unique apex) or some apex fails l_j(p_j) > pos_abs.
+    ``corner`` maps a sorted dim-subset of ``facet_indices`` to its
+    intersection point, or to None (dependent normals, no unique apex).  The
+    first apex missing there or failing l_j(p_j) > pos_abs ends the test.
     """
     count = dim + 1
     apexes = np.empty((count, dim))
     heights = np.empty(count)
     for j in range(count):
-        apex = arrangement.get(facet_indices[:j] + facet_indices[j + 1:])
+        apex = corner(facet_indices[:j] + facet_indices[j + 1:])
         if apex is None:
             return None
         apexes[j] = apex
@@ -158,7 +165,7 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
         raise ValueError(f"need exactly {polytope.dim + 1} facet indices")
     halfspaces = [polytope.halfspaces[k] for k in subset]
     return _certify_simplex(halfspaces, polytope.dim, subset,
-                            polytope.incidence.arrangement, polytope.tol)
+                            polytope.incidence.arrangement.get, polytope.tol)
 
 
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
@@ -183,9 +190,8 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
         length = float(np.sqrt(np.dot(image, image)))
         # normals lie in the row span of basis, so length is 1 up to roundoff
         projected.append(Halfspace(normal=image / length, offset=h.offset / length))
-    corners = _arrangement(projected, j, tol)
-    arrangement = {tuple(subset[i] for i in key): p for key, p in corners.items()}
-    cross = _certify_simplex(projected, j, subset, arrangement, tol)
+    cross = _certify_simplex(projected, j, subset, lambda key: _corner(
+        projected, [subset.index(k) for k in key], tol), tol)
     if cross is None:
         return None
     return StripSupport(facet_indices=subset, cross_dim=j, basis=basis,
@@ -221,8 +227,12 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     for facet in range(n):
         if facet not in covered:
             raise NoCover(facet)
-    return SupportSet(polytope=polytope,
-                      supports=tuple(sorted(accepted, key=lambda s: s.facet_indices)))
+    ordered = tuple(sorted(accepted, key=lambda s: s.facet_indices))
+    rows, shifts = np.zeros((d + 1, d, len(ordered))), np.zeros((d + 1, len(ordered)))
+    for i, support in enumerate(ordered):
+        rows[:len(support.shifts), :, i] = support.rows
+        shifts[:len(support.shifts), i] = support.shifts
+    return SupportSet(polytope=polytope, supports=ordered, rows=rows, shifts=shifts)
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from polyextremal import PolytopeH, SupportSet, enumerate_supports, from_json
+from polyextremal import PolytopeH, SupportSet, enumerate_supports, from_json, validate
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -107,3 +107,40 @@ def match_point_sets(got: np.ndarray, expected, tol: float = 1e-9) -> bool:
             return False
         remaining.remove(hit)
     return not remaining
+
+
+def tangent_halfspaces(dim, count, seed):
+    """Random unit normals with offset 1: every halfspace is a facet."""
+    normals = np.random.default_rng(seed).normal(size=(count, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return [(list(n), 1.0) for n in normals]
+
+
+def prism_polytope(dim, seed):
+    """A polygon tangent to the unit circle times dim-2 intervals."""
+    rng = np.random.default_rng(seed)
+    sides = int(rng.integers(3, 7))
+    angles = 2 * np.pi * np.arange(sides) / sides + rng.uniform(-0.2, 0.2, sides)
+    halfspaces = [([math.cos(a), math.sin(a)] + [0.0] * (dim - 2), 1.0) for a in angles]
+    for axis in np.eye(dim)[2:]:
+        halfspaces += [(list(axis), rng.uniform(0.5, 2.0)), (list(-axis), rng.uniform(0.5, 2.0))]
+    return validate(halfspaces, dim)
+
+
+def cube_polytope(dim):
+    return validate([(list(sign * axis), 1.0) for axis in np.eye(dim) for sign in (1, -1)],
+                    dim)
+
+
+def symmetric_polytope(dim, pairs, seed):
+    """Random antipodal pairs of unit normals with offset 1."""
+    normals = np.random.default_rng(seed).normal(size=(pairs, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return validate([(list(sign * n), 1.0) for n in normals for sign in (1, -1)], dim)
+
+
+def ngon_polytope(sides):
+    """The regular polygon (sides even) of inradius 1 whose opposite normals
+    are exactly antiparallel, so each pair bounds a strip."""
+    half = [[math.cos(a), math.sin(a)] for a in np.arange(sides // 2) * (2 * np.pi / sides)]
+    return validate([(n, 1.0) for n in half] + [([-x for x in n], 1.0) for n in half], 2)

@@ -210,6 +210,32 @@ def test_eval_points_file_matches_batch_bitwise(capsys, tmp_path, name):
         assert np.array_equal(column, eval_simplex_many(support, points))
 
 
+# stdout of ``eval --diagnostics`` from the per-support evaluation loop the
+# stacked kernel replaced: the quad has two simplices, the prism two strips.
+DIAGNOSTICS_STDOUT = {
+    "quad": (["0.25,0,0.25,0", "2,0.5,-1,0.25", "-3,-2,4,1", "1e6,0,0,-1e6"],
+             "0.0 0 0.0 0.0\n"
+             "1.8604101601362946 1 1.8025147677974664 1.8604101601362946\n"
+             "2.784232166273792 1 2.6835365837661884 2.784232166273792\n"
+             "15.378873356749393 0 15.378873356749393 15.3788730918381\n"),
+    "prism": (["0.1,0,0.1,0,0,0", "2,0.5,-1,0.25,3,-1", "-3,-2,4,1,0.5,0.5",
+               "1e6,0,0,-1e6,1,0"],
+              "0.0 0 0.0 0.0\n"
+              "2.021845204270677 0 2.021845204270677 1.8241987021938828\n"
+              "2.856461126637771 0 2.856461126637771 0.530637530952518\n"
+              "15.736604708716962 0 15.736604708716962 0.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", DIAGNOSTICS_STDOUT)
+def test_eval_diagnostics_stdout_is_unchanged(capsys, name):
+    points, expected = DIAGNOSTICS_STDOUT[name]
+    code, out, err = run_cli(capsys, "eval", fixture_path(name), "--diagnostics",
+                             *[f"--point={point}" for point in points])
+    assert code == 0, err
+    assert out == expected
+
+
 def test_eval_rejects_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "eval", fixture_path("quad"), "--point", "1,2,3")
     assert code == 2

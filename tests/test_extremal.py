@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from polyextremal import extremal
 from polyextremal.extremal import (
     DomainError,
     _coordinates,
@@ -22,7 +24,8 @@ from polyextremal.extremal import (
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import load_fixture, quad_reference
+from conftest import (cube_polytope, load_fixture, ngon_polytope, prism_polytope,
+                      quad_reference, symmetric_polytope, tangent_halfspaces)
 
 VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
 
@@ -78,12 +81,13 @@ def test_inv_joukowski_log_far_field():
     for s in (1e155, 1e200, 1e300, 1.7e308):
         expected = math.log(2.0) + math.log(s)
         assert inv_joukowski_log(s) == pytest.approx(expected, rel=1e-15)
-        assert _inv_joukowski_log_many(np.array([s]))[0] == pytest.approx(expected, rel=1e-15)
+        batch = _inv_joukowski_log_many(np.array([s]), np.empty(1))[0]
+        assert batch == pytest.approx(expected, rel=1e-15)
     for s in (3.0, 1e100, 1e150, 1e154):
         u = s - 1.0
         assert inv_joukowski_log(s) == math.log1p(u + math.sqrt(u * (u + 2.0)))
         batch = np.array([u])
-        assert _inv_joukowski_log_many(np.array([s]))[0] == np.log1p(
+        assert _inv_joukowski_log_many(np.array([s]), np.empty(1))[0] == np.log1p(
             batch + np.sqrt(batch * (batch + 2.0)))[0]
 
 
@@ -133,33 +137,45 @@ def test_translated_square_matches_untranslated(shift):
     assert np.all(got[len(inside):] > 0.0)
 
 
+def _kernel_coordinates(support_set, points):
+    """lambda_k of every support as the stacked kernel computes them:
+    a (d+1, points, supports) array."""
+    shape = (points.shape[0], len(support_set))
+    coords, term = np.empty(shape, complex), np.empty(shape, complex)
+    return np.array([lam.copy() for lam in _coordinates(
+        support_set.rows, support_set.shifts, points, coords, term)])
+
+
 def test_kernel_coordinates_match_barycentric_oracle():
-    """On every valid fixture, each simplex's and strip's kernel coordinates
-    agree with an LU solve of the defining system (for a strip, of its
-    cross-section at Qz)."""
+    """On every valid fixture, the stacked kernel's coordinates of each simplex
+    and strip agree with an LU solve of the defining system (for a strip, of
+    its cross-section at Qz), and a strip's padding coordinates are exactly 0."""
     rng = np.random.default_rng(19)
     for name in VALID_FIXTURES:
         supports = enumerate_supports(load_fixture(name))
         dim = supports.polytope.dim
         points = rng.uniform(-4, 4, (30, dim)) + 1j * rng.uniform(-3, 3, (30, dim))
-        for support in supports:
-            coords = _coordinates(support, points)
-            for z, lam in zip(points, coords.T):
+        coords = _kernel_coordinates(supports, points)
+        for i, support in enumerate(supports):
+            for z, lam in zip(points, coords[:, :, i].T):
                 if support.kind == "strip":
                     oracle = barycentric(support.cross_simplex, support.basis @ z)
                 else:
                     oracle = barycentric(support, z)
-                assert np.max(np.abs(lam - oracle)) <= 1e-12, name
+                assert np.max(np.abs(lam[:len(oracle)] - oracle)) <= 1e-12, name
+                assert np.all(lam[len(oracle):] == 0.0), name
 
 
 def test_barycentric_closed_form_coordinates(quad_supports):
-    """The triangle with apexes (1,0), (0,3), (0,0) assigns (z1, z2/3, 1-z1-z2/3)."""
+    """The triangle with apexes (1,0), (0,3), (0,0) assigns (z1, z2/3, 1-z1-z2/3),
+    by the LU oracle and by the stacked kernel."""
     rng = np.random.default_rng(31)
     for _ in range(20):
         z = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
-        lam = barycentric(quad_supports[1], z)
         expected = np.array([z[0], z[1] / 3.0, 1.0 - z[0] - z[1] / 3.0])
-        assert np.max(np.abs(lam - expected)) <= 1e-12
+        assert np.max(np.abs(barycentric(quad_supports[1], z) - expected)) <= 1e-12
+        kernel = _kernel_coordinates(quad_supports, z[None, :])[:, 0, 1]
+        assert np.max(np.abs(kernel - expected)) <= 1e-12
 
 
 def test_barycentric_imaginary_sample(quad_supports):
@@ -167,7 +183,7 @@ def test_barycentric_imaginary_sample(quad_supports):
     z = np.array([1j, 0.0])
     expected = [1j, 0.0, 1 - 1j]
     assert np.allclose(barycentric(quad_supports[1], z), expected, atol=1e-14)
-    assert np.allclose(_coordinates(quad_supports[1], z[None, :])[:, 0], expected,
+    assert np.allclose(_kernel_coordinates(quad_supports, z[None, :])[:, 0, 1], expected,
                        atol=1e-14)
 
 
@@ -497,3 +513,114 @@ def test_prism_matches_triangle_through_projection(prism_supports, triangle_supp
         ).value
         v_tri = eval_extremal(triangle_supports, z12).value
         assert v_prism == pytest.approx(v_tri, abs=1e-12)
+
+
+def _reference_values(support, points):
+    """The per-support evaluation the stacked kernel replaced: one support's
+    lambda_k in fixed order, magnitudes added in k order, then arccosh as
+    log1p(u + sqrt(u(u+2))), or log 2 + log s where u(u+2) overflows."""
+    rows, shifts = support.rows, support.shifts
+    coords = np.empty((rows.shape[0], points.shape[0]), dtype=complex)
+    for k in range(rows.shape[0]):
+        column = rows[k, 0] * points[:, 0]
+        for c in range(1, rows.shape[1]):
+            column += rows[k, c] * points[:, c]
+        coords[k] = column + shifts[k]
+    total = np.abs(coords[0])
+    for k in range(1, coords.shape[0]):
+        total = total + np.abs(coords[k])
+    u = np.maximum(total - 1.0, 0.0)
+    with np.errstate(over="ignore"):
+        square = u * (u + 2.0)
+    values = np.log1p(u + np.sqrt(square))
+    far = np.isinf(square)
+    values[far] = math.log(2.0) + np.log(total[far])
+    values[total <= 1.0 + 1e-12] = 0.0
+    return values
+
+
+def _reference_max(support_set, points):
+    """Max over supports by a strict > loop: ties go to the first support."""
+    best = _reference_values(support_set[0], points)
+    argmax = np.zeros(points.shape[0], dtype=np.int64)
+    for i in range(1, len(support_set)):
+        values = _reference_values(support_set[i], points)
+        better = values > best
+        best = np.where(better, values, best)
+        argmax = np.where(better, i, argmax)
+    return best, argmax
+
+
+KERNEL_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"prism-d{dim}": lambda dim=dim: prism_polytope(dim, dim) for dim in (2, 3, 4, 5)},
+    **{f"cube-d{dim}": lambda dim=dim: cube_polytope(dim) for dim in (2, 3, 4, 5)},
+    **{f"tangent-d{dim}": lambda dim=dim: validate(tangent_halfspaces(dim, dim + 6, 0), dim)
+       for dim in (2, 3, 4)},
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
+       for dim in (2, 3, 4)},
+    "ngon-24": lambda: ngon_polytope(24),
+}
+
+
+def _mixed_points(polytope, count, rng):
+    """Complex points, real points around K, a few far out, and K's vertices
+    and interior."""
+    dim = polytope.dim
+    points = rng.uniform(-3, 3, (count, dim)) + 1j * rng.uniform(-2, 2, (count, dim))
+    points[1::3] = points[1::3].real
+    points[2::50] *= 1e180
+    special = np.vstack([polytope.interior, polytope.vertices])[:count]
+    points[:len(special)] = special
+    return points
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_stacked_kernel_matches_per_support_oracle(name):
+    """Values and argmax are those of the per-support loop, bit for bit, in
+    batches of 1 and one chunk's worth of points minus one, exactly, plus one,
+    and each point gives the same bits alone as inside its batch."""
+    supports = enumerate_supports(KERNEL_CASES[name]())
+    step = max(1, extremal._CHUNK // len(supports))
+    rng = np.random.default_rng(len(supports))
+    for count in sorted({1, step - 1, step, step + 1} - {0}):
+        points = _mixed_points(supports.polytope, count, rng)
+        values, argmax = eval_extremal_many(supports, points)
+        expected, expected_argmax = _reference_max(supports, points)
+        assert values.tobytes() == expected.tobytes(), (name, count)
+        assert argmax.tobytes() == expected_argmax.tobytes(), (name, count)
+        alone = {0, count - 1, min(step, count - 1), *rng.choice(count, min(count, 40), replace=False)}
+        for k in alone:
+            value, index = eval_extremal_many(supports, points[k])
+            assert value.tobytes() == values[k:k + 1].tobytes(), (name, count, k)
+            assert index[0] == argmax[k]
+
+
+def test_batch_memory_is_bounded_by_the_chunk():
+    """20,000 points against the 24-gon's 452 supports: one (points, supports)
+    complex matrix would take 138 MiB; chunked, the call stays below 8 MiB."""
+    supports = enumerate_supports(ngon_polytope(24))
+    assert len(supports) == 452
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-2, 2, (20_000, 2)) + 1j * rng.uniform(-1, 1, (20_000, 2))
+    eval_extremal_many(supports, points[:10])
+    tracemalloc.start()
+    try:
+        eval_extremal_many(supports, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_per_support_diagnostics_match_eval_simplex(name):
+    """``EvalResult.per_support`` comes from one stacked kernel call; each entry
+    equals ``eval_simplex`` of that support alone, bit for bit."""
+    supports = enumerate_supports(load_fixture(name))
+    points = _mixed_points(supports.polytope, 25, np.random.default_rng(41))
+    for z in points:
+        result = eval_extremal(supports, z, diagnostics=True)
+        expected = [eval_simplex(support, z) for support in supports]
+        assert np.array(result.per_support).tobytes() == np.array(expected).tobytes()
+        assert result.value == result.per_support[result.argmax]

@@ -20,7 +20,8 @@ from polyextremal.supports import (
     try_strip,
 )
 
-from conftest import load_fixture, match_point_sets
+from conftest import (cube_polytope, load_fixture, match_point_sets, prism_polytope,
+                      symmetric_polytope, tangent_halfspaces)
 
 VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
 
@@ -62,12 +63,6 @@ def _oracle_strip(polytope, subset):
     cross = _oracle_simplex(np.vstack(images), np.array(offsets), tol)
     return None if cross is None else (basis,) + cross
 
-
-def _tangent_polytope(dim, count, seed):
-    """Random unit normals with offset 1: every halfspace is a facet."""
-    normals = np.random.default_rng(seed).normal(size=(count, dim))
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    return [(list(n), 1.0) for n in normals]
 
 QUAD_APEX_SETS = [
     [(0.0, 0.0), (3.0, 0.0), (0.0, 1.0)],
@@ -168,6 +163,22 @@ def test_enumerate_supports_prism(prism_supports):
     assert kinds == [("strip", (0, 1, 2)), ("strip", (3, 4))]
     assert prism_supports[0].cross_dim == 2
     assert prism_supports[1].cross_dim == 1
+
+
+@pytest.mark.parametrize("name", ["quad", "square", "cube", "prism"])
+def test_support_set_stacks_rows_and_shifts(name):
+    """Column i of the stacked arrays is support i's rows and shifts, with a
+    strip's missing rows padded by exact zeros."""
+    supports = enumerate_supports(load_fixture(name))
+    d = supports.polytope.dim
+    assert supports.rows.shape == (d + 1, d, len(supports))
+    assert supports.shifts.shape == (d + 1, len(supports))
+    for i, support in enumerate(supports):
+        count = len(support.shifts)
+        assert supports.rows[:count, :, i].tobytes() == support.rows.tobytes()
+        assert supports.shifts[:count, i].tobytes() == support.shifts.tobytes()
+        assert np.all(supports.rows[count:, :, i] == 0.0)
+        assert np.all(supports.shifts[count:, i] == 0.0)
 
 
 def test_simplex_count_bound(quad_supports, quad):
@@ -379,7 +390,7 @@ def test_certification_matches_per_subset_solve_oracle(name):
 
 @pytest.mark.parametrize("halfspaces,dim", [
     ([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -3.0], 3.0), ([-3.0, -1.0], 3.0)], 2),
-    (_tangent_polytope(3, 9, seed=4), 3),
+    (tangent_halfspaces(3, 9, seed=4), 3),
 ])
 def test_each_facet_intersection_is_solved_once(monkeypatch, halfspaces, dim):
     """validate solves every d-subset once; certifying (d+1)-subsets solves nothing."""
@@ -421,27 +432,25 @@ def test_only_strip_cross_sections_solve(monkeypatch, prism):
     assert sum(inside_strip) == len(calls) > 0
 
 
-def _prism(dim, seed):
-    """A polygon tangent to the unit circle times dim-2 intervals."""
-    rng = np.random.default_rng(seed)
-    sides = int(rng.integers(3, 7))
-    angles = 2 * np.pi * np.arange(sides) / sides + rng.uniform(-0.2, 0.2, sides)
-    halfspaces = [([math.cos(a), math.sin(a)] + [0.0] * (dim - 2), 1.0) for a in angles]
-    for axis in np.eye(dim)[2:]:
-        halfspaces += [(list(axis), rng.uniform(0.5, 2.0)), (list(-axis), rng.uniform(0.5, 2.0))]
-    return validate(halfspaces, dim)
+def test_strip_solves_projected_corners_as_it_reads_them(monkeypatch):
+    """In {+z, +x, -x} the first corner certification reads, that of the
+    antiparallel pair, is singular: the test ends after that one solve.  An
+    accepted slab solves each of its two corners once."""
+    box = validate([([0.0, 0.0, 1.0], 1.0), ([1.0, 0.0, 0.0], 1.0), ([-1.0, 0.0, 0.0], 1.0),
+                    ([0.0, 0.0, -1.0], 1.0), ([0.0, 1.0, 0.0], 1.0), ([0.0, -1.0, 0.0], 1.0)],
+                   3)
+    calls = []
 
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_real(*args, **kwargs)
 
-def _cube(dim):
-    return validate([(list(sign * axis), 1.0) for axis in np.eye(dim) for sign in (1, -1)],
-                    dim)
-
-
-def _symmetric(dim, pairs, seed):
-    """Random antipodal pairs of unit normals with offset 1."""
-    normals = np.random.default_rng(seed).normal(size=(pairs, dim))
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    return validate([(list(sign * n), 1.0) for n in normals for sign in (1, -1)], dim)
+    monkeypatch.setattr(polytope_module, "solve_real", counting)
+    assert try_strip(box, (0, 1, 2)) is None
+    assert len(calls) == 1
+    calls.clear()
+    assert try_strip(box, (0, 3)) is not None
+    assert len(calls) == 2
 
 
 def _tilted_prism(seed):
@@ -461,13 +470,13 @@ def _tilted_prism(seed):
 
 SEARCH_CASES = {
     **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
-    **{f"prism-d{dim}-{seed}": lambda dim=dim, seed=seed: _prism(dim, seed)
+    **{f"prism-d{dim}-{seed}": lambda dim=dim, seed=seed: prism_polytope(dim, seed)
        for dim in (3, 4) for seed in range(3)},
-    **{f"cube-d{dim}": lambda dim=dim: _cube(dim) for dim in (2, 3, 4, 5)},
-    **{f"symmetric-d{dim}-{seed}": lambda dim=dim, seed=seed: _symmetric(dim, dim + 2, seed)
+    **{f"cube-d{dim}": lambda dim=dim: cube_polytope(dim) for dim in (2, 3, 4, 5)},
+    **{f"symmetric-d{dim}-{seed}": lambda dim=dim, seed=seed: symmetric_polytope(dim, dim + 2, seed)
        for dim in (2, 3, 4) for seed in range(2)},
     **{f"tangent-d{dim}-{seed}": lambda dim=dim, seed=seed: validate(
-        _tangent_polytope(dim, 8, seed), dim) for dim in (3, 4) for seed in (0, 1)},
+        tangent_halfspaces(dim, 8, seed), dim) for dim in (3, 4) for seed in (0, 1)},
 }
 
 
@@ -497,7 +506,7 @@ def test_strip_search_loses_no_strip(name):
 
 @pytest.mark.parametrize("dim,count,seed", [(3, 10, 1), (4, 9, 6)])
 def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, count, seed):
-    polytope = validate(_tangent_polytope(dim, count, seed), dim)
+    polytope = validate(tangent_halfspaces(dim, count, seed), dim)
     assert len(polytope.incidence.arrangement) == math.comb(count, dim)
     calls = []
 
