@@ -125,7 +125,9 @@ def _as_points(z: np.ndarray, dim: int) -> np.ndarray:
 def _coordinates(rows, shifts, points, coords, term):
     """lambda_k = rows[k, 0] z_0 + ... + rows[k, d-1] z_{d-1} + shifts[k] of S
     stacked supports at checked points, into the (points, S) array ``coords``
-    for each k in turn, elementwise and in that order."""
+    for each k in turn, elementwise and in that order.  The shifts are made
+    complex once, as each add would make them: x becomes x + 0j."""
+    shifts = shifts.astype(complex)
     for k in range(rows.shape[0]):
         np.multiply(rows[k, 0], points[:, 0, None], out=coords)
         for c in range(1, rows.shape[1]):

@@ -25,6 +25,7 @@ __all__ = [
     "Infeasible",
     "LUFactors",
     "lu_factor",
+    "lu_solve_many",
     "solve_real",
     "rank",
     "orthonormal_basis",
@@ -144,6 +145,46 @@ def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:
             for c in range(k + 1, n):
                 row[c] -= row[k] * lu[k][c]
     return LUFactors(packed=np.array(lu, dtype=a.dtype).reshape(n, n), perm=np.array(perm))
+
+
+def lu_solve_many(a: np.ndarray, b: np.ndarray,
+                  tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the real systems a[m] x[m] = b[m], a of shape (M, n, n), at once.
+
+    Each system takes the steps of ``lu_factor`` and ``LUFactors.solve`` in
+    their order, one numpy operation across all M for each scalar one, so
+    every solution is bitwise theirs.  Returns the solutions (M, n) and a
+    mask of the nonsingular systems: False where ``lu_factor`` raises
+    Singular, and that row of the solutions is NaN.
+    """
+    a = np.array(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
+        raise ValueError("expected matrices (M, n, n) and right-hand sides (M, n)")
+    count, n = a.shape[:2]
+    every = np.arange(count)
+    threshold = tol.rank_rel * np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    nonsingular = np.ones(count, dtype=bool)
+    perm = np.tile(np.arange(n), (count, 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+            nonsingular &= np.abs(a[every, p, k]) > threshold
+            rows, order = a[every, p], perm[every, p]
+            a[every, p], perm[every, p] = a[:, k], perm[:, k]
+            a[:, k], perm[:, k] = rows, order
+            a[:, k + 1:, k] /= a[:, k, k, None]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+        x = np.take_along_axis(b, perm, axis=1)
+        for i in range(1, n):
+            for j in range(i):
+                x[:, i] -= a[:, i, j] * x[:, j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                x[:, i] -= a[:, i, j] * x[:, j]
+            x[:, i] /= a[:, i, i]
+    x[~nonsingular] = np.nan
+    return x, nonsingular
 
 
 def solve_real(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

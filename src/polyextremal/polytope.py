@@ -10,8 +10,11 @@ full dimension from a Chebyshev ball - so each failure mode maps to its own
 exception and, in the CLI, its own exit code.
 
 The intersection points of all d-subsets, the hyperplane arrangement, are
-solved once (again only after an orientation repair) and kept on
-``incidence``; support certification reads simplex apexes from there.
+solved in one batched LU pass (again only after an orientation repair), and
+every facet function is evaluated at every one of them into one value
+matrix.  Vertex feasibility, deduplication, active sets and the orientation
+repair all read that matrix.  Both are kept on ``incidence``; support
+certification reads simplex apexes and their heights from there.
 
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
@@ -33,6 +36,7 @@ from .linalg import (
     Singular,
     Tolerances,
     interior_point,
+    lu_solve_many,
     rank,
     recession_direction,
     solve_real,
@@ -125,12 +129,14 @@ class VertexIncidence:
     """For each vertex, the sorted indices of the halfspaces active there.
 
     ``arrangement`` maps each sorted d-tuple of halfspace indices with
-    independent normals to the point where those hyperplanes meet.  The
-    vertices are its feasible corners; support certification reads simplex
-    apexes from it."""
+    independent normals to the point where those hyperplanes meet, and
+    ``values[t, k]`` is l_k at its t-th point.  The vertices are its feasible
+    corners; support certification reads simplex apexes and their heights
+    from the two."""
 
     active: tuple[tuple[int, ...], ...]
     arrangement: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
+    values: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.active)
@@ -215,11 +221,37 @@ def _corner(halfspaces: list[Halfspace], subset, tol: Tolerances) -> np.ndarray 
         return None
 
 
-def _arrangement(halfspaces: list[Halfspace], dim: int,
-                 tol: Tolerances) -> dict[tuple[int, ...], np.ndarray]:
-    """Intersection point of every nonsingular d-subset of the hyperplanes."""
-    subsets = itertools.combinations(range(len(halfspaces)), dim)
-    return {s: p for s in subsets if (p := _corner(halfspaces, s, tol)) is not None}
+def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
+                 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The nonsingular d-subsets of the hyperplanes in combinations order, the
+    point where each meets, from one batched solve, and every l_k there: row
+    t of both arrays belongs to the t-th subset.
+
+    A stacked (1, d) @ (d, 1) product takes ``np.dot``'s route, so each value
+    is bitwise ``Halfspace.value`` at that point."""
+    subsets = list(itertools.combinations(range(len(halfspaces)), dim))
+    normals = np.vstack([h.normal for h in halfspaces])
+    offsets = np.array([h.offset for h in halfspaces])
+    index = np.array(subsets, dtype=np.intp).reshape(len(subsets), dim)
+    points, nonsingular = lu_solve_many(normals[index], -offsets[index], tol)
+    points = points[nonsingular]
+    values = np.matmul(points[:, None, None, :], normals[None, :, :, None]).reshape(
+        len(points), len(halfspaces))
+    values += offsets
+    return list(itertools.compress(subsets, nonsingular.tolist())), points, values
+
+
+def _first_apart(points: np.ndarray) -> list[int]:
+    """Indices of the points not within VERTEX_DEDUP_ABS (max norm) of an
+    earlier kept one: the first point of each cluster is kept."""
+    kept: list[int] = []
+    alive = np.ones(points.shape[0], dtype=bool)
+    while alive.any():
+        first = int(np.argmax(alive))
+        kept.append(first)
+        alive[first] = False
+        alive[np.max(np.abs(points - points[first]), axis=1) <= VERTEX_DEDUP_ABS] = False
+    return kept
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
@@ -229,24 +261,21 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     Every d-subset of hyperplanes with independent normals contributes its
     intersection point, kept in the returned ``arrangement``; points violating
     any halfspace by more than geom_abs are dropped, the rest deduplicated
-    within an absolute merge radius.  The returned order follows subset
+    within an absolute merge radius.  Feasibility and activity are read from
+    the arrangement's value matrix.  The returned order follows subset
     enumeration order (deterministic); as a point set the result does not
     depend on halfspace order.
     """
-    arrangement = _arrangement(halfspaces, dim, tol)
-    vertices: list[np.ndarray] = []
-    for p in arrangement.values():
-        if min(h.value(p) for h in halfspaces) >= -tol.geom_abs and not any(
-                np.max(np.abs(p - q)) <= VERTEX_DEDUP_ABS for q in vertices):
-            vertices.append(p)
-    active = tuple(
-        tuple(k for k, h in enumerate(halfspaces) if abs(h.value(v)) <= tol.geom_abs)
-        for v in vertices)
-    array = np.vstack(vertices) if vertices else np.empty((0, dim))
-    return array, VertexIncidence(active=active, arrangement=arrangement)
+    subsets, points, values = _arrangement(halfspaces, dim, tol)
+    feasible = np.flatnonzero(np.min(values, axis=1) >= -tol.geom_abs)
+    kept = feasible[_first_apart(points[feasible])]
+    active = tuple(tuple(np.flatnonzero(np.abs(values[t]) <= tol.geom_abs).tolist())
+                   for t in kept.tolist())
+    return points[kept], VertexIncidence(active=active, arrangement=dict(zip(subsets, points)),
+                                         values=values)
 
 
-def _repair_orientation(halfspaces: list[Halfspace], arrangement: dict,
+def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,
                         tol: Tolerances) -> list[Halfspace] | None:
     """Flip halfspaces that are nonpositive at every hyperplane-arrangement point.
 
@@ -254,18 +283,14 @@ def _repair_orientation(halfspaces: list[Halfspace], arrangement: dict,
     <= 0 at every candidate corner is certainly mis-oriented (the intersection,
     if any, lives among those corners); mixed strict signs mean flipping could
     not be justified, so the caller reports the inconsistency instead.
+    ``values`` is the arrangement's value matrix, one row per corner.
     """
-    points = list(arrangement.values())
-    if not points:
+    if values.shape[0] == 0:
         return None
-    repaired = list(halfspaces)
-    flipped_any = False
-    for k, h in enumerate(halfspaces):
-        values = np.array([h.value(p) for p in points])
-        if values.max() <= tol.geom_abs and values.min() < -tol.geom_abs:
-            repaired[k] = h.flipped()
-            flipped_any = True
-    return repaired if flipped_any else None
+    wrong = (values.max(axis=0) <= tol.geom_abs) & (values.min(axis=0) < -tol.geom_abs)
+    if not wrong.any():
+        return None
+    return [h.flipped() if flip else h for h, flip in zip(halfspaces, wrong.tolist())]
 
 
 def _facet_has_witness(k: int, vertices: np.ndarray, incidence: VertexIncidence,
@@ -301,7 +326,7 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
 
     vertices, incidence = enumerate_vertices(canonical, dim, tol)
     if vertices.shape[0] == 0:
-        repaired = _repair_orientation(canonical, incidence.arrangement, tol)
+        repaired = _repair_orientation(canonical, incidence.values, tol)
         if repaired is not None:
             canonical = repaired
             # solved again: a negated row with a zero offset turns +0.0 into -0.0

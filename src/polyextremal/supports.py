@@ -6,7 +6,8 @@ opposite it) and each apex lies strictly on the positive side of its own
 hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
 hyperplane arrangement ``validate`` solved while enumerating vertices; they
-are read from ``polytope.incidence.arrangement``, not solved again.  Subsets
+are read from ``polytope.incidence.arrangement``, not solved again, and their
+heights from its value matrix.  Subsets
 of j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
 same way inside that span: project onto an orthonormal basis Q of the
 normals, certify the projection as a j-dimensional simplex, solving its
@@ -14,14 +15,17 @@ corners as certification reads them, and the original set is that simplex
 crossed with the orthogonal directions - a strip.  The slab between two
 antiparallel facets is the j = 1 case; its cross-section is an interval.
 
-Enumeration is exhaustive over facet subsets of size d+1.  Strip normals make
-every d-subset containing them singular, so strips are looked for only inside
-the d-subsets the arrangement leaves out: its LU alone decides dependence.
-This certifies completeness directly instead of re-deriving the constructive
-existence argument; a guard refuses inputs whose subset count explodes.
-Certification of one subset never looks at another, so results merge
-deterministically: supports are sorted by facet index set, each subset
-visited once.
+Enumeration is exhaustive over facet subsets of size d+1, screened all at
+once: the height of apex j of a subset is the value-matrix entry of facet j
+at the corner of the other d, so a few gathers test every subset, and
+``try_simplex``, the one single-subset certifier, runs only on the subsets
+that pass.  Strip normals make every d-subset containing them singular, so
+strips are looked for only inside the d-subsets the arrangement leaves out:
+its LU alone decides dependence.  This certifies completeness directly
+instead of re-deriving the constructive existence argument; a guard refuses
+inputs whose subset count explodes.  Certification of one subset never looks
+at another, so results merge deterministically: supports are sorted by facet
+index set, each subset visited once.
 """
 
 from __future__ import annotations
@@ -199,9 +203,45 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
                         shifts=cross.shifts)
 
 
+def _combination_rank(columns: list[np.ndarray], n: int) -> np.ndarray:
+    """Position of each subset in the order of ``itertools.combinations(range(n), k)``,
+    the subsets given as k columns of increasing entries."""
+    k = len(columns)
+    rank = np.zeros(len(columns[0]), dtype=np.int64)
+    start = 0
+    for i, column in enumerate(columns):
+        # below[c]: the subsets that agree before entry i and hold some v < c
+        # there, each leaving C(n-1-v, k-1-i) ways to go on
+        below = np.cumsum([0] + [math.comb(n - 1 - v, k - 1 - i) for v in range(n)])
+        rank += below[column] - below[start]
+        start = column + 1
+    return rank
+
+
+def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tuple[int, ...]]:
+    """The (d+1)-subsets that pass ``try_simplex``'s test, screened at once.
+
+    ``nonsingular`` marks the d-subsets, in combinations order, that the
+    arrangement holds.  The apex opposite facet j of a subset is the corner
+    of the subset without j, so its height is a gather from the value
+    matrix; a subset passes when every corner exists and no height is at or
+    below pos_abs."""
+    n, d = len(polytope.halfspaces), polytope.dim
+    values, row = polytope.incidence.values, np.cumsum(nonsingular) - 1
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d + 1)),
+                          dtype=np.intp, count=math.comb(n, d + 1) * (d + 1)).reshape(-1, d + 1)
+    columns = list(subsets.T)
+    passed = np.ones(len(subsets), dtype=bool)
+    for j in range(d + 1):
+        face = _combination_rank(columns[:j] + columns[j + 1:], n)
+        passed &= nonsingular[face] & ~(values[row[face], columns[j]] <= polytope.tol.pos_abs)
+    return [tuple(subset) for subset in subsets[passed].tolist()]
+
+
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:
-    """Certify every facet subset of size d+1 as a simplex, and as a strip
-    every subset of size 2..d inside a d-subset the arrangement leaves out.
+    """Certify as a simplex every facet subset of size d+1 that the batched
+    screen passes, and as a strip every subset of size 2..d inside a
+    d-subset the arrangement leaves out.
 
     Raises NoCover when some facet of K ends up in no accepted support, which
     signals inconsistent input or numerical failure (mathematically every
@@ -213,12 +253,13 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     if total > SUBSET_GUARD:
         raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
 
-    singular = [t for t in itertools.combinations(range(n), d)
-                if t not in polytope.incidence.arrangement]
-    strip_subsets = {part for t in singular for size in range(2, d + 1)
-                     for part in itertools.combinations(t, size)}
+    faces = list(itertools.combinations(range(n), d))
+    nonsingular = np.fromiter((face in polytope.incidence.arrangement for face in faces),
+                              dtype=bool, count=len(faces))
+    strip_subsets = {part for face in itertools.compress(faces, ~nonsingular)
+                     for size in range(2, d + 1) for part in itertools.combinations(face, size)}
     accepted: list[SimplexSupport | StripSupport] = []
-    for subset in [*sorted(strip_subsets), *itertools.combinations(range(n), d + 1)]:
+    for subset in [*sorted(strip_subsets), *_simplex_candidates(polytope, nonsingular)]:
         support = (try_simplex if len(subset) == d + 1 else try_strip)(polytope, subset)
         if support is not None:
             accepted.append(support)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyextremal import extremal
 from polyextremal.extremal import (
@@ -135,6 +137,64 @@ def test_translated_square_matches_untranslated(shift):
     assert np.max(np.abs(got - expected)) <= 1e-12
     assert np.all(got[:len(inside)] == 0.0)
     assert np.all(got[len(inside):] > 0.0)
+
+
+@st.composite
+def _boxes(draw):
+    """A box with dyadic corners and sides, and dyadic complex points around
+    it: moved by an integer shift up to 1e9, every number stays exact."""
+    dim = draw(st.integers(1, 3))
+    lower = np.array(draw(st.lists(st.integers(-16, 16), min_size=dim, max_size=dim))) / 8.0
+    sides = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                                   min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = lower + sides * rng.integers(-8, 17, (24, dim)) / 8.0
+    imag = sides * rng.integers(-4, 5, (24, dim)) / 8.0
+    imag[:8] = 0.0
+    return lower, lower + sides, real + 1j * imag
+
+
+def _box_supports(lower, upper, scale=1.0, shift=None):
+    """Supports of scale * box + shift, the offsets mapped the same way."""
+    shift = np.zeros(len(lower)) if shift is None else shift
+    halfspaces = []
+    for axis, a, b, t in zip(np.eye(len(lower)), lower, upper, shift):
+        halfspaces += [(list(axis), -(scale * a + t)), (list(-axis), scale * b + t)]
+    return enumerate_supports(validate(halfspaces, len(lower)))
+
+
+def _assert_same_supports_and_values(base, moved, points, moved_points):
+    assert [s.facet_indices for s in moved] == [s.facet_indices for s in base]
+    expected, _ = eval_extremal_many(base, points)
+    got, _ = eval_extremal_many(moved, moved_points)
+    assert np.all(got[expected == 0.0] == 0.0)
+    assert np.all(np.abs(got - expected) <= 1e-9 * expected)
+
+
+@given(box=_boxes(), exponent=st.floats(-6.0, 8.0))
+@settings(max_examples=60)
+def test_scaled_box_keeps_supports_and_values(box, exponent):
+    """V_{cK}(cz) = V_K(z) for c from 1e-6 to 1e8: the facet tuples stay,
+    and V agrees to 1e-9 relative.  Boxes keep the scaled input exact up to
+    one rounding of each offset and point."""
+    lower, upper, points = box
+    scale = 10.0 ** exponent
+    _assert_same_supports_and_values(_box_supports(lower, upper),
+                                     _box_supports(lower, upper, scale=scale),
+                                     points, points * scale)
+
+
+@given(box=_boxes(), shift=st.lists(st.integers(-10**9, 10**9), min_size=3, max_size=3))
+@settings(max_examples=60)
+def test_translated_box_keeps_supports_and_values(box, shift):
+    """V_{K+t}(z+t) = V_K(z) for integer shifts up to 1e9, with the mapped
+    box and points exact: the facet tuples stay, and V agrees to 1e-9
+    relative."""
+    lower, upper, points = box
+    shift = np.array(shift[:len(lower)], dtype=float)
+    _assert_same_supports_and_values(_box_supports(lower, upper),
+                                     _box_supports(lower, upper, shift=shift),
+                                     points, points + shift)
 
 
 def _kernel_coordinates(support_set, points):

@@ -16,6 +16,7 @@ from polyextremal.linalg import (
     interior_point,
     linprog_max,
     lu_factor,
+    lu_solve_many,
     orthonormal_basis,
     rank,
     recession_direction,
@@ -119,6 +120,83 @@ def test_lu_factor_matches_column_reference_bitwise():
         assert factors.perm.tobytes() == perm.tobytes()
         assert factors.packed.dtype == packed.dtype and factors.perm.dtype == perm.dtype
     assert 0 < singular < 300
+
+
+def _lu_batch_cases():
+    """Square systems of sizes 1..5 meant to trip a batched LU up: random
+    ones, sparse ones, exact pivot ties, permuted identity rows, exactly
+    singular ones, and pivots just above and just below the threshold."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        cases = []
+        for trial in range(120):
+            a = rng.normal(size=(n, n))
+            if trial % 3 == 1:
+                a[rng.random((n, n)) < 0.4] = 0.0
+            cases.append(a)
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            a[:, 0] = np.sign(a[:, 0])                   # ties for the first pivot
+            cases.append(a)
+            tie = rng.normal(size=(n, n))
+            tie[:, -1] = rng.choice([-2.0, 2.0], n)      # ties in the last column
+            cases.append(tie)
+            cases.append(np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], (n, 1)))
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            a[-1] = rng.normal(size=n - 1) @ a[:-1]      # exactly dependent (zero at n = 1)
+            cases.append(a)
+            cases.append(np.zeros((n, n)))
+        for _ in range(10):
+            top = np.triu(rng.normal(size=(n, n)))
+            top[n - 1, n - 1] = 0.0
+            scale = float(np.max(np.abs(top))) if n > 1 else 1.0
+            for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 0.5):
+                # elimination leaves the last pivot untouched: it sits just
+                # below, at, or just above rank_rel times the largest entry
+                a = top.copy()
+                a[n - 1, n - 1] = DEFAULT_TOL.rank_rel * scale * factor
+                if n > 1:
+                    a = a[rng.permutation(n)]
+                cases.append(a)
+        yield n, np.array(cases), rng.normal(size=(len(cases), n))
+
+
+@pytest.mark.parametrize("n,matrices,rhs", list(_lu_batch_cases()))
+def test_lu_solve_many_matches_lu_factor_bitwise(n, matrices, rhs):
+    """Each solution is ``lu_factor(a).solve(b)`` bit for bit, and the mask is
+    False exactly where ``lu_factor`` raises Singular."""
+    solutions, nonsingular = lu_solve_many(matrices, rhs)
+    assert solutions.shape == rhs.shape and nonsingular.shape == (len(matrices),)
+    singular = 0
+    for a, b, x, ok in zip(matrices, rhs, solutions, nonsingular):
+        try:
+            expected = lu_factor(a).solve(b)
+        except Singular:
+            assert not ok
+            assert np.all(np.isnan(x))
+            singular += 1
+            continue
+        assert ok
+        assert x.tobytes() == expected.tobytes()
+    assert 0 < singular < len(matrices)
+
+
+def test_lu_solve_many_threshold_is_per_matrix():
+    """A tiny matrix in the batch is judged against its own largest entry,
+    not the batch's."""
+    small = 1e-12 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    large = np.array([[1e6, 0.0], [0.0, 1e-5]])
+    solutions, nonsingular = lu_solve_many(np.array([small, large]), np.ones((2, 2)))
+    assert nonsingular.tolist() == [True, False]
+    assert solutions[0].tobytes() == lu_factor(small).solve(np.ones(2)).tobytes()
+    with pytest.raises(Singular):
+        lu_factor(large)
+
+
+def test_lu_solve_many_empty_batch():
+    solutions, nonsingular = lu_solve_many(np.empty((0, 3, 3)), np.empty((0, 3)))
+    assert solutions.shape == (0, 3) and nonsingular.shape == (0,)
 
 
 def test_solve_matches_numpy_oracle():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polyextremal.linalg import Singular, Tolerances, rank, solve_real
 from polyextremal.polytope import (
+    VERTEX_DEDUP_ABS,
     Degenerate,
     Empty,
     GuardExceeded,
@@ -27,7 +28,7 @@ from polyextremal.polytope import (
     validate,
 )
 
-from conftest import load_fixture, match_point_sets
+from conftest import load_fixture, match_point_sets, ngon_polytope, tangent_halfspaces
 
 QUAD_RAW = [
     ([1.0, 0.0], 0.0),
@@ -141,6 +142,49 @@ def test_arrangement_holds_every_nonsingular_subset(name):
     assert list(arrangement) == nonsingular
     corners = [p.tobytes() for p in arrangement.values()]
     assert all(v.tobytes() in corners for v in polytope.vertices)
+
+
+def _octahedron():
+    return [(list(np.array(signs) / np.sqrt(3.0)), 1.0)
+            for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
+def _pyramid():
+    """A square pyramid: its apex lies on four facets."""
+    return [([0.0, 0.0, 1.0], 0.0)] + [(list(n), 1.0) for n in
+                                       ([-1.0, 0.0, -1.0], [1.0, 0.0, -1.0],
+                                        [0.0, -1.0, -1.0], [0.0, 1.0, -1.0])]
+
+
+VERTEX_CASES = {
+    **{name: lambda name=name: load_fixture(name).halfspaces
+       for name in ("quad", "square", "triangle", "cube", "prism")},
+    "octahedron": lambda: canonicalize(_octahedron()),
+    "pyramid": lambda: canonicalize(_pyramid()),
+    "ngon-24": lambda: ngon_polytope(24).halfspaces,
+    "tangent-d4": lambda: canonicalize(tangent_halfspaces(4, 11, 1)),
+    "outward-square": lambda: canonicalize([([-n for n in normal], -b) for normal, b in SQUARE_RAW]),
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_CASES)
+def test_enumerate_vertices_matches_per_corner_loop(name):
+    """Vertices and active sets read from the value matrix equal a loop over
+    the arrangement's corners with ``Halfspace.value``, bit for bit: feasible
+    corners, the first of each cluster within VERTEX_DEDUP_ABS kept."""
+    halfspaces = list(VERTEX_CASES[name]())
+    dim = halfspaces[0].normal.shape[0]
+    vertices, incidence = enumerate_vertices(halfspaces, dim)
+    geom = Tolerances().geom_abs
+    kept = []
+    for p in incidence.arrangement.values():
+        if min(h.value(p) for h in halfspaces) >= -geom and not any(
+                np.max(np.abs(p - q)) <= VERTEX_DEDUP_ABS for q in kept):
+            kept.append(p)
+    assert vertices.shape == (len(kept), dim)
+    assert vertices.tobytes() == np.array(kept).reshape(-1, dim).tobytes()
+    assert incidence.active == tuple(
+        tuple(k for k, h in enumerate(halfspaces) if abs(h.value(v)) <= geom) for v in kept)
 
 
 def test_enumerate_vertices_invariant_under_permutation():

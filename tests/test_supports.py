@@ -8,7 +8,7 @@ import pytest
 
 from polyextremal import polytope as polytope_module
 from polyextremal import supports as supports_module
-from polyextremal.linalg import Singular, orthonormal_basis, rank, solve_real
+from polyextremal.linalg import Singular, lu_solve_many, orthonormal_basis, rank, solve_real
 from polyextremal.polytope import enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
     SimplexSupport,
@@ -20,8 +20,8 @@ from polyextremal.supports import (
     try_strip,
 )
 
-from conftest import (cube_polytope, load_fixture, match_point_sets, prism_polytope,
-                      symmetric_polytope, tangent_halfspaces)
+from conftest import (cube_polytope, load_fixture, match_point_sets, ngon_polytope,
+                      prism_polytope, symmetric_polytope, tangent_halfspaces)
 
 VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
 
@@ -393,19 +393,25 @@ def test_certification_matches_per_subset_solve_oracle(name):
     (tangent_halfspaces(3, 9, seed=4), 3),
 ])
 def test_each_facet_intersection_is_solved_once(monkeypatch, halfspaces, dim):
-    """validate solves every d-subset once; certifying (d+1)-subsets solves nothing."""
-    calls = []
+    """validate solves every d-subset once, in one batch; certifying
+    (d+1)-subsets solves nothing."""
+    batches, calls = [], []
+
+    def counting_batch(a, b, tol):
+        batches.append(len(a))
+        return lu_solve_many(a, b, tol)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return solve_real(*args, **kwargs)
 
+    monkeypatch.setattr(polytope_module, "lu_solve_many", counting_batch)
     monkeypatch.setattr(polytope_module, "solve_real", counting)
     monkeypatch.setattr(supports_module, "solve_real", counting)
     polytope = validate(halfspaces, dim)
-    assert len(calls) == math.comb(len(halfspaces), dim)
+    assert batches == [math.comb(len(halfspaces), dim)] and calls == []
     supports = enumerate_supports(polytope)
-    assert len(calls) == math.comb(len(halfspaces), dim)
+    assert batches == [math.comb(len(halfspaces), dim)] and calls == []
     assert all(s.kind == "simplex" for s in supports)
 
 
@@ -502,6 +508,41 @@ def test_strip_search_loses_no_strip(name):
                 exhaustive.append(_support_bytes(support))
     assert [_support_bytes(s) for s in enumerate_supports(polytope)] == sorted(
         exhaustive, key=lambda record: record[1])
+
+
+SCREEN_CASES = {
+    **SEARCH_CASES,
+    **{f"tangent-d{dim}": lambda dim=dim, count=count: validate(
+        tangent_halfspaces(dim, count, 1), dim) for dim, count in ((2, 8), (5, 12))},
+    "ngon-24": lambda: ngon_polytope(24),
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_batched_screen_agrees_with_try_simplex(name):
+    """The value matrix is ``Halfspace.value`` at every arrangement corner,
+    bit for bit, and the batched screen passes exactly the (d+1)-subsets that
+    ``try_simplex`` certifies."""
+    polytope = SCREEN_CASES[name]()
+    n, d = len(polytope.halfspaces), polytope.dim
+    incidence = polytope.incidence
+    assert incidence.values.shape == (len(incidence.arrangement), n)
+    for point, row in zip(incidence.arrangement.values(), incidence.values):
+        assert row.tobytes() == np.array([h.value(point) for h in polytope.halfspaces]).tobytes()
+    nonsingular = np.array([face in incidence.arrangement
+                            for face in itertools.combinations(range(n), d)])
+    screened = supports_module._simplex_candidates(polytope, nonsingular)
+    certified = [subset for subset in itertools.combinations(range(n), d + 1)
+                 if try_simplex(polytope, subset) is not None]
+    assert screened == certified
+    assert all(type(k) is int for subset in screened for k in subset)
+
+
+def test_combination_rank_follows_itertools_order():
+    for n, k in ((1, 1), (5, 1), (5, 2), (6, 3), (9, 4), (12, 6), (7, 7)):
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        ranks = supports_module._combination_rank(list(subsets.T), n)
+        assert ranks.tolist() == list(range(len(subsets)))
 
 
 @pytest.mark.parametrize("dim,count,seed", [(3, 10, 1), (4, 9, 6)])
