@@ -13,9 +13,13 @@ points.  ``grid --jobs K`` splits the points into one contiguous chunk per
 worker, with at most min(K, points, os.cpu_count()) workers; the kernel is
 elementwise per point, so the bytes are the same at any --jobs level.
 
-Exit codes: 0 success, 2 unreadable/ill-formed input (usage errors and
-NaN or infinite coordinates included), 3 unbounded, 4 not full-dimensional,
-5 redundant halfspace, 6 empty, 1 anything else.
+Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
+place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
+JSON, a bad flag or point, NaN or infinite coordinates, a zero normal, an
+input beyond the size guards), 3 unbounded, 4 not full-dimensional, 5
+redundant halfspace, 6 empty, 1 any other library failure (an uncovered
+facet, a barycentric sum below the domain band) or an OS error such as an
+unwritable grid file.  Every failure prints ``error: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import eval_extremal_many, eval_supports_many
+from .extremal import DomainError, eval_extremal_many, eval_supports_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -49,17 +53,13 @@ from .polytope import (
 )
 from .supports import NoCover, SupportSet, enumerate_supports, support_records
 
-EXIT_PARSE = 2
-EXIT_UNBOUNDED = 3
-EXIT_NOT_FULL_DIM = 4
-EXIT_REDUNDANT = 5
-EXIT_EMPTY = 6
-
-
-class CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# Exit code of each failure a command may raise; the first row the exception
+# is an instance of decides.  Anything else is a bug and keeps its traceback.
+EXIT_CODES = {
+    ParseError: 2, ZeroNormal: 2, GuardExceeded: 2,
+    Unbounded: 3, NotFullDimensional: 4, RedundantHalfspace: 5, Empty: 6,
+    PolytopeError: 1, NoCover: 1, DomainError: 1, OSError: 1,
+}
 
 
 def _coordinate_index(name: str, dim: int) -> tuple[int, bool]:
@@ -69,13 +69,13 @@ def _coordinate_index(name: str, dim: int) -> tuple[int, bool]:
     elif name.startswith("im"):
         imaginary = True
     else:
-        raise CliFailure(EXIT_PARSE, f"unknown coordinate {name!r}")
+        raise ParseError(f"unknown coordinate {name!r}")
     try:
         index = int(name[2:]) - 1
     except ValueError:
-        raise CliFailure(EXIT_PARSE, f"unknown coordinate {name!r}") from None
+        raise ParseError(f"unknown coordinate {name!r}") from None
     if not 0 <= index < dim:
-        raise CliFailure(EXIT_PARSE, f"coordinate {name!r} out of range for dim {dim}")
+        raise ParseError(f"coordinate {name!r} out of range for dim {dim}")
     return index, imaginary
 
 
@@ -84,32 +84,10 @@ def _load_polytope(path: str, tol: Tolerances) -> PolytopeH:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliFailure(EXIT_PARSE, f"malformed JSON in {path}: {exc}") from exc
-    try:
-        return from_json(document, tol)
-    except Unbounded as exc:
-        raise CliFailure(EXIT_UNBOUNDED, f"{path}: {exc}") from exc
-    except NotFullDimensional as exc:
-        raise CliFailure(EXIT_NOT_FULL_DIM, f"{path}: {exc}") from exc
-    except RedundantHalfspace as exc:
-        raise CliFailure(EXIT_REDUNDANT, f"{path}: {exc}") from exc
-    except Empty as exc:
-        raise CliFailure(EXIT_EMPTY, f"{path}: {exc}") from exc
-    except (ParseError, ZeroNormal, GuardExceeded) as exc:
-        raise CliFailure(EXIT_PARSE, f"{path}: {exc}") from exc
-    except PolytopeError as exc:
-        raise CliFailure(1, f"{path}: {exc}") from exc
-
-
-def _supports_for(polytope: PolytopeH) -> SupportSet:
-    try:
-        return enumerate_supports(polytope)
-    except GuardExceeded as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from exc
-    except NoCover as exc:
-        raise CliFailure(1, str(exc)) from exc
+        raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    return from_json(document, tol)
 
 
 def _format_point(values: np.ndarray) -> str:
@@ -130,7 +108,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 def cmd_supports(args, tol: Tolerances) -> int:
     polytope = _load_polytope(args.file, tol)
-    records = support_records(_supports_for(polytope))
+    records = support_records(enumerate_supports(polytope))
     print(json.dumps(records, indent=2))
     return 0
 
@@ -140,18 +118,17 @@ def _parse_real(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError as exc:
-        raise CliFailure(EXIT_PARSE, f"{what}: {exc}") from exc
+        raise ParseError(f"{what}: {exc}") from exc
     if not math.isfinite(value):
-        raise CliFailure(EXIT_PARSE, f"{what}: {text.strip()!r} is not finite")
+        raise ParseError(f"{what}: {text.strip()!r} is not finite")
     return value
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 2 * dim:
-        raise CliFailure(
-            EXIT_PARSE,
-            f"point {text!r}: expected {2 * dim} reals (re, im per coordinate), got {len(parts)}")
+        raise ParseError(f"point {text!r}: expected {2 * dim} reals "
+                         f"(re, im per coordinate), got {len(parts)}")
     reals = [_parse_real(p, f"point {text!r}") for p in parts]
     return np.array([complex(reals[2 * i], reals[2 * i + 1]) for i in range(dim)])
 
@@ -167,11 +144,11 @@ def cmd_eval(args, tol: Tolerances) -> int:
                     if line and not line.startswith("#"):
                         texts.append(line)
         except OSError as exc:
-            raise CliFailure(EXIT_PARSE, f"cannot read {args.points_file}: {exc}") from exc
+            raise ParseError(f"cannot read {args.points_file}: {exc}") from exc
     if not texts:
-        raise CliFailure(EXIT_PARSE, "no points given: use --point or --points-file")
+        raise ParseError("no points given: use --point or --points-file")
     points = np.array([_parse_point(text, polytope.dim) for text in texts])
-    supports = _supports_for(polytope)
+    supports = enumerate_supports(polytope)
     values, argmax = eval_extremal_many(supports, points)
     lines = [f"{value!r} {index}" for value, index in zip(values.tolist(), argmax.tolist())]
     if args.diagnostics:
@@ -198,7 +175,7 @@ def cmd_grid(args, tol: Tolerances) -> int:
     dim = polytope.dim
     plane = [p.strip() for p in args.plane.split(",")]
     if len(plane) != 2 or plane[0] == plane[1]:
-        raise CliFailure(EXIT_PARSE, "--plane needs two distinct coordinate names")
+        raise ParseError("--plane needs two distinct coordinate names")
     fixed: dict[str, float] = {}
     fixed_re, fixed_im = np.zeros(dim), np.zeros(dim)
     if args.fixed:
@@ -208,25 +185,25 @@ def cmd_grid(args, tol: Tolerances) -> int:
             name, _, value = item.partition("=")
             name = name.strip()
             if not _:
-                raise CliFailure(EXIT_PARSE, f"--fixed entry {item!r} is not name=value")
+                raise ParseError(f"--fixed entry {item!r} is not name=value")
             if name in plane:
-                raise CliFailure(EXIT_PARSE, f"--fixed coordinate {name!r} is a plane axis")
+                raise ParseError(f"--fixed coordinate {name!r} is a plane axis")
             index, imaginary = _coordinate_index(name, dim)
             fixed[name] = _parse_real(value, f"--fixed entry {item!r}")
             (fixed_im if imaginary else fixed_re)[index] = fixed[name]
     bounds = tuple(_parse_real(b, "--bounds") for b in args.bounds.split(","))
     if len(bounds) != 4:
-        raise CliFailure(EXIT_PARSE, "--bounds needs four numbers: umin,umax,vmin,vmax")
+        raise ParseError("--bounds needs four numbers: umin,umax,vmin,vmax")
     if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):
-        raise CliFailure(EXIT_PARSE, "--bounds minima must be below maxima")
+        raise ParseError("--bounds minima must be below maxima")
     if not (math.isfinite(bounds[1] - bounds[0]) and math.isfinite(bounds[3] - bounds[2])):
-        raise CliFailure(EXIT_PARSE, "--bounds spans must be finite")
+        raise ParseError("--bounds spans must be finite")
     if args.resolution < 2:
-        raise CliFailure(EXIT_PARSE, "--resolution must be at least 2")
+        raise ParseError("--resolution must be at least 2")
     if args.jobs < 1:
-        raise CliFailure(EXIT_PARSE, "--jobs must be at least 1")
+        raise ParseError("--jobs must be at least 1")
     axes = [_coordinate_index(name, dim) for name in plane]
-    supports = _supports_for(polytope)
+    supports = enumerate_supports(polytope)
 
     # All resolution^2 points, row-major with u varying fastest.
     n = args.resolution
@@ -258,17 +235,14 @@ def cmd_grid(args, tol: Tolerances) -> int:
         text = json.dumps(body, indent=2) + "\n"
 
     directory = os.path.dirname(os.path.abspath(args.out)) or "."
+    fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".grid-", text=True)
     try:
-        fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".grid-", text=True)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            os.replace(temp_path, args.out)
-        except BaseException:
-            os.unlink(temp_path)
-            raise
-    except OSError as exc:
-        raise CliFailure(1, f"cannot write {args.out}: {exc}") from exc
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(temp_path, args.out)
+    except BaseException:
+        os.unlink(temp_path)
+        raise
     return 0
 
 
@@ -318,23 +292,24 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _tolerances() -> Tolerances:
+    """DEFAULT_TOL, or one uniform tolerance from EXTREMAL_TOL when it is set."""
     env = os.environ.get("EXTREMAL_TOL")
     if env is None:
-        tol = DEFAULT_TOL
-    else:
-        try:
-            tol = Tolerances.uniform(float(env))
-        except ValueError:
-            print(f"EXTREMAL_TOL={env!r} is not a usable tolerance", file=sys.stderr)
-            return EXIT_PARSE
+        return DEFAULT_TOL
     try:
-        return _COMMANDS[args.command](args, tol)
-    except CliFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return failure.code
+        return Tolerances.uniform(float(env))
+    except ValueError:
+        raise ParseError(f"EXTREMAL_TOL={env!r} is not a usable tolerance") from None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args, _tolerances())
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -16,11 +16,13 @@ noise lands on either side of 1, and arccosh has a square-root cliff there
 (arccosh(1 + 1e-16) ~ 1e-8), so a band around 1 must collapse to 0 or real
 interior points would evaluate to visible garbage.  Sums up to 1 + 1e-12 map
 to exactly 0.0; genuine exterior points clear that band by orders of
-magnitude.  Below 1 - 1e-9 is reported as a bug (DomainError), since no
-legitimate code path can produce it.  The arccosh itself runs on u = s - 1
-(exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to dodge the s^2 - 1
-cancellation; where u(u+2) overflows (u beyond ~1.3e154) it is
-log 2 + log s, exact there to double precision.  Points must be finite:
+magnitude.  Below 1 - 1e-9 raises DomainError.  In exact arithmetic no
+point gets there, but roundoff can: far from the origin the rows . z and
+shifts of a support are large and cancel, and the quad translated by
+(1e7, 1e7) reads 0.99999999814 at an interior point.  The arccosh itself
+runs on u = s - 1 (exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to
+dodge the s^2 - 1 cancellation; where u(u+2) overflows (u beyond ~1.3e154)
+it is log 2 + log s, exact there to double precision.  Points must be finite:
 NaN or infinite coordinates raise ValueError.
 
 One kernel evaluates a chunk of points against a set's stacked supports at
@@ -59,7 +61,9 @@ _CHUNK = 16_384      # point x support values per kernel pass; fastest on the be
 
 
 class DomainError(Exception):
-    """Argument below the inverse-Joukowski domain: barycentric sums are >= 1."""
+    """Argument below the inverse-Joukowski domain.  Barycentric sums are >= 1
+    in exact arithmetic; a sum below 1 - 1e-9 is roundoff, as in a polytope
+    far from the origin, or a defect."""
 
 
 def inv_joukowski_log(s: float) -> float:
@@ -164,10 +168,24 @@ def eval_simplex(support, z: np.ndarray) -> float:
     return float(eval_simplex_many(support, z)[0])
 
 
+def _chunked_values(support_set: SupportSet, points: np.ndarray):
+    """(chunk slice, its (points, S) values) per pass over checked points, at
+    most _CHUNK point-support values a pass; the values sit in work arrays
+    the next pass overwrites."""
+    step = max(1, _CHUNK // max(1, len(support_set)))
+    work = _scratch(min(step, points.shape[0]), len(support_set))
+    for start in range(0, points.shape[0], step):
+        chunk = slice(start, start + step)
+        yield chunk, _values(support_set.rows, support_set.shifts, points[chunk], work)
+
+
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
     """Every support's value at every point, one row per point."""
     points = _as_points(points, support_set.polytope.dim)
-    return _values(support_set.rows, support_set.shifts, points)
+    matrix = np.empty((points.shape[0], len(support_set)))
+    for chunk, values in _chunked_values(support_set, points):
+        matrix[chunk] = values
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -193,11 +211,7 @@ def eval_extremal_many(support_set: SupportSet,
         raise ValueError("support set is empty")
     points = _as_points(points, support_set.polytope.dim)
     best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
-    step = max(1, _CHUNK // len(support_set))
-    work = _scratch(min(step, points.shape[0]), len(support_set))
-    for start in range(0, points.shape[0], step):
-        chunk = slice(start, start + step)
-        values = _values(support_set.rows, support_set.shifts, points[chunk], work)
+    for chunk, values in _chunked_values(support_set, points):
         argmax[chunk] = np.argmax(values, axis=1)
         best[chunk] = np.take_along_axis(values, argmax[chunk, None], axis=1)[:, 0]
     return best, argmax

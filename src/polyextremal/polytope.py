@@ -71,7 +71,8 @@ class PolytopeError(Exception):
 
 
 class ParseError(PolytopeError):
-    """The JSON document does not follow the polytope schema."""
+    """Ill-formed input, file or command line: a JSON document off the
+    polytope schema, or an unreadable file or bad flag in the CLI."""
 
 
 class ZeroNormal(PolytopeError):
@@ -336,15 +337,15 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
     offsets = np.array([h.offset for h in canonical])
     try:
         center, radius = interior_point(normals, offsets, tol)
+        infeasible = None
     except Infeasible as exc:
-        if math.isfinite(exc.radius) and exc.radius < -tol.pos_abs:
-            raise Empty("halfspace intersection is empty") from exc
-        if recession_direction(normals, tol) is not None:
-            raise Unbounded("halfspace intersection admits a recession direction") from exc
-        raise NotFullDimensional("no interior ball of positive radius") from exc
-
+        radius, infeasible = exc.radius, exc
+    if infeasible is not None and math.isfinite(radius) and radius < -tol.pos_abs:
+        raise Empty("halfspace intersection is empty") from infeasible
     if recession_direction(normals, tol) is not None:
-        raise Unbounded("halfspace intersection admits a recession direction")
+        raise Unbounded("halfspace intersection admits a recession direction") from infeasible
+    if infeasible is not None:
+        raise NotFullDimensional("no interior ball of positive radius") from infeasible
     if vertices.shape[0] == 0:
         raise Empty("no feasible vertex; halfspace orientations are inconsistent")
 

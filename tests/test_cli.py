@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyextremal import cli
-from polyextremal import enumerate_supports
+from polyextremal import cli, supports
+from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
+                          NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
+                          Unbounded, ZeroNormal, enumerate_supports)
 from polyextremal.extremal import eval_extremal_many, eval_interval, eval_simplex_many
 
 from conftest import fixture_path, load_fixture, quad_reference
@@ -540,3 +546,67 @@ def test_extremal_tol_env_rejects_garbage(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "validate", fixture_path("quad"))
     assert code == 2
     assert "EXTREMAL_TOL" in err
+
+
+@pytest.mark.parametrize("failure,code", [
+    (ParseError("bad document"), 2),
+    (ZeroNormal("zero normal"), 2),
+    (GuardExceeded("too many subsets"), 2),
+    (Unbounded("unbounded"), 3),
+    (NotFullDimensional("flat"), 4),
+    (RedundantHalfspace(3), 5),
+    (Empty("empty"), 6),
+    (Degenerate("collinear"), 1),
+    (PolytopeError("other"), 1),
+    (NoCover(2), 1),
+    (DomainError("below 1"), 1),
+    (OSError("disk full"), 1),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_exit_code_table(capsys, monkeypatch, failure, code):
+    """Each library failure reaches the user as one ``error:`` line on stderr
+    and its documented exit code."""
+    def fail(_):
+        raise failure
+    monkeypatch.setattr(cli, "enumerate_supports", fail)
+    assert run_cli(capsys, "supports", fixture_path("quad")) == (code, "", f"error: {failure}\n")
+
+
+def test_unlisted_exception_is_not_swallowed(capsys, monkeypatch):
+    """An exception outside the table is a bug: it propagates with its traceback."""
+    def fail(*_):
+        raise RuntimeError("bug")
+    monkeypatch.setattr(cli, "from_json", fail)
+    with pytest.raises(RuntimeError):
+        cli.main(["validate", fixture_path("quad")])
+
+
+def test_subset_guard(capsys, monkeypatch):
+    """Past SUBSET_GUARD facet subsets, set-up refuses with GuardExceeded: exit 2."""
+    monkeypatch.setattr(supports, "SUBSET_GUARD", 9)  # the quad visits 6 + 4 subsets
+    with pytest.raises(GuardExceeded):
+        enumerate_supports(load_fixture("quad"))
+    code, out, err = run_cli(capsys, "supports", fixture_path("quad"))
+    assert (code, out) == (2, "")
+    assert err == "error: 10 facet subsets exceed the guard 9\n"
+
+
+def test_eval_translated_quad_domain_error_exits_1(tmp_path):
+    """Far from the origin roundoff can push a barycentric sum below the
+    domain band: the quad moved by (1e7, 1e7) does so at an interior point.
+    The command ends with exit 1 and an ``error:`` line, not a traceback."""
+    shift = np.array([1e7, 1e7])
+    halfspaces = [{"normal": h.normal.tolist(), "offset": h.offset - float(h.normal @ shift)}
+                  for h in load_fixture("quad").halfspaces]
+    path = tmp_path / "far_quad.json"
+    path.write_text(json.dumps({"dim": 2, "halfspaces": halfspaces}), encoding="utf-8")
+    x = repr(1e7 + 0.41886116991581035)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("EXTREMAL_TOL", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "polyextremal", "eval", str(path), f"--point={x},0,{x},0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "below 1" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -20,6 +20,7 @@ from polyextremal.extremal import (
     eval_interval,
     eval_simplex,
     eval_simplex_many,
+    eval_supports_many,
     inv_joukowski_log,
     lundin_ball,
 )
@@ -671,6 +672,38 @@ def test_batch_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_support_matrix_matches_per_support_oracle(name):
+    """``eval_supports_many`` runs chunk by chunk, and its matrix holds the
+    per-support loop's values bit for bit across the chunk boundaries."""
+    supports = enumerate_supports(KERNEL_CASES[name]())
+    step = max(1, extremal._CHUNK // len(supports))
+    rng = np.random.default_rng(len(supports) + 1)
+    for count in sorted({1, step, step + 1, 2 * step + 3} - {0}):
+        points = _mixed_points(supports.polytope, count, rng)
+        matrix = eval_supports_many(supports, points)
+        expected = np.stack([_reference_values(s, points) for s in supports], axis=1)
+        assert matrix.tobytes() == expected.tobytes(), (name, count)
+
+
+def test_support_matrix_memory_is_bounded_by_its_result():
+    """5,000 points against the 24-gon's 452 supports: the 17.2 MiB matrix is
+    the only large array, so the peak stays below twice its size.  Work arrays
+    for every point at once would take 103 MiB more."""
+    supports = enumerate_supports(ngon_polytope(24))
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2, 2, (5_000, 2)) + 1j * rng.uniform(-1, 1, (5_000, 2))
+    eval_supports_many(supports, points[:10])
+    tracemalloc.start()
+    try:
+        matrix = eval_supports_many(supports, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (5_000, 452)
+    assert peak < 2 * matrix.nbytes
 
 
 @pytest.mark.parametrize("name", VALID_FIXTURES)

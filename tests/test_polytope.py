@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyextremal import polytope
 from polyextremal.linalg import Singular, Tolerances, rank, solve_real
 from polyextremal.polytope import (
     VERTEX_DEDUP_ABS,
@@ -237,6 +238,29 @@ def test_validate_not_full_dimensional():
 def test_validate_empty():
     with pytest.raises(Empty):
         validate([([1.0, 0.0], -1.0), ([-1.0, 0.0], -1.0)], 2)
+
+
+@pytest.mark.parametrize("raw,error,calls", [
+    (QUAD_RAW, None, 1),
+    ([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)], Unbounded, 1),
+    ([([1.0, 0.0], 0.0), ([-1.0, 0.0], 0.0)], Unbounded, 1),
+    ([([1.0, 0.0], 0.0), ([-1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([0.0, -1.0], 1.0)],
+     NotFullDimensional, 1),
+    ([([1.0, 0.0], -1.0), ([-1.0, 0.0], -1.0)], Empty, 0),
+], ids=["quad", "quadrant", "line", "segment", "empty-and-unbounded"])
+def test_validate_solves_the_recession_program_at_most_once(monkeypatch, raw, error, calls):
+    """Empty on a negative Chebyshev radius comes before Unbounded, which
+    comes before NotFullDimensional, all from one recession-cone program."""
+    seen = []
+    original = polytope.recession_direction
+    monkeypatch.setattr(polytope, "recession_direction",
+                        lambda *args: seen.append(args) or original(*args))
+    if error is None:
+        validate(raw, 2)
+    else:
+        with pytest.raises(error):
+            validate(raw, 2)
+    assert len(seen) == calls
 
 
 def test_validate_no_halfspaces_is_unbounded():
