@@ -9,9 +9,11 @@ rows appear row-major with u varying fastest, floats serialized with repr
 comment so identical inputs give byte-identical files.
 
 Every evaluation is one ``eval_extremal_many`` call over all of a command's
-points.  ``grid --jobs K`` splits the points into one contiguous chunk per
-worker, with at most min(K, points, os.cpu_count()) workers; the kernel is
-elementwise per point, so the bytes are the same at any --jobs level.
+points (``eval_supports_many`` for ``eval --diagnostics``, which takes each
+row's first maximum).  ``grid --jobs K`` splits the points into one
+contiguous chunk per worker, with at most min(K, points, os.cpu_count())
+workers; the kernel is elementwise per point, so the bytes are the same at
+any --jobs level.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -149,12 +151,15 @@ def cmd_eval(args, tol: Tolerances) -> int:
         raise ParseError("no points given: use --point or --points-file")
     points = np.array([_parse_point(text, polytope.dim) for text in texts])
     supports = enumerate_supports(polytope)
-    values, argmax = eval_extremal_many(supports, points)
-    lines = [f"{value!r} {index}" for value, index in zip(values.tolist(), argmax.tolist())]
     if args.diagnostics:
-        matrix = eval_supports_many(supports, points).tolist()
-        lines = [line + " " + " ".join(map(repr, row)) for line, row in zip(lines, matrix)]
-    print("\n".join(lines))
+        matrix = eval_supports_many(supports, points)
+        argmax = matrix.argmax(axis=1)  # each row's first maximum, as eval_extremal_many picks
+        values = matrix[np.arange(len(points)), argmax]
+    else:
+        values, argmax = eval_extremal_many(supports, points)
+        matrix = np.empty((len(points), 0))
+    print("\n".join(" ".join(map(repr, [value, index, *row])) for value, index, row
+                    in zip(values.tolist(), argmax.tolist(), matrix.tolist())))
     return 0
 
 

@@ -219,12 +219,14 @@ def eval_extremal_many(support_set: SupportSet,
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,
                   diagnostics: bool = False) -> EvalResult:
-    """V_K(z) at one point: ``eval_extremal_many`` on that point, with every
-    support's own value when ``diagnostics`` is set."""
-    values, argmax = eval_extremal_many(support_set, z)
-    per_support = tuple(eval_supports_many(support_set, z)[0].tolist()) if diagnostics else None
-    return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
-                      per_support=per_support)
+    """V_K(z) at one point: ``eval_extremal_many`` on that point or, when
+    ``diagnostics`` is set, the first maximum of every support's own value."""
+    if not diagnostics:
+        values, argmax = eval_extremal_many(support_set, z)
+        return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
+    row = eval_supports_many(support_set, z)[0]
+    return EvalResult(value=float(row[row.argmax()]), argmax=int(row.argmax()),
+                      per_support=tuple(row.tolist()))
 
 
 def lundin_ball(z: np.ndarray, radius: float) -> float:

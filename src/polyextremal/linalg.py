@@ -4,10 +4,12 @@ Everything operates on plain numpy arrays at desk scale: dimensions stay in
 single digits and constraint counts below a hundred.  The solvers are
 deliberately textbook ones - partial-pivot elimination with an explicit
 relative pivot threshold, modified Gram-Schmidt for ranks and orthonormal
-bases, and a dense two-phase simplex method with Bland's rule.  Rank and
-positivity decisions made here drive geometric certification downstream, so
-the thresholds are part of the contract: they live in one ``Tolerances``
-record that callers thread through explicitly.
+bases, and a dense two-phase simplex method with Bland's rule.  A Chebyshev
+ball takes one linear program; whether a cone {v : N v >= 0} is {0} takes
+one rank and at most one more.  Rank and positivity decisions made here
+drive geometric certification downstream, so the thresholds are part of the
+contract: they live in one ``Tolerances`` record that callers thread
+through explicitly.
 """
 
 from __future__ import annotations
@@ -377,6 +379,15 @@ def linprog_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.n
 # Chebyshev center and recession directions
 # ---------------------------------------------------------------------------
 
+def _box_rows(d: int) -> np.ndarray:
+    """Rows +e_0, -e_0, +e_1, -e_1, ...: with right-hand side c they bound
+    every |x_i| by c."""
+    rows = np.zeros((2 * d, d))
+    rows[0::2] += np.eye(d)
+    rows[1::2] -= np.eye(d)  # 0.0 - 0.0 keeps the zeros positive
+    return rows
+
+
 def interior_point(normals: np.ndarray, offsets: np.ndarray,
                    tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Chebyshev center of {x : n_k.x + b_k >= 0}: maximize r subject to
@@ -387,7 +398,8 @@ def interior_point(normals: np.ndarray, offsets: np.ndarray,
     exception carries the signed optimal radius so callers can tell the two
     apart.  The center search is boxed at 1e6 x the data scale, so genuinely
     unbounded inputs come back with a huge (capped) radius rather than an
-    unbounded program; reject those by checking recession_direction first.
+    unbounded program; ``validate`` rejects those with recession_direction,
+    called after this program.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -400,10 +412,8 @@ def interior_point(normals: np.ndarray, offsets: np.ndarray,
     a = np.zeros((m + 2 * d, d + 1))
     a[:m, :d] = -normals
     a[:m, d] = lengths
+    a[m:, :d] = _box_rows(d)
     rhs = np.concatenate([offsets, np.full(2 * d, box)])
-    for i in range(d):
-        a[m + 2 * i, i] = 1.0
-        a[m + 2 * i + 1, i] = -1.0
     c = np.zeros(d + 1)
     c[d] = 1.0
     solution, value = linprog_max(c, a, rhs)
@@ -417,39 +427,26 @@ def recession_direction(normals: np.ndarray,
                         tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """A direction v != 0 with n_k.v >= 0 for all k, or None when only v = 0 works.
 
-    First maximizes min_k n_k.v over the unit box (finds interior directions of
-    the recession cone); when that tops out at zero, 2d per-coordinate sweeps
-    max +-v_i over the cone catch flat cones such as {(1,0),(-1,0)} -> (0,1).
+    The cone {v : N v >= 0} is {0} exactly when N has rank d and the maximum
+    of (sum_k n_k).v over the cone inside the unit box is 0: a nonzero v of
+    the cone outside ker N makes some n_k.v, and so the sum, positive.  So
+    below rank d (the rule of ``rank``) the answer is a unit vector
+    orthogonal to every normal, and otherwise that program's optimum when it
+    exceeds ``pos_abs``.  Each normal is first divided by its largest entry,
+    which leaves the cone as it is and the answer free of the normals'
+    lengths: the ray {v >= 0} of the normals (1e-10,) and (2e-10,) is found.
     """
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 2 or normals.shape[0] == 0:
         raise ValueError("normals must be a nonempty (m, d) array")
-    m, d = normals.shape
-    box_rows = np.zeros((2 * d, d))
-    for i in range(d):
-        box_rows[2 * i, i] = 1.0
-        box_rows[2 * i + 1, i] = -1.0
-    box_rhs = np.ones(2 * d)
-
-    # variables (v, t): rows  t - n_k.v <= 0, |v_i| <= 1; maximize t
-    a = np.zeros((m + 2 * d, d + 1))
-    a[:m, :d] = -normals
-    a[:m, d] = 1.0
-    a[m:, :d] = box_rows
-    rhs = np.concatenate([np.zeros(m), box_rhs])
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    solution, value = linprog_max(c, a, rhs)
-    if value > tol.pos_abs:
-        return solution[:d]
-
-    cone = np.vstack([-normals, box_rows])
-    cone_rhs = np.concatenate([np.zeros(m), box_rhs])
-    for i in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(d)
-            c[i] = sign
-            solution, value = linprog_max(c, cone, cone_rhs)
-            if value > tol.pos_abs:
-                return solution
-    return None
+    d = normals.shape[1]
+    peaks = np.max(np.abs(normals), axis=1)
+    rows = normals[peaks > 0.0] / peaks[peaks > 0.0, None]
+    basis = np.array(_orthogonalize(rows, tol)).reshape(-1, d)
+    if basis.shape[0] < d:
+        complement = np.eye(d) - basis.T @ basis
+        v = complement[np.argmax((complement * complement).sum(axis=1))]
+        return v / np.sqrt(np.dot(v, v))
+    rhs = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * d)])
+    solution, value = linprog_max(rows.sum(axis=0), np.vstack([-rows, _box_rows(d)]), rhs)
+    return solution if value > tol.pos_abs else None

@@ -5,9 +5,9 @@ Before anything downstream trusts it, ``validate`` certifies the standing
 hypotheses of the whole artifact: the set is nonempty, bounded, genuinely
 d-dimensional, and every listed halfspace actually supports a facet.  The
 checks are geometric and explicit - vertices come from solving the d-by-d
-systems of every facet subset, boundedness from a recession-cone program,
-full dimension from a Chebyshev ball - so each failure mode maps to its own
-exception and, in the CLI, its own exit code.
+systems of every facet subset, boundedness from the rank of the normals and
+one recession-cone program, full dimension from a Chebyshev ball - so each
+failure mode maps to its own exception and, in the CLI, its own exit code.
 
 The intersection points of all d-subsets, the hyperplane arrangement, are
 solved in one batched LU pass (again only after an orientation repair), and
@@ -138,12 +138,6 @@ class VertexIncidence:
     active: tuple[tuple[int, ...], ...]
     arrangement: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.active)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.active[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +307,8 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
     Order of checks: canonicalize; enumerate vertices (with one orientation
     repair attempt when none are feasible); Chebyshev ball (Empty when the
     optimal radius is negative); recession cone (Unbounded); positive ball
-    radius (NotFullDimensional); facet witnesses (RedundantHalfspace).
+    radius (NotFullDimensional); a feasible vertex (Empty, when the
+    orientations are inconsistent); facet witnesses (RedundantHalfspace).
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")

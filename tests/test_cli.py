@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyextremal import cli, supports
+from polyextremal import cli, extremal, supports
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
                           Unbounded, ZeroNormal, enumerate_supports)
-from polyextremal.extremal import eval_extremal_many, eval_interval, eval_simplex_many
+from polyextremal.extremal import (eval_extremal, eval_extremal_many, eval_interval,
+                                   eval_simplex_many)
 
 from conftest import fixture_path, load_fixture, quad_reference
 
@@ -56,7 +57,7 @@ def test_validate_exit_codes(capsys, name, expected):
 
 def test_validate_huge_normal(capsys, tmp_path):
     """A normal whose squared length overflows still gives the triangle."""
-    doc = json.loads(open(fixture_path("triangle"), encoding="utf-8").read())
+    doc = json.loads(Path(fixture_path("triangle")).read_text(encoding="utf-8"))
     doc["halfspaces"][0]["normal"] = [1e200, 0.0]
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -69,7 +70,7 @@ def test_validate_huge_normal(capsys, tmp_path):
 def test_validate_tiny_normal(capsys, tmp_path, normal, code):
     """A tiny normal, whose squared length may underflow, still gives the
     triangle; only the zero vector is refused, with exit 2."""
-    doc = json.loads(open(fixture_path("triangle"), encoding="utf-8").read())
+    doc = json.loads(Path(fixture_path("triangle")).read_text(encoding="utf-8"))
     doc["halfspaces"][0]["normal"] = normal
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -240,6 +241,26 @@ def test_eval_diagnostics_stdout_is_unchanged(capsys, name):
                              *[f"--point={point}" for point in points])
     assert code == 0, err
     assert out == expected
+
+
+def test_diagnostics_run_the_kernel_once_per_chunk(capsys, monkeypatch):
+    """``eval --diagnostics`` and ``eval_extremal(diagnostics=True)`` read the
+    value and argmax off the per-support matrix: one kernel pass per chunk,
+    half the passes of evaluating the points twice."""
+    calls = []
+    original = extremal._values
+    monkeypatch.setattr(extremal, "_values", lambda *args: calls.append(args) or original(*args))
+    support_set = enumerate_supports(load_fixture("quad"))
+    eval_extremal(support_set, np.array([2.0 + 0j, 2.0 + 0j]), diagnostics=True)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(extremal, "_CHUNK", 2 * len(support_set))  # two points a pass
+    points = DIAGNOSTICS_STDOUT["quad"][0] + ["1,0,1,0"]
+    code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--diagnostics",
+                             *[f"--point={point}" for point in points])
+    assert code == 0, err
+    assert out.startswith(DIAGNOSTICS_STDOUT["quad"][1])
+    assert len(calls) == 3
 
 
 def test_eval_rejects_wrong_arity(capsys):

@@ -305,6 +305,100 @@ def test_recession_quad_bounded():
     assert recession_direction(QUAD_NORMALS) is None
 
 
+CONE_FAMILIES = ("random", "one-sided", "antipodal", "line", "integer-ties")
+
+
+def _cone(family: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded normals of one cone {v : N v >= 0} of R^d."""
+    m = int(rng.integers(1, 3 * d + 3))
+    if family == "random":
+        return rng.standard_normal((m, d))
+    if family == "one-sided":  # every normal has u.n > 0: u is in the cone
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        n = rng.standard_normal((m, d))
+        return n + (rng.uniform(0.1, 1.0, m) - n @ u)[:, None] * u
+    if family == "antipodal":  # N = [X; -X] with X of rank d: the cone is {0}
+        x = rng.standard_normal((m + d, d))
+        return np.vstack([x, -x])
+    if family == "line":  # every normal is orthogonal to q: the cone holds +-q
+        q = rng.standard_normal(d)
+        q /= np.linalg.norm(q)
+        n = rng.standard_normal((m, d))
+        return n - np.outer(n @ q, q)
+    n = rng.integers(-2, 3, size=(m + d, d)).astype(float)
+    n = np.vstack([n, n[: m // 2 + 1]])
+    return n[np.any(n != 0.0, axis=1)] if n.any() else np.eye(d)[:1]
+
+
+def _cones():
+    """(family, normals) for d = 1..5, eight seeded cones per family and d."""
+    rng = np.random.default_rng(20190821)
+    for d in range(1, 6):
+        for family in CONE_FAMILIES:
+            for _ in range(8):
+                yield family, _cone(family, d, rng)
+
+
+def _highs_has_direction(normals: np.ndarray) -> bool:
+    """The sweep definition, solved by HiGHS: some max +-v_i over
+    {N v >= 0, |v_i| <= 1} is positive."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    d = normals.shape[1]
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            c = np.zeros(d)
+            c[i] = -sign
+            ref = scipy_linprog(c, A_ub=-normals, b_ub=np.zeros(len(normals)),
+                                bounds=(-1.0, 1.0), method="highs")
+            assert ref.status == 0
+            if -ref.fun > 1e-6:
+                return True
+    return False
+
+
+def test_recession_direction_matches_highs_oracle():
+    """Rank plus one program gives the answer of the 2d coordinate sweeps,
+    except where the rank itself is a tolerance artifact: normal sets whose
+    smallest singular value, relative to the largest normal, lies in
+    [1e-12, 1e-6] are skipped and counted.  Every direction found is a
+    nonzero v with N v >= 0."""
+    checked = skipped = 0
+    for family, normals in _cones():
+        v = recession_direction(normals)
+        if v is not None:
+            assert np.all(normals @ v >= -1e-12) and np.any(v != 0.0), (family, normals, v)
+        peaks = np.max(np.abs(normals), axis=1, keepdims=True)
+        units = normals[peaks[:, 0] > 0.0] / peaks[peaks[:, 0] > 0.0]
+        singular = np.linalg.svd(units, compute_uv=False)
+        smallest = singular[-1] / singular[0] if len(units) >= normals.shape[1] else 0.0
+        if 1e-12 <= smallest <= 1e-6:
+            skipped += 1
+            continue
+        got = v is not None
+        assert got == _highs_has_direction(normals), (family, normals)
+        if family in ("one-sided", "line"):
+            assert got, (family, normals)
+        if family == "antipodal":
+            assert not got, (family, normals)
+        checked += 1
+    assert checked + skipped == 200
+    assert skipped <= 2
+
+
+def test_recession_direction_ignores_normal_lengths():
+    """The cone depends only on each normal's direction, and so does the answer."""
+    ray = recession_direction(np.array([[1e-10], [2e-10]]))
+    assert ray is not None and ray[0] > 0.0
+    assert recession_direction(np.array([[1e-10], [-2e-10]])) is None
+    rng = np.random.default_rng(5)
+    for family, normals in _cones():
+        lengths = 10.0 ** rng.uniform(-8, 8, size=(len(normals), 1))
+        assert ((recession_direction(normals * lengths) is None)
+                == (recession_direction(normals) is None)), (family, normals)
+
+
 def test_linprog_max_simple():
     """max x + y over the unit square."""
     c = np.array([1.0, 1.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyextremal import polytope
+from polyextremal import linalg, polytope
 from polyextremal.linalg import Singular, Tolerances, rank, solve_real
 from polyextremal.polytope import (
     VERTEX_DEDUP_ABS,
@@ -100,7 +100,7 @@ def test_canonicalize_huge_normal_does_not_overflow():
 def test_enumerate_vertices_quad():
     vertices, incidence = enumerate_vertices(canonicalize(QUAD_RAW), 2)
     assert match_point_sets(vertices, QUAD_VERTICES)
-    assert len(incidence) == 4
+    assert len(incidence.active) == 4
 
 
 def test_enumerate_vertices_square():
@@ -118,7 +118,7 @@ def test_enumerate_vertices_incidence_rank():
     halfspaces = canonicalize(QUAD_RAW)
     vertices, incidence = enumerate_vertices(halfspaces, 2)
     for k in range(len(vertices)):
-        active = incidence[k]
+        active = incidence.active[k]
         assert len(active) >= 2
         normals = np.array([halfspaces[i].normal for i in active])
         assert rank(normals) == 2
@@ -261,6 +261,17 @@ def test_validate_solves_the_recession_program_at_most_once(monkeypatch, raw, er
         with pytest.raises(error):
             validate(raw, 2)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", ["quad", "square", "triangle", "cube", "prism"])
+def test_validate_bounded_solves_two_programs(monkeypatch, name):
+    """A bounded polytope costs one Chebyshev program and one recession
+    program, whatever its dimension."""
+    calls = []
+    original = linalg.linprog_max
+    monkeypatch.setattr(linalg, "linprog_max", lambda *args: calls.append(args) or original(*args))
+    load_fixture(name)
+    assert len(calls) == 2
 
 
 def test_validate_no_halfspaces_is_unbounded():
