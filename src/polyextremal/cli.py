@@ -9,8 +9,9 @@ rows appear row-major with u varying fastest, floats serialized with repr
 comment so identical inputs give byte-identical files.
 
 Every evaluation is one ``eval_extremal_many`` call over all of a command's
-points (``eval_supports_many`` for ``eval --diagnostics``, which takes each
-row's first maximum).  ``grid --jobs K`` splits the points into one
+points (``eval_supports_many`` for ``eval --diagnostics``, which reads value
+and argmax off the stack's columns through ``stack_max``, as
+``eval_extremal_many`` does).  ``grid --jobs K`` splits the points into one
 contiguous chunk per worker, with at most min(K, points, os.cpu_count())
 workers; the kernel is elementwise per point, so the bytes are the same at
 any --jobs level.
@@ -37,7 +38,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import DomainError, eval_extremal_many, eval_supports_many
+from .extremal import DomainError, eval_extremal_many, eval_supports_many, stack_max
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -153,8 +154,7 @@ def cmd_eval(args, tol: Tolerances) -> int:
     supports = enumerate_supports(polytope)
     if args.diagnostics:
         matrix = eval_supports_many(supports, points)
-        argmax = matrix.argmax(axis=1)  # each row's first maximum, as eval_extremal_many picks
-        values = matrix[np.arange(len(points)), argmax]
+        values, argmax = stack_max(supports, matrix[:, supports.stack])
     else:
         values, argmax = eval_extremal_many(supports, points)
         matrix = np.empty((len(points), 0))

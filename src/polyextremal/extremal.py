@@ -8,7 +8,10 @@ at every apex but p_k, so lambda_k(z) = l_k(z) / l_k(p_k), an affine map
 certification stores as the support's ``rows`` and ``shifts``.  A strip's
 rows are pulled back through Q, so one kernel evaluates every support and
 no linear system is solved on the way.  The polytope value is the maximum
-over all certified supports, attained first in their deterministic order.
+over the set's evaluation stack: every certified support, or for a centrally
+symmetric K only the slabs between antipodal facets, which by Lundin's
+formula attain it.  ``argmax`` names the first maximum over the stack by its
+index in the sorted support order, and 0 where V = 0.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -50,6 +53,7 @@ __all__ = [
     "eval_extremal",
     "eval_simplex_many",
     "eval_supports_many",
+    "stack_max",
     "eval_extremal_many",
     "lundin_ball",
     "eval_interval",
@@ -168,34 +172,54 @@ def eval_simplex(support, z: np.ndarray) -> float:
     return float(eval_simplex_many(support, z)[0])
 
 
-def _chunked_values(support_set: SupportSet, points: np.ndarray):
-    """(chunk slice, its (points, S) values) per pass over checked points, at
-    most _CHUNK point-support values a pass; the values sit in work arrays
-    the next pass overwrites."""
-    step = max(1, _CHUNK // max(1, len(support_set)))
-    work = _scratch(min(step, points.shape[0]), len(support_set))
+def _chunked_values(rows, shifts, points: np.ndarray):
+    """(chunk slice, its (points, S) values) per pass over checked points
+    against S stacked supports, at most _CHUNK point-support values a pass;
+    the values sit in work arrays the next pass overwrites."""
+    width = rows.shape[2]
+    step = max(1, _CHUNK // max(1, width))
+    work = _scratch(min(step, points.shape[0]), width)
     for start in range(0, points.shape[0], step):
         chunk = slice(start, start + step)
-        yield chunk, _values(support_set.rows, support_set.shifts, points[chunk], work)
+        yield chunk, _values(rows, shifts, points[chunk], work)
 
 
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
     """Every support's value at every point, one row per point."""
     points = _as_points(points, support_set.polytope.dim)
     matrix = np.empty((points.shape[0], len(support_set)))
-    for chunk, values in _chunked_values(support_set, points):
+    for chunk, values in _chunked_values(support_set.rows, support_set.shifts, points):
         matrix[chunk] = values
     return matrix
+
+
+def stack_max(support_set: SupportSet, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_K and argmax from ``values``, one row per point and one column per
+    entry of ``support_set.stack``: each row's first maximum, and the sorted
+    support index of its column, 0 where the maximum is 0.  When the stack is
+    every support, column and index agree and V = 0 puts the first maximum
+    at column 0, so no call is spent mapping them."""
+    argmax = np.argmax(values, axis=1)
+    best = np.take_along_axis(values, argmax[:, None], axis=1)[:, 0]
+    if len(support_set.stack) < len(support_set):
+        argmax = support_set.stack[argmax]
+        argmax[best == 0.0] = 0
+    return best, argmax
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Value of V_K at a point, which support attains it, optional diagnostics.
 
-    ``argmax`` is the first support, in the sorted support order, whose
-    computed value equals the maximum.  At real points of K every value is
-    exactly 0, so argmax is 0 there.  Where two supports tie mathematically,
-    rounding decides, and the index may move with any change to the arithmetic.
+    ``value`` is the maximum over the set's evaluation stack (``stack_max``).
+    ``argmax`` is the sorted support index of the first stack entry whose
+    computed value equals it, and 0 wherever V = 0.  When the stack is every
+    support, as for any K that is not centrally symmetric, that is the first
+    support in the sorted order attaining the maximum.  At real points of K
+    every value is exactly 0, so argmax is 0 there.  Where two supports tie
+    mathematically, rounding decides, and the index may move with any change
+    to the arithmetic.  ``per_support`` holds every support's value, in the
+    stack or not.
     """
 
     value: float
@@ -205,28 +229,29 @@ class EvalResult:
 
 def eval_extremal_many(support_set: SupportSet,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over supports plus first attaining index, vectorized over points;
-    ties go to the first in the sorted support order."""
+    """V_K and argmax at each point, as ``EvalResult`` defines them: only the
+    evaluation stack is evaluated, in chunks of its width."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
     points = _as_points(points, support_set.polytope.dim)
     best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
-    for chunk, values in _chunked_values(support_set, points):
-        argmax[chunk] = np.argmax(values, axis=1)
-        best[chunk] = np.take_along_axis(values, argmax[chunk, None], axis=1)[:, 0]
+    for chunk, values in _chunked_values(support_set.stack_rows, support_set.stack_shifts, points):
+        best[chunk], argmax[chunk] = stack_max(support_set, values)
     return best, argmax
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,
                   diagnostics: bool = False) -> EvalResult:
     """V_K(z) at one point: ``eval_extremal_many`` on that point or, when
-    ``diagnostics`` is set, the first maximum of every support's own value."""
+    ``diagnostics`` is set, ``stack_max`` of the stack's columns of every
+    support's value, which are all reported."""
     if not diagnostics:
         values, argmax = eval_extremal_many(support_set, z)
         return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
-    row = eval_supports_many(support_set, z)[0]
-    return EvalResult(value=float(row[row.argmax()]), argmax=int(row.argmax()),
-                      per_support=tuple(row.tolist()))
+    matrix = eval_supports_many(support_set, z)
+    values, argmax = stack_max(support_set, matrix[:, support_set.stack])
+    return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
+                      per_support=tuple(matrix[0].tolist()))
 
 
 def lundin_ball(z: np.ndarray, radius: float) -> float:

@@ -14,6 +14,8 @@ through explicitly.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,13 +210,22 @@ def _orthogonalize(vectors: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     Returns the accepted orthonormal vectors; a candidate is dependent (and
     skipped) when its residual drops to ``rank_rel`` times the largest input
     norm.  The second pass keeps the basis orthonormal to ~1e-15 even for
-    nearly dependent inputs.
+    nearly dependent inputs.  When the largest squared norm overflows or is
+    not a normal float, the inputs are first scaled by the power of two
+    that brings their largest entry into [0.5, 1): exact, and the basis does
+    not depend on a common scale.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2:
         raise ValueError("expected a list of equal-length vectors")
-    norms = np.sqrt((vectors * vectors).sum(axis=1))
-    scale = float(norms.max()) if norms.size else 0.0
+    if vectors.size == 0:
+        return []
+    with np.errstate(over="ignore", under="ignore"):
+        largest = float((vectors * vectors).sum(axis=1).max())
+    if not sys.float_info.min <= largest < math.inf:
+        vectors = np.ldexp(vectors, -np.frexp(np.max(np.abs(vectors)))[1])
+        largest = float((vectors * vectors).sum(axis=1).max())
+    scale = math.sqrt(largest)
     threshold = tol.rank_rel * scale
     basis: list[np.ndarray] = []
     if scale == 0.0:

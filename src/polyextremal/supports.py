@@ -26,10 +26,16 @@ instead of re-deriving the constructive existence argument; a guard refuses
 inputs whose subset count explodes.  Certification of one subset never looks
 at another, so results merge deterministically: supports are sorted by facet
 index set, each subset visited once.
+
+The set also fixes the evaluation stack, the supports V_K is maximized over.
+For a centrally symmetric K, Lundin's formula (Baran's, for polytopes) says
+the slabs between antipodal facets attain the maximum, so they alone are
+evaluated; the certified set stays whole for listing and checking.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,6 +59,7 @@ __all__ = [
 ]
 
 SUBSET_GUARD = 2_000_000  # total facet subsets enumerate_supports will visit
+SYMMETRY_REL = 1e-12      # relative tolerance of the central-symmetry test
 
 
 class NoCover(Exception):
@@ -113,17 +120,28 @@ class StripSupport:
 
 @dataclass(frozen=True, eq=False)
 class SupportSet:
-    """All certified supports of one polytope, sorted by facet index set.
+    """All certified supports of one polytope, sorted by facet index set,
+    and the evaluation stack V_K is maximized over.
 
     ``rows`` (d+1, d, S) and ``shifts`` (d+1, S) hold support i's ``rows``
     and ``shifts`` at [..., i].  A strip's j+1 rows are padded with zero rows,
     which is exact: they give lambda = 0, |lambda| = 0, and t + 0.0 == t.
+
+    ``stack`` holds the increasing support indices the maximum runs over,
+    and ``stack_rows`` and ``stack_shifts`` their columns of ``rows`` and
+    ``shifts``.  For a centrally symmetric K these are the slabs between
+    antipodal facets, whose maximum is V_K by Lundin's formula as Baran
+    extended it to polytopes; otherwise every support, and the stack arrays
+    are ``rows`` and ``shifts`` themselves.
     """
 
     polytope: PolytopeH
     supports: tuple[SimplexSupport | StripSupport, ...]
     rows: np.ndarray = field(repr=False)
     shifts: np.ndarray = field(repr=False)
+    stack: np.ndarray = field(repr=False)
+    stack_rows: np.ndarray = field(repr=False)
+    stack_shifts: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -238,6 +256,35 @@ def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tu
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 
+def _antipodal_strips(polytope: PolytopeH,
+                      supports: tuple[SimplexSupport | StripSupport, ...]) -> list[int] | None:
+    """Indices of the slabs between antipodal facet pairs when K is centrally
+    symmetric, else None.
+
+    K is symmetric about c, the mean of its vertices, when every facet k has
+    exactly one partner k' with n_k' = -n_k and b_k' = b_k + 2 n_k.c, the
+    reflection of l_k through c, each to a relative SYMMETRY_REL, and the
+    slab (k, k') is a certified strip.  Pairing alone is not enough: a
+    hexagon with three pairs of parallel sides need not have a centre.
+    """
+    normals, offsets = polytope.normals, polytope.offsets
+    opposite = (np.abs(normals[:, None, :] + normals) <= SYMMETRY_REL).all(axis=2)
+    if np.any(np.count_nonzero(opposite, axis=1) != 1):
+        return None
+    partner = np.argmax(opposite, axis=1)
+    reach = 2.0 * (normals @ polytope.vertices.mean(axis=0))
+    scale = np.maximum(np.maximum(np.abs(offsets), np.abs(offsets[partner])), np.abs(reach))
+    if np.any(np.abs(offsets[partner] - offsets - reach) > SYMMETRY_REL * scale):
+        return None
+    stack = []
+    for pair in ((k, p) for k, p in enumerate(partner.tolist()) if k < p):
+        i = bisect.bisect_left(supports, pair, key=lambda s: s.facet_indices)
+        if i == len(supports) or supports[i].facet_indices != pair or supports[i].kind != "strip":
+            return None
+        stack.append(i)
+    return stack
+
+
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     """Certify as a simplex every facet subset of size d+1 that the batched
     screen passes, and as a strip every subset of size 2..d inside a
@@ -273,7 +320,14 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     for i, support in enumerate(ordered):
         rows[:len(support.shifts), :, i] = support.rows
         shifts[:len(support.shifts), i] = support.shifts
-    return SupportSet(polytope=polytope, supports=ordered, rows=rows, shifts=shifts)
+    strips = _antipodal_strips(polytope, ordered)
+    if strips is None or len(strips) == len(ordered):
+        stack, stack_rows, stack_shifts = np.arange(len(ordered)), rows, shifts
+    else:
+        stack = np.array(strips, dtype=np.intp)
+        stack_rows, stack_shifts = rows[..., stack], shifts[:, stack]
+    return SupportSet(polytope=polytope, supports=ordered, rows=rows, shifts=shifts,
+                      stack=stack, stack_rows=stack_rows, stack_shifts=stack_shifts)
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

@@ -144,3 +144,14 @@ def ngon_polytope(sides):
     are exactly antiparallel, so each pair bounds a strip."""
     half = [[math.cos(a), math.sin(a)] for a in np.arange(sides // 2) * (2 * np.pi / sides)]
     return validate([(n, 1.0) for n in half] + [([-x for x in n], 1.0) for n in half], 2)
+
+
+def corner_cut_hexagon(cuts, shift=(0.0, 0.0)):
+    """The triangle n_k.x + 1 >= 0, n_k at 90, 210 and 330 degrees, with its
+    corners cut by -n_k.x + c_k >= 0, then translated by ``shift``.  Every
+    side has a parallel partner; a centre c solves c_k = 1 + 2 n_k.c, which
+    it does exactly when the cuts sum to 3."""
+    normals = [np.array([math.cos(a), math.sin(a)]) for a in np.radians([90, 210, 330])]
+    halfspaces = [(n, 1.0) for n in normals] + [(-n, c) for n, c in zip(normals, cuts)]
+    shift = np.array(shift)
+    return validate([(n, b - float(n @ shift)) for n, b in halfspaces], 2)

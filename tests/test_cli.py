@@ -263,6 +263,27 @@ def test_diagnostics_run_the_kernel_once_per_chunk(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_eval_diagnostics_keep_the_value_and_argmax_of_a_pruned_set(capsys, tmp_path):
+    """On the 24-gon, which is maximized over its 12 slabs, ``--diagnostics``
+    appends all 452 support values and leaves each line's first two fields
+    the bytes of a plain ``eval``."""
+    half = [[math.cos(a), math.sin(a)] for a in np.arange(12) * (math.pi / 12)]
+    document = {"dim": 2, "halfspaces": [{"normal": n, "offset": 1.0} for n in half]
+                + [{"normal": [-x for x in n], "offset": 1.0} for n in half]}
+    path = tmp_path / "ngon.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    points = ["0,0,0.5,0", "2,0.5,-1,0.25", "-3,-2,4,1", "1.1,0,0.2,0", "0,1,0,0"]
+    args = ["eval", str(path), *[f"--point={point}" for point in points]]
+    code, plain, err = run_cli(capsys, *args)
+    assert code == 0, err
+    code, full, err = run_cli(capsys, *args, "--diagnostics")
+    assert code == 0, err
+    rows = [line.split(" ") for line in full.splitlines()]
+    assert all(len(row) == 2 + 452 for row in rows)
+    assert "".join(" ".join(row[:2]) + "\n" for row in rows) == plain
+    assert plain.splitlines()[0] == "0.0 0"
+
+
 def test_eval_rejects_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "eval", fixture_path("quad"), "--point", "1,2,3")
     assert code == 2

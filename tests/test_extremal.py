@@ -27,8 +27,8 @@ from polyextremal.extremal import (
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import (cube_polytope, load_fixture, ngon_polytope, prism_polytope,
-                      quad_reference, symmetric_polytope, tangent_halfspaces)
+from conftest import (corner_cut_hexagon, cube_polytope, load_fixture, ngon_polytope,
+                      prism_polytope, quad_reference, symmetric_polytope, tangent_halfspaces)
 
 VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
 
@@ -638,11 +638,13 @@ def _mixed_points(polytope, count, rng):
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_stacked_kernel_matches_per_support_oracle(name):
-    """Values and argmax are those of the per-support loop, bit for bit, in
-    batches of 1 and one chunk's worth of points minus one, exactly, plus one,
-    and each point gives the same bits alone as inside its batch."""
+    """Values and argmax are those of the per-support loop over every
+    support, bit for bit, in batches of 1 and one chunk's worth of points
+    minus one, exactly, plus one, and each point gives the same bits alone as
+    inside its batch.  A chunk's worth follows the evaluation stack's width,
+    which for the symmetric cases is their slabs alone."""
     supports = enumerate_supports(KERNEL_CASES[name]())
-    step = max(1, extremal._CHUNK // len(supports))
+    step = max(1, extremal._CHUNK // len(supports.stack))
     rng = np.random.default_rng(len(supports))
     for count in sorted({1, step - 1, step, step + 1} - {0}):
         points = _mixed_points(supports.polytope, count, rng)
@@ -658,10 +660,11 @@ def test_stacked_kernel_matches_per_support_oracle(name):
 
 
 def test_batch_memory_is_bounded_by_the_chunk():
-    """20,000 points against the 24-gon's 452 supports: one (points, supports)
-    complex matrix would take 138 MiB; chunked, the call stays below 8 MiB."""
-    supports = enumerate_supports(ngon_polytope(24))
-    assert len(supports) == 452
+    """20,000 points against the 470 supports of a tangent 24-gon, which is
+    not symmetric, so all are evaluated: one (points, supports) complex
+    matrix would take 143 MiB; chunked, the call stays below 8 MiB."""
+    supports = enumerate_supports(validate(tangent_halfspaces(2, 24, 0), 2))
+    assert len(supports.stack) == len(supports) == 470
     rng = np.random.default_rng(3)
     points = rng.uniform(-2, 2, (20_000, 2)) + 1j * rng.uniform(-1, 1, (20_000, 2))
     eval_extremal_many(supports, points[:10])
@@ -717,3 +720,63 @@ def test_per_support_diagnostics_match_eval_simplex(name):
         expected = [eval_simplex(support, z) for support in supports]
         assert np.array(result.per_support).tobytes() == np.array(expected).tobytes()
         assert result.value == result.per_support[result.argmax]
+
+
+def _lundin(polytope, points):
+    """V_K of a centrally symmetric K by Lundin's formula, in numpy alone:
+    the largest log|h(w)| over antipodal pairs (k, k'), where w maps the
+    slab -b_k <= n_k.x <= b_k' onto [-1, 1] and h(w) = w + sqrt(w-1)sqrt(w+1)."""
+    normals, offsets = polytope.normals, polytope.offsets
+    values = []
+    for k, normal in enumerate(normals):
+        partner = int(np.argmin(np.abs(normals + normal).sum(axis=1)))
+        if k < partner:
+            w = ((2.0 * points @ normal + offsets[k] - offsets[partner])
+                 / (offsets[k] + offsets[partner]))
+            values.append(np.log(np.abs(w + np.sqrt(w - 1.0) * np.sqrt(w + 1.0))))
+    return np.max(values, axis=0)
+
+
+SYMMETRIC_CASES = {
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
+       for dim in (2, 3, 4)},
+    "ngon-24": lambda: ngon_polytope(24),
+    "hexagon": lambda: corner_cut_hexagon((1.0, 1.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_CASES)
+def test_pruned_values_match_lundin_formula(name):
+    """The slabs alone give V_K to 1e-12 at complex points, away from the
+    square-root cliff that real points of K sit on."""
+    supports = enumerate_supports(SYMMETRIC_CASES[name]())
+    assert len(supports.stack) < len(supports)
+    assert all(supports[i].kind == "strip" for i in supports.stack)
+    rng = np.random.default_rng(11)
+    dim = supports.polytope.dim
+    points = rng.uniform(-3, 3, (500, dim)) + 1j * rng.uniform(-2, 2, (500, dim))
+    values, _ = eval_extremal_many(supports, points)
+    expected = _lundin(supports.polytope, points)
+    assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, expected))
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_CASES)
+def test_pruned_argmax_contract(name):
+    """argmax is 0 where V = 0 and otherwise the first stack entry attaining
+    V, by its sorted index; diagnostics read the same value and argmax off
+    the full matrix, whose every column is reported."""
+    supports = enumerate_supports(SYMMETRIC_CASES[name]())
+    points = _mixed_points(supports.polytope, 300, np.random.default_rng(13))
+    values, argmax = eval_extremal_many(supports, points)
+    matrix = eval_supports_many(supports, points)
+    stacked = matrix[:, supports.stack]
+    zero = values == 0.0
+    assert zero.any() and not zero.all()
+    assert np.all(argmax[zero] == 0)
+    first = supports.stack[np.argmax(stacked == values[:, None], axis=1)]
+    assert np.array_equal(argmax[~zero], first[~zero])
+    assert np.array_equal(values, stacked.max(axis=1))
+    for k in (0, 1, 2, 150, 299):
+        result = eval_extremal(supports, points[k], diagnostics=True)
+        assert (result.value, result.argmax) == (values[k], argmax[k])
+        assert np.array(result.per_support).tobytes() == matrix[k].tobytes()

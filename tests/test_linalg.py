@@ -230,6 +230,15 @@ def test_rank_invariant_under_scaling_and_permutation(perm, scales):
     assert rank(shuffled) == expected
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 5e-324])
+def test_rank_of_huge_and_tiny_vectors(scale):
+    """Squared norms that overflow or are not normal floats are rescaled by a
+    power of two first: the rank and basis are those of the unscaled pair."""
+    vectors = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert rank(scale * vectors) == 2
+    assert orthonormal_basis(scale * vectors).tobytes() == orthonormal_basis(vectors).tobytes()
+
+
 def test_orthonormal_basis_single_vector():
     q = orthonormal_basis(np.array([[2.0, 0.0, 0.0]]))
     assert q.shape == (1, 3)

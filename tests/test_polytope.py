@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyextremal import linalg, polytope
+from polyextremal.extremal import eval_extremal
 from polyextremal.linalg import Singular, Tolerances, rank, solve_real
 from polyextremal.polytope import (
     VERTEX_DEDUP_ABS,
@@ -28,6 +30,7 @@ from polyextremal.polytope import (
     from_vertices_2d,
     validate,
 )
+from polyextremal.supports import enumerate_supports
 
 from conftest import load_fixture, match_point_sets, ngon_polytope, tangent_halfspaces
 
@@ -95,6 +98,18 @@ def test_canonicalize_huge_normal_does_not_overflow():
     assert np.array_equal(polytope.vertices, validate(TRIANGLE_RAW, 2).vertices)
     assert np.allclose(h.normal, [0.6, 0.8], atol=1e-15)
     assert h.offset == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_huge_square_validates_to_two_strips(scale):
+    """The square [-s, s]^2 at scales where squared vertex differences
+    overflow: every facet keeps its witness, and V(2s, 0) = arccosh 2."""
+    square = validate([([1.0, 0.0], scale), ([-1.0, 0.0], scale),
+                       ([0.0, 1.0], scale), ([0.0, -1.0], scale)], 2)
+    supports = enumerate_supports(square)
+    assert [(s.kind, s.facet_indices) for s in supports] == [("strip", (0, 1)), ("strip", (2, 3))]
+    assert eval_extremal(supports, [2.0 * scale, 0.0]).value == pytest.approx(
+        math.acosh(2.0), rel=1e-15)
 
 
 def test_enumerate_vertices_quad():

@@ -8,6 +8,7 @@ import pytest
 
 from polyextremal import polytope as polytope_module
 from polyextremal import supports as supports_module
+from polyextremal.extremal import eval_supports_many
 from polyextremal.linalg import Singular, lu_solve_many, orthonormal_basis, rank, solve_real
 from polyextremal.polytope import enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
@@ -20,8 +21,8 @@ from polyextremal.supports import (
     try_strip,
 )
 
-from conftest import (cube_polytope, load_fixture, match_point_sets, ngon_polytope,
-                      prism_polytope, symmetric_polytope, tangent_halfspaces)
+from conftest import (corner_cut_hexagon, cube_polytope, load_fixture, match_point_sets,
+                      ngon_polytope, prism_polytope, symmetric_polytope, tangent_halfspaces)
 
 VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
 
@@ -575,3 +576,77 @@ def test_no_strip_inside_a_simplex(name):
     nested = [s.facet_indices for s in supports if s.kind == "strip"
               and any(set(s.facet_indices) <= simplex for simplex in simplices)]
     assert nested == []
+
+
+def _antipodal_pairs(supports):
+    return [supports[i].facet_indices for i in supports.stack]
+
+
+def _assert_full_stack(supports):
+    assert supports.stack.tolist() == list(range(len(supports)))
+    assert supports.stack_rows is supports.rows
+    assert supports.stack_shifts is supports.shifts
+
+
+@pytest.mark.parametrize("cuts", [(1.5, 1.5, 1.5), (1.2, 1.5, 1.8)])
+def test_paired_hexagon_without_a_centre_keeps_every_support(cuts):
+    """Parallel sides alone do not make K symmetric: here the slabs miss
+    V_K by more than 0.1 somewhere, and the stack keeps every support."""
+    supports = enumerate_supports(corner_cut_hexagon(cuts))
+    _assert_full_stack(supports)
+    slabs = [i for i, s in enumerate(supports) if s.kind == "strip"]
+    assert len(slabs) == 3
+    x, y = np.meshgrid(np.linspace(-3, 3, 61), np.linspace(-3, 3, 61))
+    x, y = x.ravel(), y.ravel()
+    points = np.stack([x + 0.5j * y, y - 0.5j * x], axis=1)
+    matrix = eval_supports_many(supports, points)
+    assert np.max(matrix.max(axis=1) - matrix[:, slabs].max(axis=1)) > 0.1
+
+
+@pytest.mark.parametrize("cuts, shift", [((1.0, 1.0, 1.0), (0.0, 0.0)),
+                                         ((1.0, 1.5, 0.5), (0.0, 0.0)),
+                                         ((1.0, 1.5, 0.5), (3.0, -2.0))])
+def test_centred_hexagon_is_pruned_to_its_slabs(cuts, shift):
+    supports = enumerate_supports(corner_cut_hexagon(cuts, shift))
+    assert len(supports) > 3
+    assert _antipodal_pairs(supports) == [(0, 3), (1, 4), (2, 5)]
+    assert supports.stack_rows.tobytes() == supports.rows[..., supports.stack].tobytes()
+    assert supports.stack_shifts.tobytes() == supports.shifts[:, supports.stack].tobytes()
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (4, 2)])
+def test_scaled_and_translated_symmetric_polytope_is_pruned(dim, seed):
+    """1e3 K + (1e3, -1e3, ...) keeps the stack of K."""
+    base = symmetric_polytope(dim, dim + 3, seed)
+    shift = 1e3 * np.array([(-1.0) ** i for i in range(dim)])
+    moved = validate([(h.normal, 1e3 * h.offset - float(h.normal @ shift))
+                      for h in base.halfspaces], dim)
+    expected = _antipodal_pairs(enumerate_supports(base))
+    assert len(expected) == dim + 3
+    assert _antipodal_pairs(enumerate_supports(moved)) == expected
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-11])
+@pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (4, 2)])
+def test_perturbed_symmetric_polytope_is_not_pruned(dim, seed, delta):
+    base = symmetric_polytope(dim, dim + 3, seed)
+    halfspaces = [(h.normal, h.offset) for h in base.halfspaces]
+    halfspaces[0] = (halfspaces[0][0], halfspaces[0][1] + delta)
+    supports = enumerate_supports(validate(halfspaces, dim))
+    assert [s.facet_indices for s in supports] == [s.facet_indices
+                                                   for s in enumerate_supports(base)]
+    _assert_full_stack(supports)
+
+
+def test_interval_keeps_its_one_support_stack():
+    """At d = 1 the slab is a simplex, not a strip, so nothing is pruned."""
+    supports = enumerate_supports(validate([([1.0], 1.0), ([-1.0], 3.0)], 1))
+    assert [s.kind for s in supports] == ["simplex"]
+    _assert_full_stack(supports)
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_fixture_stacks(name):
+    """The square and the cube have only their slabs; nothing else is symmetric."""
+    supports = enumerate_supports(load_fixture(name))
+    _assert_full_stack(supports)
