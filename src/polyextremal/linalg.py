@@ -204,7 +204,8 @@ def solve_real(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> n
 # Rank and orthonormal bases
 # ---------------------------------------------------------------------------
 
-def _orthogonalize(vectors: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+def _orthogonalize(vectors: np.ndarray, tol: Tolerances,
+                   stop: int | None = None) -> list[np.ndarray]:
     """Modified Gram-Schmidt over input order with one re-orthogonalization pass.
 
     Returns the accepted orthonormal vectors; a candidate is dependent (and
@@ -214,6 +215,11 @@ def _orthogonalize(vectors: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     not a normal float, the inputs are first scaled by the power of two
     that brings their largest entry into [0.5, 1): exact, and the basis does
     not depend on a common scale.
+
+    ``stop`` ends the pass once that many vectors are accepted, for callers
+    that only ask whether the rank reaches it.  The threshold is still taken
+    over every input and no accepted vector depends on a later one, so the
+    result is the first ``stop`` vectors of the full basis.
     """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2:
@@ -238,6 +244,8 @@ def _orthogonalize(vectors: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
         norm = float(np.sqrt(np.dot(w, w)))
         if norm > threshold:
             basis.append(w / norm)
+            if len(basis) == stop:
+                break
     return basis
 
 
@@ -276,10 +284,13 @@ class _UnboundedLP(LinalgError):
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Scale the pivot row, then eliminate ``col`` from every other row
+    where it is nonzero, all those rows in one update."""
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= factors[rows, None] * tableau[row]
     basis[row] = col
 
 
@@ -289,28 +300,20 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     entering = lowest-index improving column, leaving = lowest basic index
     among the minimum-ratio rows.  Anti-cycling, so termination is guaranteed.
     """
-    m = tableau.shape[0]
     while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        entering = -1
-        for j in range(tableau.shape[1] - 1):
-            if allowed[j] and reduced[j] > _LP_EPS:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(allowed & (reduced > _LP_EPS))
+        if improving.size == 0:
             return
-        ratios = np.full(m, np.inf)
-        for i in range(m):
-            if tableau[i, entering] > _LP_EPS:
-                ratios[i] = tableau[i, -1] / tableau[i, entering]
+        entering = int(improving[0])
+        column = tableau[:, entering]
+        ratios = np.divide(tableau[:, -1], column, out=np.full(len(column), np.inf),
+                           where=column > _LP_EPS)
         best = float(ratios.min())
         if not np.isfinite(best):
             raise _UnboundedLP("improving direction with no blocking constraint")
-        leaving = -1
-        for i in range(m):
-            if ratios[i] <= best + _LP_EPS and (leaving < 0 or basis[i] < basis[leaving]):
-                leaving = i
-        _pivot(tableau, basis, leaving, entering)
+        ties = np.flatnonzero(ratios <= best + _LP_EPS)
+        _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), entering)
 
 
 def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -453,7 +456,7 @@ def recession_direction(normals: np.ndarray,
     d = normals.shape[1]
     peaks = np.max(np.abs(normals), axis=1)
     rows = normals[peaks > 0.0] / peaks[peaks > 0.0, None]
-    basis = np.array(_orthogonalize(rows, tol)).reshape(-1, d)
+    basis = np.array(_orthogonalize(rows, tol, d)).reshape(-1, d)
     if basis.shape[0] < d:
         complement = np.eye(d) - basis.T @ basis
         v = complement[np.argmax((complement * complement).sum(axis=1))]

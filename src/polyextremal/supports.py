@@ -6,9 +6,10 @@ opposite it) and each apex lies strictly on the positive side of its own
 hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
 hyperplane arrangement ``validate`` solved while enumerating vertices; they
-are read from ``polytope.incidence.arrangement``, not solved again, and their
-heights from its value matrix.  Subsets
-of j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
+are read from ``polytope.incidence.arrangement``, not solved again, and the
+d+1 heights come from one stacked product with the polytope's cached
+``normals`` and ``offsets``, bitwise ``Halfspace.value``.  Subsets of
+j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
 same way inside that span: project onto an orthonormal basis Q of the
 normals, certify the projection as a j-dimensional simplex, solving its
 corners as certification reads them, and the original set is that simplex
@@ -153,31 +154,32 @@ class SupportSet:
         return self.supports[i]
 
 
-def _certify_simplex(halfspaces: list[Halfspace], dim: int,
-                     facet_indices: tuple[int, ...], corner,
-                     tol: Tolerances) -> SimplexSupport | None:
-    """Read the apexes of a (dim+1)-hyperplane system and test strict positivity.
+def _certify_simplex(normals: np.ndarray, offsets: np.ndarray,
+                     halfspaces: tuple[Halfspace, ...], facet_indices: tuple[int, ...],
+                     corner, tol: Tolerances) -> SimplexSupport | None:
+    """Read the apexes of dim+1 hyperplanes in R^dim and test strict positivity.
 
-    ``corner`` maps a sorted dim-subset of ``facet_indices`` to its
-    intersection point, or to None (dependent normals, no unique apex).  The
-    first apex missing there or failing l_j(p_j) > pos_abs ends the test.
+    ``normals`` (dim+1, dim) and ``offsets`` (dim+1,) are the facet functions
+    of ``halfspaces``.  ``corner`` maps a sorted dim-subset of
+    ``facet_indices`` to its intersection point, or to None (dependent
+    normals, no unique apex); the first missing apex ends the test.  The
+    heights l_j(p_j) come from one stacked (1, dim) @ (dim, 1) product, which
+    takes ``np.dot``'s route, so each is bitwise ``Halfspace.value``; all
+    must exceed pos_abs.
     """
-    count = dim + 1
-    apexes = np.empty((count, dim))
-    heights = np.empty(count)
+    count = len(facet_indices)
+    apexes = np.empty((count, count - 1))
     for j in range(count):
         apex = corner(facet_indices[:j] + facet_indices[j + 1:])
         if apex is None:
             return None
         apexes[j] = apex
-        heights[j] = halfspaces[j].value(apexes[j])
-        if heights[j] <= tol.pos_abs:
-            return None
-    rows = np.vstack([h.normal for h in halfspaces]) / heights[:, None]
-    shifts = np.array([h.offset for h in halfspaces]) / heights
+    heights = np.matmul(apexes[:, None, :], normals[:, :, None]).reshape(count) + offsets
+    if (heights <= tol.pos_abs).any():
+        return None
     return SimplexSupport(facet_indices=facet_indices, apexes=apexes,
-                          halfspaces=tuple(halfspaces), dim=dim,
-                          rows=rows, shifts=shifts)
+                          halfspaces=halfspaces, dim=count - 1,
+                          rows=normals / heights[:, None], shifts=offsets / heights)
 
 
 def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
@@ -185,8 +187,9 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
     subset = tuple(sorted(subset))
     if len(subset) != polytope.dim + 1:
         raise ValueError(f"need exactly {polytope.dim + 1} facet indices")
-    halfspaces = [polytope.halfspaces[k] for k in subset]
-    return _certify_simplex(halfspaces, polytope.dim, subset,
+    index = list(subset)
+    return _certify_simplex(polytope.normals[index], polytope.offsets[index],
+                            tuple(polytope.halfspaces[k] for k in subset), subset,
                             polytope.incidence.arrangement.get, polytope.tol)
 
 
@@ -202,17 +205,17 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     if not 1 <= j < polytope.dim:
         raise ValueError("strip subsets have size 2..dim")
     tol = polytope.tol
-    basis = orthonormal_basis(polytope.normals[list(subset)], tol)
+    index = list(subset)
+    basis = orthonormal_basis(polytope.normals[index], tol)
     if basis.shape[0] != j:
         return None
-    projected = []
-    for k in subset:
-        h = polytope.halfspaces[k]
-        image = basis @ h.normal
-        length = float(np.sqrt(np.dot(image, image)))
-        # normals lie in the row span of basis, so length is 1 up to roundoff
-        projected.append(Halfspace(normal=image / length, offset=h.offset / length))
-    cross = _certify_simplex(projected, j, subset, lambda key: _corner(
+    # the images Q n_k as stacked (j, d) @ (d, 1) products, each one ``basis @ n_k``
+    images = np.matmul(basis, polytope.normals[index, :, None]).reshape(j + 1, j)
+    # normals lie in the row span of basis, so each length is 1 up to roundoff
+    lengths = np.sqrt(np.matmul(images[:, None, :], images[:, :, None]).reshape(j + 1))
+    normals, offsets = images / lengths[:, None], polytope.offsets[index] / lengths
+    projected = [Halfspace(normal=n, offset=float(b)) for n, b in zip(normals, offsets)]
+    cross = _certify_simplex(normals, offsets, tuple(projected), subset, lambda key: _corner(
         projected, [subset.index(k) for k in key], tol), tol)
     if cross is None:
         return None

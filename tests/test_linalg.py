@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyextremal import linalg, polytope
 from polyextremal.linalg import (
     DEFAULT_TOL,
     Infeasible,
     Singular,
     Tolerances,
     ZeroSpan,
+    _orthogonalize,
     interior_point,
     linprog_max,
     lu_factor,
@@ -22,6 +24,7 @@ from polyextremal.linalg import (
     recession_direction,
     solve_real,
 )
+from polyextremal.polytope import PolytopeError, validate
 
 QUAD_NORMALS = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, -1.0], [-1.0, -3.0]])
 
@@ -438,3 +441,121 @@ def test_linprog_max_matches_scipy_oracle():
         _, value = linprog_max(c, a_ub, b_ub)
         assert abs(value - (-ref.fun)) <= 1e-7 * (1.0 + abs(ref.fun))
         checked += 1
+
+
+def _pivot_by_rows(tableau, basis, row, col):
+    """The pivot one tableau row at a time, skipping rows with a zero in ``col``."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _bland_by_rows(tableau, basis, cost, allowed):
+    """Bland's rule with a scalar scan for the entering column, each ratio
+    and the leaving row, pivoting with ``_pivot_by_rows``."""
+    m = tableau.shape[0]
+    while True:
+        reduced = cost - cost[basis] @ tableau[:, :-1]
+        entering = next((j for j in range(tableau.shape[1] - 1)
+                         if allowed[j] and reduced[j] > linalg._LP_EPS), -1)
+        if entering < 0:
+            return
+        ratios = np.full(m, np.inf)
+        for i in range(m):
+            if tableau[i, entering] > linalg._LP_EPS:
+                ratios[i] = tableau[i, -1] / tableau[i, entering]
+        best = float(ratios.min())
+        if not np.isfinite(best):
+            raise linalg._UnboundedLP("improving direction with no blocking constraint")
+        leaving = -1
+        for i in range(m):
+            if ratios[i] <= best + linalg._LP_EPS and (leaving < 0 or basis[i] < basis[leaving]):
+                leaving = i
+        _pivot_by_rows(tableau, basis, leaving, entering)
+
+
+def _program_outcomes():
+    """Chebyshev centres and recession directions of seeded programs, as bytes."""
+    rng = np.random.default_rng(4242)
+    outcomes = []
+    for _, normals in _cones():
+        offsets = rng.normal(size=len(normals)) + rng.uniform(-0.5, 2.0)
+        if not np.all(np.any(normals, axis=1)):
+            continue  # a zero normal leaves the radius unbounded
+        try:
+            center, radius = interior_point(normals, offsets)
+            outcomes.append((center.tobytes(), radius))
+        except Infeasible as exc:
+            outcomes.append(("infeasible", exc.radius))
+        direction = recession_direction(normals)
+        outcomes.append(None if direction is None else direction.tobytes())
+    return outcomes
+
+
+def test_simplex_matches_row_by_row_reference(monkeypatch):
+    """Eliminating every row in one update gives each entry the same multiply
+    and subtract as the row loop, and the vectorized ratio test picks the
+    same pivots: the same programs solve to the same bits."""
+    got = _program_outcomes()
+    monkeypatch.setattr(linalg, "_pivot", _pivot_by_rows)
+    monkeypatch.setattr(linalg, "_run_simplex", _bland_by_rows)
+    expected = _program_outcomes()
+    assert sum(isinstance(outcome, tuple) and outcome[0] != "infeasible"
+               for outcome in expected) > 20
+    assert repr(got) == repr(expected)
+
+
+def _deficient(rng, count, d, rank_):
+    return rng.standard_normal((count, rank_)) @ rng.standard_normal((rank_, d))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_stopped_gram_schmidt_is_a_prefix_of_the_full_basis(scale):
+    """Stopping after ``stop`` accepted vectors returns the first ``stop`` of
+    the full basis bit for bit, so every rank-reaches-k decision is kept."""
+    rng = np.random.default_rng(17)
+    cases = [normals for _, normals in _cones()]
+    cases += [_deficient(rng, count, d, r) for d in (2, 3, 4, 5) for r in range(1, d)
+              for count in (r, d + 3)]
+    for vectors in cases:
+        vectors = scale * vectors
+        full = _orthogonalize(vectors, DEFAULT_TOL)
+        for stop in range(1, vectors.shape[1] + 1):
+            stopped = _orthogonalize(vectors, DEFAULT_TOL, stop)
+            assert len(stopped) == min(stop, len(full))
+            assert [q.tobytes() for q in stopped] == [q.tobytes() for q in full[:stop]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_stopped_gram_schmidt_keeps_recession_and_witness_decisions(monkeypatch, scale):
+    """recession_direction and validate's facet witnesses answer the same with
+    the pass run over every input.  At 1e-160 validate stops before the
+    witnesses, at the Chebyshev ball."""
+    rng = np.random.default_rng(23)
+    cones = [scale * normals for _, normals in _cones()]
+    cones += [scale * _deficient(rng, d + 3, d, d - 1) for d in (2, 3, 4, 5)]
+    # K scaled by ``scale``: its vertex differences, the witness inputs, scale with it
+    systems = [list(zip(rng.standard_normal((count, d)), scale * rng.uniform(0.2, 2.0, count)))
+               for d, count in [(2, 4), (2, 6), (3, 6), (3, 9), (4, 9)] * 8]
+
+    def outcomes():
+        out = [None if (v := recession_direction(normals)) is None else v.tobytes()
+               for normals in cones]
+        for halfspaces in systems:
+            try:
+                out.append(validate(halfspaces, len(halfspaces[0][0])).vertices.tobytes())
+            except PolytopeError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    stopped = outcomes()
+    full = linalg._orthogonalize
+    monkeypatch.setattr(linalg, "_orthogonalize", lambda vectors, tol, stop=None: full(vectors, tol))
+    monkeypatch.setattr(polytope, "_orthogonalize", lambda vectors, tol, stop=None: full(vectors, tol))
+    expected = outcomes()
+    witnessed = [outcome for outcome in expected[len(cones):]
+                 if isinstance(outcome, bytes) or outcome.startswith("RedundantHalfspace")]
+    assert len(witnessed) > 20 or scale == 1e-160
+    assert stopped == expected

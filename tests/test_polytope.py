@@ -64,6 +64,58 @@ def test_canonicalize_collapses_duplicates():
     assert result[0].offset == pytest.approx(1.0, abs=1e-14)
 
 
+def _canonicalize_pairwise(halfspaces, tol):
+    """Duplicate removal against one kept condition at a time, the first
+    occurrence kept; each condition is normalized on its own."""
+    kept = []
+    for raw in halfspaces:
+        [candidate] = canonicalize([raw], tol)
+        if not any(np.max(np.abs(candidate.normal - h.normal)) <= tol.geom_abs
+                   and abs(candidate.offset - h.offset) <= tol.geom_abs for h in kept):
+            kept.append(candidate)
+    return kept
+
+
+@pytest.mark.parametrize("geom", [1e-9, 1e-6])
+def test_canonicalize_matches_pairwise_reference(geom):
+    """Comparing each candidate with every kept condition at once keeps the
+    same conditions, bit for bit, as comparing with one at a time."""
+    tol = Tolerances(geom_abs=geom)
+    rng = np.random.default_rng(909)
+    dropped = 0
+    for _ in range(60):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        normals, offsets = rng.normal(size=(n, d)), rng.normal(size=n)
+        raw = []
+        for k in rng.integers(0, n, size=2 * n):
+            scale, nudge = rng.uniform(0.1, 10.0), float(rng.choice([0.0, 1e-10, 1e-8, 1e-7]))
+            raw.append((normals[k] * scale + nudge, offsets[k] * scale + nudge))
+        got = canonicalize(raw, tol)
+        expected = _canonicalize_pairwise(raw, tol)
+        assert [(h.normal.tobytes(), h.offset) for h in got] == [
+            (h.normal.tobytes(), h.offset) for h in expected]
+        dropped += len(raw) - len(got)
+    assert dropped > 60
+
+
+def test_canonicalize_ragged_normals_raise_value_error():
+    with pytest.raises(ValueError):
+        canonicalize([([1.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 1.0)])
+    with pytest.raises(ValueError):
+        validate([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([-1.0, -1.0], 1.0), ([2.0], 1.0)], 2)
+
+
+def test_polytope_arrays_are_stacked_once_and_read_only():
+    polytope = validate(tangent_halfspaces(3, 9, 4), 3)
+    normals, offsets = polytope.normals, polytope.offsets
+    assert polytope.normals is normals and polytope.offsets is offsets
+    assert not normals.flags.writeable and not offsets.flags.writeable
+    assert normals.tobytes() == np.vstack([h.normal for h in polytope.halfspaces]).tobytes()
+    assert offsets.tobytes() == np.array([h.offset for h in polytope.halfspaces]).tobytes()
+    with pytest.raises(ValueError):
+        normals[0, 0] = 0.0
+
+
 def test_canonicalize_rejects_zero_normal():
     with pytest.raises(ZeroNormal):
         canonicalize([([0.0, 0.0], 1.0)])

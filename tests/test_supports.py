@@ -29,7 +29,8 @@ VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle"
 
 def _oracle_simplex(normals, offsets, tol):
     """Apexes, rows and shifts of a (k+1)-hyperplane system in R^k, each apex
-    solved on its own; None when some apex is singular or not strictly inside."""
+    solved on its own and its height taken as ``Halfspace.value`` takes it;
+    None when some apex is singular or not strictly inside."""
     count = len(offsets)
     apexes = np.empty((count, count - 1))
     heights = np.empty(count)
@@ -358,13 +359,25 @@ def test_support_records_are_json_serializable(prism_supports):
     assert json.loads(text)[0]["kind"] == "strip"
 
 
-@pytest.mark.parametrize("name", VALID_FIXTURES)
+CERTIFIER_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"tangent-d{dim}": lambda dim=dim: validate(tangent_halfspaces(dim, 2 * dim + 4, 1), dim)
+       for dim in (2, 3, 4, 5)},
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 2, dim)
+       for dim in (2, 3, 4)},
+    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in (0, 5)},
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIER_CASES)
 def test_certification_matches_per_subset_solve_oracle(name):
-    """Apexes read from the arrangement equal a fresh solve, bit for bit."""
-    polytope = load_fixture(name)
+    """Apexes read from the arrangement equal a fresh solve, and the stacked
+    heights equal ``Halfspace.value`` at each apex, bit for bit: the same
+    subsets pass, with the same apexes, rows and shifts."""
+    polytope = CERTIFIER_CASES[name]()
     d = polytope.dim
-    normals = polytope.normals
-    offsets = polytope.offsets
+    normals = np.vstack([h.normal for h in polytope.halfspaces])
+    offsets = np.array([h.offset for h in polytope.halfspaces])
     for size in range(2, d + 2):
         for subset in itertools.combinations(range(len(offsets)), size):
             if size == d + 1:
