@@ -72,22 +72,14 @@ class DomainError(Exception):
 
 def inv_joukowski_log(s: float) -> float:
     """log(s + sqrt(s^2 - 1)) = arccosh(s) for s >= 1, with the band around 1
-    clamped to exactly 0."""
-    s = float(s)
-    if s < 1.0 - _DOMAIN_BAND:
-        raise DomainError(f"inverse Joukowski argument {s!r} below 1")
-    if s <= 1.0 + _ZERO_BAND:
-        return 0.0
-    u = s - 1.0
-    square = u * (u + 2.0)
-    if math.isinf(square):
-        return math.log(2.0) + math.log(s)
-    return math.log1p(u + math.sqrt(square))
+    clamped to exactly 0: ``_inv_joukowski_log_many`` of the one value."""
+    return float(_inv_joukowski_log_many(np.array([s], dtype=float), np.empty(1))[0])
 
 
 def _inv_joukowski_log_many(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``inv_joukowski_log`` of the float array ``s`` into ``out``, which has
-    its shape; ``s`` is overwritten, so that no array of that size is made."""
+    """arccosh of the float array ``s``, the band around 1 clamped to 0, into
+    ``out``, which has its shape; ``s`` is overwritten, so that no array of
+    that size is made.  Every evaluator's arccosh, the scalar one included."""
     if np.any(s < 1.0 - _DOMAIN_BAND):
         raise DomainError(f"inverse Joukowski argument {float(np.min(s))!r} below 1")
     zero = s <= 1.0 + _ZERO_BAND
@@ -144,16 +136,10 @@ def _coordinates(rows, shifts, points, coords, term):
         yield coords
 
 
-def _scratch(count: int, supports: int) -> list[np.ndarray]:
-    """Work arrays of ``_values`` for up to ``count`` points, which chunked
-    callers allocate once: fresh ones per chunk had their pages faulted anew."""
-    return [np.empty((count, supports), t) for t in (complex, complex, float, float)]
-
-
-def _values(rows, shifts, points, work=None) -> np.ndarray:
-    """(points, S) values, written to the third work array: the magnitudes
-    |lambda_k| added in k order, then the inverse Joukowski map."""
-    work = work or _scratch(points.shape[0], rows.shape[2])
+def _values(rows, shifts, points, work) -> np.ndarray:
+    """(points, S) values, written to the third of the ``work`` arrays, which
+    hold at least that many rows: the magnitudes |lambda_k| added in k order,
+    then the inverse Joukowski map."""
     coords, term, magnitude, total = (array[:points.shape[0]] for array in work)
     total.fill(0.0)
     for lam in _coordinates(rows, shifts, points, coords, term):
@@ -161,10 +147,32 @@ def _values(rows, shifts, points, work=None) -> np.ndarray:
     return _inv_joukowski_log_many(total, out=magnitude)
 
 
+def _chunked_values(rows, shifts, points: np.ndarray):
+    """(chunk slice, its (points, S) values) per pass over checked points
+    against S stacked supports, at most _CHUNK point-support values a pass;
+    the values sit in work arrays the next pass overwrites.  The work arrays
+    are allocated once: fresh ones per chunk had their pages faulted anew."""
+    width = rows.shape[2]
+    step = max(1, _CHUNK // max(1, width))
+    work = [np.empty((min(step, points.shape[0]), width), dtype)
+            for dtype in (complex, complex, float, float)]
+    for start in range(0, points.shape[0], step):
+        chunk = slice(start, start + step)
+        yield chunk, _values(rows, shifts, points[chunk], work)
+
+
+def _value_matrix(rows, shifts, points: np.ndarray) -> np.ndarray:
+    """The (points, S) values of S stacked supports, filled chunk by chunk."""
+    matrix = np.empty((points.shape[0], rows.shape[2]))
+    for chunk, values in _chunked_values(rows, shifts, points):
+        matrix[chunk] = values
+    return matrix
+
+
 def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
     """Values of one support, simplex or strip, for each row of ``points``."""
     points = _as_points(points, support.rows.shape[1])
-    return _values(support.rows[:, :, None], support.shifts[:, None], points)[:, 0]
+    return _value_matrix(support.rows[:, :, None], support.shifts[:, None], points)[:, 0]
 
 
 def eval_simplex(support, z: np.ndarray) -> float:
@@ -172,38 +180,20 @@ def eval_simplex(support, z: np.ndarray) -> float:
     return float(eval_simplex_many(support, z)[0])
 
 
-def _chunked_values(rows, shifts, points: np.ndarray):
-    """(chunk slice, its (points, S) values) per pass over checked points
-    against S stacked supports, at most _CHUNK point-support values a pass;
-    the values sit in work arrays the next pass overwrites."""
-    width = rows.shape[2]
-    step = max(1, _CHUNK // max(1, width))
-    work = _scratch(min(step, points.shape[0]), width)
-    for start in range(0, points.shape[0], step):
-        chunk = slice(start, start + step)
-        yield chunk, _values(rows, shifts, points[chunk], work)
-
-
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
     """Every support's value at every point, one row per point."""
     points = _as_points(points, support_set.polytope.dim)
-    matrix = np.empty((points.shape[0], len(support_set)))
-    for chunk, values in _chunked_values(support_set.rows, support_set.shifts, points):
-        matrix[chunk] = values
-    return matrix
+    return _value_matrix(support_set.rows, support_set.shifts, points)
 
 
 def stack_max(support_set: SupportSet, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V_K and argmax from ``values``, one row per point and one column per
     entry of ``support_set.stack``: each row's first maximum, and the sorted
-    support index of its column, 0 where the maximum is 0.  When the stack is
-    every support, column and index agree and V = 0 puts the first maximum
-    at column 0, so no call is spent mapping them."""
-    argmax = np.argmax(values, axis=1)
-    best = np.take_along_axis(values, argmax[:, None], axis=1)[:, 0]
-    if len(support_set.stack) < len(support_set):
-        argmax = support_set.stack[argmax]
-        argmax[best == 0.0] = 0
+    support index of its column, 0 where the maximum is 0."""
+    column = np.argmax(values, axis=1)
+    best = np.take_along_axis(values, column[:, None], axis=1)[:, 0]
+    argmax = support_set.stack[column]
+    argmax[best == 0.0] = 0
     return best, argmax
 
 

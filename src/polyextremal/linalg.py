@@ -410,10 +410,11 @@ def interior_point(normals: np.ndarray, offsets: np.ndarray,
     Returns (center, radius).  Raises Infeasible when the optimal radius is
     not strictly positive, i.e. the set is empty or lower-dimensional; the
     exception carries the signed optimal radius so callers can tell the two
-    apart.  The center search is boxed at 1e6 x the data scale, so genuinely
-    unbounded inputs come back with a huge (capped) radius rather than an
-    unbounded program; ``validate`` rejects those with recession_direction,
-    called after this program.
+    apart.  Raises ValueError when every normal has length 0, as the zero
+    vector has, since then no row bounds r.  The center search is boxed at
+    1e6 x the data scale, so genuinely unbounded inputs come back with a
+    huge (capped) radius rather than an unbounded program; ``validate``
+    rejects those with recession_direction, called after this program.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -421,6 +422,8 @@ def interior_point(normals: np.ndarray, offsets: np.ndarray,
         raise ValueError("normals must be (m, d) with matching offsets")
     m, d = normals.shape
     lengths = np.sqrt((normals * normals).sum(axis=1))
+    if not lengths.any():
+        raise ValueError("every normal has length 0: nothing bounds the radius")
     box = 1e6 * (1.0 + float(np.max(np.abs(offsets), initial=0.0)))
     # variables (x, r): rows  -n_k.x + ||n_k|| r <= b_k  and  +-x_i <= box
     a = np.zeros((m + 2 * d, d + 1))

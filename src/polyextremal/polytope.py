@@ -24,7 +24,6 @@ unless the caller raises those limits explicitly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -145,7 +144,8 @@ class VertexIncidence:
 
 @dataclass(frozen=True, eq=False)
 class PolytopeH:
-    """A validated bounded full-dimensional polytope in halfspace form."""
+    """A validated bounded full-dimensional polytope in halfspace form; its
+    facet functions are stacked in read-only ``normals`` (n, d) and ``offsets``."""
 
     dim: int
     halfspaces: tuple[Halfspace, ...]
@@ -153,21 +153,9 @@ class PolytopeH:
     incidence: VertexIncidence
     interior: np.ndarray
     radius: float
+    normals: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     tol: Tolerances = field(default=DEFAULT_TOL)
-
-    @functools.cached_property
-    def normals(self) -> np.ndarray:
-        """The facet normals as read-only rows (n, d), stacked once."""
-        normals = np.vstack([h.normal for h in self.halfspaces])
-        normals.flags.writeable = False
-        return normals
-
-    @functools.cached_property
-    def offsets(self) -> np.ndarray:
-        """The facet offsets as a read-only (n,) array, stacked once."""
-        offsets = np.array([h.offset for h in self.halfspaces])
-        offsets.flags.writeable = False
-        return offsets
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """All l_k(x) at once; x may be a point (d,) or batch (m, d)."""
@@ -341,6 +329,7 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
 
     normals = np.vstack([h.normal for h in canonical])
     offsets = np.array([h.offset for h in canonical])
+    normals.flags.writeable = offsets.flags.writeable = False
     try:
         center, radius = interior_point(normals, offsets, tol)
         infeasible = None
@@ -360,7 +349,8 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
             raise RedundantHalfspace(k)
 
     return PolytopeH(dim=dim, halfspaces=tuple(canonical), vertices=vertices,
-                     incidence=incidence, interior=center, radius=radius, tol=tol)
+                     incidence=incidence, interior=center, radius=radius,
+                     normals=normals, offsets=offsets, tol=tol)
 
 
 def contains(polytope: PolytopeH, x: np.ndarray) -> bool:

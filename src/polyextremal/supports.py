@@ -7,8 +7,8 @@ hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
 hyperplane arrangement ``validate`` solved while enumerating vertices; they
 are read from ``polytope.incidence.arrangement``, not solved again, and the
-d+1 heights come from one stacked product with the polytope's cached
-``normals`` and ``offsets``, bitwise ``Halfspace.value``.  Subsets of
+d+1 heights come from one stacked product with the polytope's
+``normals`` and ``offsets`` arrays, bitwise ``Halfspace.value``.  Subsets of
 j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
 same way inside that span: project onto an orthonormal basis Q of the
 normals, certify the projection as a j-dimensional simplex, solving its
@@ -132,8 +132,7 @@ class SupportSet:
     and ``stack_rows`` and ``stack_shifts`` their columns of ``rows`` and
     ``shifts``.  For a centrally symmetric K these are the slabs between
     antipodal facets, whose maximum is V_K by Lundin's formula as Baran
-    extended it to polytopes; otherwise every support, and the stack arrays
-    are ``rows`` and ``shifts`` themselves.
+    extended it to polytopes; otherwise every support, ``arange(S)``.
     """
 
     polytope: PolytopeH
@@ -324,13 +323,9 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
         rows[:len(support.shifts), :, i] = support.rows
         shifts[:len(support.shifts), i] = support.shifts
     strips = _antipodal_strips(polytope, ordered)
-    if strips is None or len(strips) == len(ordered):
-        stack, stack_rows, stack_shifts = np.arange(len(ordered)), rows, shifts
-    else:
-        stack = np.array(strips, dtype=np.intp)
-        stack_rows, stack_shifts = rows[..., stack], shifts[:, stack]
+    stack = np.arange(len(ordered)) if strips is None else np.array(strips, dtype=np.intp)
     return SupportSet(polytope=polytope, supports=ordered, rows=rows, shifts=shifts,
-                      stack=stack, stack_rows=stack_rows, stack_shifts=stack_shifts)
+                      stack=stack, stack_rows=rows[..., stack], stack_shifts=shifts[:, stack])
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

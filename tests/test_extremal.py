@@ -79,7 +79,7 @@ def test_inv_joukowski_log_domain_error():
 
 
 def test_inv_joukowski_log_far_field():
-    """Where u(u+2) overflows the value is log 2 + log s; below that the
+    """Where u(u+2) overflows the value is log 2 + log s; below that numpy's
     log1p formula is kept bit for bit, in the scalar and the batch form."""
     for s in (1e155, 1e200, 1e300, 1.7e308):
         expected = math.log(2.0) + math.log(s)
@@ -87,11 +87,22 @@ def test_inv_joukowski_log_far_field():
         batch = _inv_joukowski_log_many(np.array([s]), np.empty(1))[0]
         assert batch == pytest.approx(expected, rel=1e-15)
     for s in (3.0, 1e100, 1e150, 1e154):
-        u = s - 1.0
-        assert inv_joukowski_log(s) == math.log1p(u + math.sqrt(u * (u + 2.0)))
-        batch = np.array([u])
-        assert _inv_joukowski_log_many(np.array([s]), np.empty(1))[0] == np.log1p(
-            batch + np.sqrt(batch * (batch + 2.0)))[0]
+        u = np.array([s - 1.0])
+        expected = np.log1p(u + np.sqrt(u * (u + 2.0)))[0]
+        assert inv_joukowski_log(s) == expected
+        assert _inv_joukowski_log_many(np.array([s]), np.empty(1))[0] == expected
+
+
+def test_inv_joukowski_log_is_the_batch_form():
+    """The scalar arccosh is the batch one applied to one value, bit for bit,
+    across the zero band, the log1p range and the far field; at s = 3 the
+    math module's route was one ulp off numpy's."""
+    samples = np.concatenate([np.linspace(1.0 - 1e-9, 1.0 + 1e-11, 201),
+                              np.linspace(1.0, 26.0, 2501),
+                              np.geomspace(1.0 + 1e-12, 1.7e308, 2501)])
+    batch = _inv_joukowski_log_many(samples.copy(), np.empty_like(samples))
+    scalar = np.array([inv_joukowski_log(s) for s in samples.tolist()])
+    assert scalar.tobytes() == batch.tobytes()
 
 
 def test_far_points_stay_finite(unit_interval_simplex, square_supports):
@@ -662,19 +673,27 @@ def test_stacked_kernel_matches_per_support_oracle(name):
 def test_batch_memory_is_bounded_by_the_chunk():
     """20,000 points against the 470 supports of a tangent 24-gon, which is
     not symmetric, so all are evaluated: one (points, supports) complex
-    matrix would take 143 MiB; chunked, the call stays below 8 MiB."""
+    matrix would take 143 MiB; chunked, the call stays below 8 MiB.  One of
+    those supports at 200,000 points runs through the same chunk loop: its
+    1.5 MiB of values and one chunk's work arrays stay below 4 MiB, where
+    work arrays for every point at once took 9.5 MiB, and the values are
+    the per-support oracle's across every chunk boundary."""
     supports = enumerate_supports(validate(tangent_halfspaces(2, 24, 0), 2))
     assert len(supports.stack) == len(supports) == 470
     rng = np.random.default_rng(3)
-    points = rng.uniform(-2, 2, (20_000, 2)) + 1j * rng.uniform(-1, 1, (20_000, 2))
-    eval_extremal_many(supports, points[:10])
-    tracemalloc.start()
-    try:
-        eval_extremal_many(supports, points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    points = rng.uniform(-2, 2, (200_000, 2)) + 1j * rng.uniform(-1, 1, (200_000, 2))
+    for call, argument, count, bound in ((eval_extremal_many, supports, 20_000, 8 * 2**20),
+                                         (eval_simplex_many, supports[0], 200_000, 4 * 2**20)):
+        call(argument, points[:10])
+        tracemalloc.start()
+        try:
+            values = call(argument, points[:count])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, call
+    # the last call's values: supports[0] at every point
+    assert values.tobytes() == _reference_values(supports[0], points).tobytes()
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)

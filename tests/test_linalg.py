@@ -285,6 +285,15 @@ def test_interior_point_degenerate_slab():
     assert abs(exc.value.radius) <= 1e-9
 
 
+@pytest.mark.parametrize("normals", [[[0.0]], [[0.0, 0.0], [0.0, -0.0]], [[1e-200, 0.0]]])
+def test_interior_point_rejects_zero_normals(normals):
+    """With every normal of length 0 (at d = 1 and 2, and where the square of
+    a length underflows) no row bounds the radius: a ValueError, not the
+    simplex's private unbounded-program exception."""
+    with pytest.raises(ValueError, match="length 0"):
+        interior_point(normals, np.ones(len(normals)))
+
+
 def test_interior_point_quad_certifies_interior():
     offsets = np.array([0.0, 0.0, 3.0, 3.0])
     center, radius = interior_point(QUAD_NORMALS, offsets)

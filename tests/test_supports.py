@@ -597,8 +597,8 @@ def _antipodal_pairs(supports):
 
 def _assert_full_stack(supports):
     assert supports.stack.tolist() == list(range(len(supports)))
-    assert supports.stack_rows is supports.rows
-    assert supports.stack_shifts is supports.shifts
+    assert supports.stack_rows.tobytes() == supports.rows.tobytes()
+    assert supports.stack_shifts.tobytes() == supports.shifts.tobytes()
 
 
 @pytest.mark.parametrize("cuts", [(1.5, 1.5, 1.5), (1.2, 1.5, 1.8)])
