@@ -249,7 +249,10 @@ def lundin_ball(z: np.ndarray, radius: float) -> float:
     half of log h(|z/R|^2 + |(z/R)^2 - 1|) with z^2 = sum z_i^2."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    z = np.asarray(z, dtype=complex) / radius
+    z = np.asarray(z, dtype=complex)
+    if not math.isfinite(radius) or not np.all(np.isfinite(z)):
+        raise ValueError("radius and point coordinates must be finite")
+    z = z / radius
     square = complex(0.0)
     magnitude = 0.0
     for component in z:
@@ -266,6 +269,8 @@ def eval_interval(a: float, b: float, t: complex) -> float:
     barycentric route (cmath arithmetic, product form (s-1)(s+1), branch by
     comparing moduli) so the two can serve as oracles for each other.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(complex(t))):
+        raise ValueError("endpoints and point must be finite")
     if not b > a:
         raise ValueError("need a < b")
     s = (2.0 * complex(t) - a - b) / (b - a)

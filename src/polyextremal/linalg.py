@@ -249,6 +249,39 @@ def _orthogonalize(vectors: np.ndarray, tol: Tolerances,
     return basis
 
 
+def _orthogonalize_many(vectors: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """``_orthogonalize`` of each stack of ``vectors`` (C, m, d), in lockstep.
+
+    Returns slots (C, m, d) and a mask (C, m) of the accepted vectors: slot
+    i holds the basis vector made from input i, or zeros where it was
+    skipped, so ``slots[c][accepted[c]]`` is ``_orthogonalize(vectors[c])``
+    bit for bit.  Its dot products are stacked (1, d) @ (d, 1) products,
+    which take ``np.dot``'s route, and the projection of a zero slot is
+    +0.0 times zeros, which leaves every residual as it is.
+    """
+    vectors = np.array(vectors, dtype=float)
+    count, m, d = vectors.shape
+    with np.errstate(over="ignore", under="ignore"):
+        largest = (vectors * vectors).sum(axis=2).max(axis=1, initial=0.0)
+        rescale = ~((sys.float_info.min <= largest) & (largest < math.inf))
+        if rescale.any():
+            peaks = np.max(np.abs(vectors[rescale]), axis=(1, 2))
+            vectors[rescale] = np.ldexp(vectors[rescale], -np.frexp(peaks)[1][:, None, None])
+            largest[rescale] = (vectors[rescale] * vectors[rescale]).sum(axis=2).max(axis=1)
+    threshold = tol.rank_rel * np.sqrt(largest)
+    slots = np.zeros((count, m, d))
+    accepted = np.zeros((count, m), dtype=bool)
+    for i in range(m):
+        w = vectors[:, i].copy()
+        for _ in range(2):
+            for q in slots[:, :i].transpose(1, 0, 2):
+                w -= np.matmul(q[:, None, :], w[:, :, None])[:, 0] * q
+        norm = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+        accepted[:, i] = norm > threshold
+        np.divide(w, norm[:, None], out=slots[:, i], where=accepted[:, i, None])
+    return slots, accepted
+
+
 def rank(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank of a list of real vectors.
 

@@ -358,6 +358,8 @@ def contains(polytope: PolytopeH, x: np.ndarray) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (polytope.dim,):
         raise ValueError(f"point must have dimension {polytope.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point coordinates must be finite")
     return bool(np.min(polytope.values(x)) >= -polytope.tol.geom_abs)
 
 
@@ -397,6 +399,8 @@ def from_vertices_2d(points, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("expected an (m, 2) array of points")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("point coordinates must be finite")
     if points.shape[0] < 3:
         raise Degenerate("need at least 3 points")
     scale = float(np.max(np.abs(points), initial=1.0))

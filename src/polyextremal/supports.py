@@ -22,11 +22,15 @@ at the corner of the other d, so a few gathers test every subset, and
 ``try_simplex``, the one single-subset certifier, runs only on the subsets
 that pass.  Strip normals make every d-subset containing them singular, so
 strips are looked for only inside the d-subsets the arrangement leaves out:
-its LU alone decides dependence.  This certifies completeness directly
-instead of re-deriving the constructive existence argument; a guard refuses
-inputs whose subset count explodes.  Certification of one subset never looks
-at another, so results merge deterministically: supports are sorted by facet
-index set, each subset visited once.
+its LU picks the candidates.  The candidates of each size are screened
+together by ``try_strip``'s own steps, batched: a lockstep Gram-Schmidt
+rank test decides dependence, and one batched LU per omitted facet solves
+every projected corner; ``try_strip`` runs only on the subsets that pass.
+This certifies completeness directly instead of re-deriving the
+constructive existence argument; a guard refuses inputs whose subset count
+explodes.  Certification of one subset never looks at another, so results
+merge deterministically: supports are sorted by facet index set, each
+subset visited once.
 
 The set also fixes the evaluation stack, the supports V_K is maximized over.
 For a centrally symmetric K, Lundin's formula (Baran's, for polytopes) says
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Tolerances, orthonormal_basis
+from .linalg import Tolerances, _orthogonalize_many, lu_solve_many, orthonormal_basis
 from .linalg import rank, solve_real  # noqa: F401  (unused; the benchmark's tracer wraps them)
 from .polytope import GuardExceeded, Halfspace, PolytopeH, _corner
 
@@ -258,6 +262,37 @@ def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tu
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 
+def _strip_candidates(polytope: PolytopeH, subsets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sorted (j+1)-subsets, all of one size, that pass ``try_strip``'s
+    test, screened at once.
+
+    Each step is ``try_strip``'s, taken for every subset together: the
+    normals' Gram-Schmidt basis must have j rows, the projected corners
+    come from one batched LU per omitted facet, and no height of a corner
+    above its own projected hyperplane may be at or below pos_abs."""
+    if not subsets:
+        return []
+    tol, index = polytope.tol, np.array(subsets, dtype=np.intp)
+    j = index.shape[1] - 1
+    slots, accepted = _orthogonalize_many(polytope.normals[index], tol)
+    spans = np.count_nonzero(accepted, axis=1) == j
+    index, basis = index[spans], slots[spans][accepted[spans]].reshape(-1, j, slots.shape[2])
+    normals = polytope.normals[index]
+    # the images Q n_k and their lengths, each product as ``try_strip`` forms it
+    images = np.matmul(basis[:, None], normals[..., None]).reshape(-1, j + 1, j)
+    lengths = np.sqrt(np.matmul(images[..., None, :], images[..., None]).reshape(-1, j + 1))
+    normals, offsets = images / lengths[..., None], polytope.offsets[index] / lengths
+    apexes = np.empty_like(normals)
+    passed = np.ones(len(index), dtype=bool)
+    for t in range(j + 1):
+        rest = [k for k in range(j + 1) if k != t]
+        apexes[:, t], nonsingular = lu_solve_many(normals[:, rest], -offsets[:, rest], tol)
+        passed &= nonsingular
+    heights = np.matmul(apexes[..., None, :], normals[..., None]).reshape(-1, j + 1) + offsets
+    passed &= ~(heights <= tol.pos_abs).any(axis=1)
+    return [tuple(subset) for subset in index[passed].tolist()]
+
+
 def _antipodal_strips(polytope: PolytopeH,
                       supports: tuple[SimplexSupport | StripSupport, ...]) -> list[int] | None:
     """Indices of the slabs between antipodal facet pairs when K is centrally
@@ -290,7 +325,7 @@ def _antipodal_strips(polytope: PolytopeH,
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     """Certify as a simplex every facet subset of size d+1 that the batched
     screen passes, and as a strip every subset of size 2..d inside a
-    d-subset the arrangement leaves out.
+    d-subset the arrangement leaves out that the strip screen passes.
 
     Raises NoCover when some facet of K ends up in no accepted support, which
     signals inconsistent input or numerical failure (mathematically every
@@ -305,10 +340,12 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     faces = list(itertools.combinations(range(n), d))
     nonsingular = np.fromiter((face in polytope.incidence.arrangement for face in faces),
                               dtype=bool, count=len(faces))
-    strip_subsets = {part for face in itertools.compress(faces, ~nonsingular)
-                     for size in range(2, d + 1) for part in itertools.combinations(face, size)}
+    singular = list(itertools.compress(faces, ~nonsingular))
+    candidates = [subset for size in range(2, d + 1) for subset in _strip_candidates(
+        polytope, sorted({part for face in singular for part in itertools.combinations(face, size)}))]
+    candidates += _simplex_candidates(polytope, nonsingular)
     accepted: list[SimplexSupport | StripSupport] = []
-    for subset in [*sorted(strip_subsets), *_simplex_candidates(polytope, nonsingular)]:
+    for subset in candidates:
         support = (try_simplex if len(subset) == d + 1 else try_strip)(polytope, subset)
         if support is not None:
             accepted.append(support)
@@ -337,6 +374,8 @@ def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,
     simplex iff some vertex violates some defining halfspace strictly.
     """
     shift = np.asarray(shift, dtype=float)
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("shift must be finite")
     if float(np.sqrt(np.dot(shift, shift))) <= 0.0:
         raise ValueError("shift must be nonzero")
     for vertex in polytope.vertices:

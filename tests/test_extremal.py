@@ -536,6 +536,22 @@ def test_eval_interval_rejects_bad_endpoints():
         eval_interval(2.0, 1.0, 0.5 + 0j)
 
 
+@pytest.mark.parametrize("a, b, t", [(0.0, 1.0, complex(math.inf, 0.0)),
+                                     (0.0, 1.0, complex(math.nan, 0.0)),
+                                     (0.0, math.inf, 5.0 + 0j),
+                                     (math.nan, 1.0, 0.5 + 0j)])
+def test_eval_interval_rejects_non_finite_input(a, b, t):
+    with pytest.raises(ValueError, match="finite"):
+        eval_interval(a, b, t)
+
+
+@pytest.mark.parametrize("z, radius", [([math.nan, 0.0], 1.0), ([complex(0.0, math.inf), 0.0], 1.0),
+                                       ([0.5, 0.0], math.inf), ([0.5, 0.0], math.nan)])
+def test_lundin_ball_rejects_non_finite_input(z, radius):
+    with pytest.raises(ValueError, match="finite"):
+        lundin_ball(np.array(z, dtype=complex), radius)
+
+
 def test_eval_interval_explicit_branch_formula():
     """Independent spot check of the modulus-selecting branch."""
     for t in (1.5 + 0.5j, -2.0 + 0.1j, 0.2 - 3.0j):

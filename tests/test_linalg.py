@@ -15,6 +15,7 @@ from polyextremal.linalg import (
     Tolerances,
     ZeroSpan,
     _orthogonalize,
+    _orthogonalize_many,
     interior_point,
     linprog_max,
     lu_factor,
@@ -568,3 +569,42 @@ def test_stopped_gram_schmidt_keeps_recession_and_witness_decisions(monkeypatch,
                  if isinstance(outcome, bytes) or outcome.startswith("RedundantHalfspace")]
     assert len(witnessed) > 20 or scale == 1e-160
     assert stopped == expected
+
+
+def _gram_schmidt_stacks(rng, m, d):
+    """Stacks of m vectors in R^d: random, exactly dependent (a repeat, a
+    negation, a small-integer combination), with zero vectors, tilted off a
+    dependent set by 1e-11..1e-9, and all of these scaled by 1e+-160."""
+    stacks = [rng.standard_normal((m, d)) for _ in range(4)]
+    for _ in range(4):
+        whole = rng.integers(-3, 4, (m, d)).astype(float)
+        for i in range(1, m):
+            whole[i] = (rng.choice([whole[i - 1], -whole[i - 1], whole[:i].sum(axis=0)])
+                        if rng.random() < 0.5 else whole[i])
+        stacks.append(whole)
+    zero = rng.standard_normal((m, d))
+    zero[rng.choice(m, max(1, m // 2), replace=False)] = 0.0
+    stacks += [zero, np.zeros((m, d))]
+    for _ in range(4):
+        tilted = _deficient(rng, m, d, max(1, min(m, d) - 1))
+        tilted[-1, rng.integers(d)] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11, -9)
+        stacks.append(tilted)
+    stacks += [scale * stack for scale in (1e160, 1e-160) for stack in list(stacks)]
+    return np.array(stacks)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_batched_gram_schmidt_matches_orthogonalize_bitwise(m):
+    """Each stack's accepted slots are ``_orthogonalize``'s basis bit for
+    bit, in order, and every other slot is zero."""
+    rng = np.random.default_rng(m)
+    for d in sorted({max(1, m - 1), m, m + 1}):
+        stacks = _gram_schmidt_stacks(rng, m, d)
+        slots, accepted = _orthogonalize_many(stacks, DEFAULT_TOL)
+        assert slots.shape == stacks.shape and accepted.shape == stacks.shape[:2]
+        for vectors, slot, mask in zip(stacks, slots, accepted):
+            basis = _orthogonalize(vectors, DEFAULT_TOL)
+            assert mask.sum() == len(basis)
+            assert [q.tobytes() for q in slot[mask]] == [q.tobytes() for q in basis]
+            assert not slot[~mask].any()
+        assert 0 < accepted.sum() < accepted.size

@@ -386,6 +386,12 @@ def test_contains_all_vertices():
             assert contains(polytope, v)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_contains_rejects_non_finite_point(bad):
+    with pytest.raises(ValueError, match="finite"):
+        contains(validate(QUAD_RAW, 2), np.array([0.375, bad]))
+
+
 def test_facet_witness_spans_edge():
     polytope = validate(QUAD_RAW, 2)
     for k, h in enumerate(polytope.halfspaces):
@@ -424,6 +430,14 @@ def test_from_vertices_2d_interior_points_dropped():
 def test_from_vertices_2d_collinear():
     with pytest.raises(Degenerate):
         from_vertices_2d([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_vertices_2d_rejects_non_finite_vertex(bad):
+    """A NaN vertex used to end in NotFullDimensional and an infinite one in
+    a RuntimeWarning from the hull."""
+    with pytest.raises(ValueError, match="finite"):
+        from_vertices_2d([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (bad, 0.5)])
 
 
 def test_from_vertices_2d_too_few_points():

@@ -264,6 +264,12 @@ def test_check_minimality_rejects_zero_shift(quad, quad_supports):
         check_minimality(quad, quad_supports[0], np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_minimality_rejects_non_finite_shift(quad, quad_supports, bad):
+    with pytest.raises(ValueError, match="finite"):
+        check_minimality(quad, quad_supports[0], np.array([1e-3, bad]))
+
+
 def test_check_minimality_random_translations(quad, quad_supports):
     rng = np.random.default_rng(99)
     for support in quad_supports:
@@ -552,6 +558,33 @@ def test_batched_screen_agrees_with_try_simplex(name):
     assert all(type(k) is int for subset in screened for k in subset)
 
 
+HEXAGON_CUTS = ((1.5, 1.5, 1.5), (1.2, 1.5, 1.8), (1.0, 1.0, 1.0), (1.0, 1.5, 0.5))
+
+STRIP_SCREEN_CASES = {
+    **SEARCH_CASES,
+    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in range(12)},
+    **{f"ngon-{sides}": lambda sides=sides: ngon_polytope(sides) for sides in range(4, 25, 2)},
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, 3)
+       for dim in (2, 3, 4, 5)},
+    **{f"hexagon-{cuts}": lambda cuts=cuts: corner_cut_hexagon(cuts) for cuts in HEXAGON_CUTS},
+}
+
+
+@pytest.mark.parametrize("name", STRIP_SCREEN_CASES)
+def test_batched_strip_screen_agrees_with_try_strip(name):
+    """For every size 2..d, the batched strip screen passes exactly the
+    subsets that ``try_strip`` certifies, among all subsets of that size and
+    not only those inside singular d-subsets."""
+    polytope = STRIP_SCREEN_CASES[name]()
+    n, d = len(polytope.halfspaces), polytope.dim
+    for size in range(2, d + 1):
+        subsets = list(itertools.combinations(range(n), size))
+        certified = [subset for subset in subsets if try_strip(polytope, subset) is not None]
+        screened = supports_module._strip_candidates(polytope, subsets)
+        assert screened == certified
+        assert all(type(k) is int for subset in screened for k in subset)
+
+
 def test_combination_rank_follows_itertools_order():
     for n, k in ((1, 1), (5, 1), (5, 2), (6, 3), (9, 4), (12, 6), (7, 7)):
         subsets = np.array(list(itertools.combinations(range(n), k)))
@@ -649,6 +682,24 @@ def test_perturbed_symmetric_polytope_is_not_pruned(dim, seed, delta):
     assert [s.facet_indices for s in supports] == [s.facet_indices
                                                    for s in enumerate_supports(base)]
     _assert_full_stack(supports)
+
+
+SYMMETRIC_CASES = {
+    **{f"symmetric-d{dim}-{seed}": (lambda dim=dim, seed=seed: symmetric_polytope(dim, dim + 3, seed),
+                                    dim + 3) for dim in (2, 3, 4, 5) for seed in range(2)},
+    **{f"ngon-{sides}": (lambda sides=sides: ngon_polytope(sides), sides // 2)
+       for sides in range(4, 25, 2)},
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_CASES)
+def test_symmetric_stack_holds_every_antipodal_slab(name):
+    """Every antipodal pair's slab survives the strip screen: one missing
+    slab would turn the stack back into every support."""
+    make, pairs = SYMMETRIC_CASES[name]
+    supports = enumerate_supports(make())
+    assert len(supports.stack) == pairs
+    assert all(supports[i].kind == "strip" for i in supports.stack)
 
 
 def test_interval_keeps_its_one_support_stack():
