@@ -4,7 +4,9 @@ Everything operates on plain numpy arrays at desk scale: dimensions stay in
 single digits and constraint counts below a hundred.  The solvers are
 deliberately textbook ones - partial-pivot elimination with an explicit
 relative pivot threshold, modified Gram-Schmidt for ranks and orthonormal
-bases, and a dense two-phase simplex method with Bland's rule.  A Chebyshev
+bases, and a dense two-phase simplex method with Bland's rule.  There is one
+LU and one Gram-Schmidt, each run on a whole batch of small problems in
+lockstep; a single system or stack is a batch of one.  A Chebyshev
 ball takes one linear program; whether a cone {v : N v >= 0} is {0} takes
 one rank and at most one more.  Rank and positivity decisions made here
 drive geometric certification downstream, so the thresholds are part of the
@@ -101,32 +103,54 @@ class LUFactors:
     packed: np.ndarray
     perm: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.packed.shape[0]
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b by forward then back substitution, in a fixed order,
-        on Python scalars: at this size numpy's per-call cost would dominate."""
+        """Solve A x = b by forward then back substitution."""
         b = np.asarray(b)
-        n = self.size
-        if b.shape != (n,):
-            raise ValueError(f"right-hand side must have shape ({n},)")
-        lu = self.packed.tolist()
-        x = b[self.perm].tolist()
+        if b.shape != self.perm.shape:
+            raise ValueError(f"right-hand side must have shape {self.perm.shape}")
+        return _substitute_many(self.packed[None], self.perm[None], b[None])[0]
+
+
+def _factor_many(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor the matrices a (M, n, n) in place with partial pivoting (the
+    first largest entry of a column), one numpy operation across all M for
+    each step.  Returns the packed factors ``a``, the permutations (M, n)
+    and each matrix's threshold, ``rank_rel`` times its largest entry.  A
+    pivot at or below it is singular; elimination goes on past it, but the
+    packed diagonal keeps every pivot as it was chosen."""
+    count, n = a.shape[:2]
+    every = np.arange(count)
+    threshold = tol.rank_rel * np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    perm = np.arange(n)[None].repeat(count, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):  # the last column has no choice of pivot and nothing below it
+            p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+            rows, order = a[every, p], perm[every, p]
+            a[every, p], perm[every, p] = a[:, k], perm[:, k]
+            a[:, k], perm[:, k] = rows, order
+            a[:, k + 1:, k] /= a[:, k, k, None]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+    return a, perm, threshold
+
+
+def _substitute_many(packed: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forward then back substitution of the right-hand sides b (M, n)
+    through the factors of ``_factor_many``, in a fixed order."""
+    n = packed.shape[1]
+    x = b[np.arange(len(b))[:, None], perm].astype(np.result_type(packed, b), copy=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(1, n):
             for j in range(i):
-                x[i] -= lu[i][j] * x[j]
+                x[:, i] -= packed[:, i, j] * x[:, j]
         for i in range(n - 1, -1, -1):
             for j in range(i + 1, n):
-                x[i] -= lu[i][j] * x[j]
-            x[i] /= lu[i][i]
-        return np.array(x, dtype=np.promote_types(self.packed.dtype, b.dtype))
+                x[:, i] -= packed[:, i, j] * x[:, j]
+            x[:, i] /= packed[:, i, i]
+    return x
 
 
 def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:
-    """Factor a square matrix with partial pivoting (first largest entry of a
-    column), on Python scalars in a fixed order, like ``LUFactors.solve``.
+    """Factor a square matrix with partial pivoting, ``_factor_many`` of one.
 
     Raises Singular when the best available pivot is at or below
     ``rank_rel`` times the largest entry of the input matrix.
@@ -134,151 +158,93 @@ def lu_factor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> LUFactors:
     a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    threshold = tol.rank_rel * scale
-    lu = a.tolist()
-    perm = list(range(n))
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(lu[i][k]))
-        if abs(lu[p][k]) <= threshold:
-            raise Singular(f"pivot {abs(lu[p][k]):.3e} at column {k} below threshold {threshold:.3e}")
-        lu[k], lu[p], perm[k], perm[p] = lu[p], lu[k], perm[p], perm[k]
-        for row in lu[k + 1:]:
-            row[k] /= lu[k][k]
-            for c in range(k + 1, n):
-                row[c] -= row[k] * lu[k][c]
-    return LUFactors(packed=np.array(lu, dtype=a.dtype).reshape(n, n), perm=np.array(perm))
+    (packed,), (perm,), (threshold,) = _factor_many(a[None], tol)
+    pivots = np.abs(np.diagonal(packed))
+    if not np.all(pivots > threshold):
+        k = int(np.argmin(pivots > threshold))
+        raise Singular(f"pivot {pivots[k]:.3e} at column {k} below threshold {threshold:.3e}")
+    return LUFactors(packed=packed, perm=perm)
 
 
 def lu_solve_many(a: np.ndarray, b: np.ndarray,
                   tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Solve the real systems a[m] x[m] = b[m], a of shape (M, n, n), at once.
 
-    Each system takes the steps of ``lu_factor`` and ``LUFactors.solve`` in
-    their order, one numpy operation across all M for each scalar one, so
-    every solution is bitwise theirs.  Returns the solutions (M, n) and a
-    mask of the nonsingular systems: False where ``lu_factor`` raises
-    Singular, and that row of the solutions is NaN.
+    Returns the solutions (M, n) and a mask of the nonsingular systems:
+    False where ``lu_factor`` raises Singular, and that row of the
+    solutions is NaN.
     """
     a = np.array(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
         raise ValueError("expected matrices (M, n, n) and right-hand sides (M, n)")
-    count, n = a.shape[:2]
-    every = np.arange(count)
-    threshold = tol.rank_rel * np.max(np.abs(a), axis=(1, 2), initial=0.0)
-    nonsingular = np.ones(count, dtype=bool)
-    perm = np.tile(np.arange(n), (count, 1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n):
-            p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-            nonsingular &= np.abs(a[every, p, k]) > threshold
-            rows, order = a[every, p], perm[every, p]
-            a[every, p], perm[every, p] = a[:, k], perm[:, k]
-            a[:, k], perm[:, k] = rows, order
-            a[:, k + 1:, k] /= a[:, k, k, None]
-            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
-        x = np.take_along_axis(b, perm, axis=1)
-        for i in range(1, n):
-            for j in range(i):
-                x[:, i] -= a[:, i, j] * x[:, j]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                x[:, i] -= a[:, i, j] * x[:, j]
-            x[:, i] /= a[:, i, i]
+    packed, perm, threshold = _factor_many(a, tol)
+    nonsingular = np.all(np.abs(np.diagonal(packed, axis1=1, axis2=2)) > threshold[:, None], axis=1)
+    x = _substitute_many(packed, perm, b)
     x[~nonsingular] = np.nan
     return x, nonsingular
 
 
 def solve_real(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve the real square system A x = b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0],):
-        raise ValueError("right-hand side length must match the matrix")
-    return lu_factor(a, tol).solve(b)
+    return lu_factor(np.asarray(a, dtype=float), tol).solve(np.asarray(b, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Rank and orthonormal bases
 # ---------------------------------------------------------------------------
 
-def _orthogonalize(vectors: np.ndarray, tol: Tolerances,
-                   stop: int | None = None) -> list[np.ndarray]:
-    """Modified Gram-Schmidt over input order with one re-orthogonalization pass.
-
-    Returns the accepted orthonormal vectors; a candidate is dependent (and
-    skipped) when its residual drops to ``rank_rel`` times the largest input
-    norm.  The second pass keeps the basis orthonormal to ~1e-15 even for
-    nearly dependent inputs.  When the largest squared norm overflows or is
-    not a normal float, the inputs are first scaled by the power of two
-    that brings their largest entry into [0.5, 1): exact, and the basis does
-    not depend on a common scale.
-
-    ``stop`` ends the pass once that many vectors are accepted, for callers
-    that only ask whether the rank reaches it.  The threshold is still taken
-    over every input and no accepted vector depends on a later one, so the
-    result is the first ``stop`` vectors of the full basis.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("expected a list of equal-length vectors")
-    if vectors.size == 0:
-        return []
-    with np.errstate(over="ignore", under="ignore"):
-        largest = float((vectors * vectors).sum(axis=1).max())
-    if not sys.float_info.min <= largest < math.inf:
-        vectors = np.ldexp(vectors, -np.frexp(np.max(np.abs(vectors)))[1])
-        largest = float((vectors * vectors).sum(axis=1).max())
-    scale = math.sqrt(largest)
-    threshold = tol.rank_rel * scale
-    basis: list[np.ndarray] = []
-    if scale == 0.0:
-        return basis
-    for v in vectors:
-        w = v.astype(float, copy=True)
-        for _ in range(2):
-            for q in basis:
-                w -= np.dot(q, w) * q
-        norm = float(np.sqrt(np.dot(w, w)))
-        if norm > threshold:
-            basis.append(w / norm)
-            if len(basis) == stop:
-                break
-    return basis
-
-
-def _orthogonalize_many(vectors: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """``_orthogonalize`` of each stack of ``vectors`` (C, m, d), in lockstep.
+def _orthogonalize_many(vectors: np.ndarray, tol: Tolerances,
+                        stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt over input order with one re-orthogonalization
+    pass, of each stack of ``vectors`` (C, m, d) in lockstep.
 
     Returns slots (C, m, d) and a mask (C, m) of the accepted vectors: slot
     i holds the basis vector made from input i, or zeros where it was
-    skipped, so ``slots[c][accepted[c]]`` is ``_orthogonalize(vectors[c])``
-    bit for bit.  Its dot products are stacked (1, d) @ (d, 1) products,
-    which take ``np.dot``'s route, and the projection of a zero slot is
-    +0.0 times zeros, which leaves every residual as it is.
+    skipped, as dependent: its residual dropped to ``rank_rel`` times the
+    largest input norm of its stack.  The second pass keeps the basis
+    orthonormal to ~1e-15 for nearly dependent inputs.  A stack whose
+    largest squared norm overflows or is not a normal float is first scaled
+    by the power of two that brings its largest entry into [0.5, 1): exact,
+    so the basis does not depend on a common scale.  Dot products are
+    stacked (1, d) @ (d, 1) products, which take ``np.dot``'s route, and a
+    zero slot projects as +0.0 times zeros, leaving residuals as they are:
+    zero-padding a stack keeps its basis.
+
+    ``stop`` caps each stack at that many vectors, for callers that ask only
+    whether the rank reaches it, and ends the pass once every stack has
+    them.  The threshold still covers every input and no accepted vector
+    depends on a later one, so each stack keeps its full basis' first
+    ``stop`` vectors.
     """
     vectors = np.array(vectors, dtype=float)
+    if vectors.ndim != 3:
+        raise ValueError("expected stacks of equal-length vectors")
     count, m, d = vectors.shape
+    stop = m if stop is None else stop
     with np.errstate(over="ignore", under="ignore"):
         largest = (vectors * vectors).sum(axis=2).max(axis=1, initial=0.0)
-        rescale = ~((sys.float_info.min <= largest) & (largest < math.inf))
+        rescale = (largest < sys.float_info.min) | (largest == math.inf)
         if rescale.any():
-            peaks = np.max(np.abs(vectors[rescale]), axis=(1, 2))
-            vectors[rescale] = np.ldexp(vectors[rescale], -np.frexp(peaks)[1][:, None, None])
-            largest[rescale] = (vectors[rescale] * vectors[rescale]).sum(axis=2).max(axis=1)
+            peaks = np.max(np.abs(vectors[rescale]), axis=(1, 2), initial=0.0)
+            scaled = np.ldexp(vectors[rescale], -np.frexp(peaks)[1][:, None, None])
+            vectors[rescale] = scaled
+            largest[rescale] = (scaled * scaled).sum(axis=2).max(axis=1, initial=0.0)
     threshold = tol.rank_rel * np.sqrt(largest)
     slots = np.zeros((count, m, d))
     accepted = np.zeros((count, m), dtype=bool)
+    found = np.zeros(count, dtype=np.intp)
     for i in range(m):
-        w = vectors[:, i].copy()
+        if stop < m and found.min(initial=stop) >= stop:
+            break
+        w = vectors[:, i, :, None].copy()
         for _ in range(2):
-            for q in slots[:, :i].transpose(1, 0, 2):
-                w -= np.matmul(q[:, None, :], w[:, :, None])[:, 0] * q
-        norm = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
-        accepted[:, i] = norm > threshold
-        np.divide(w, norm[:, None], out=slots[:, i], where=accepted[:, i, None])
+            for k in range(i):
+                w -= np.matmul(slots[:, k, None, :], w) * slots[:, k, :, None]
+        norm = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
+        accepted[:, i] = (norm[:, 0, 0] > threshold) & (found < stop)
+        found += accepted[:, i]
+        np.divide(w[..., 0], norm[:, 0], out=slots[:, i], where=accepted[:, i, None])
     return slots, accepted
 
 
@@ -291,7 +257,7 @@ def rank(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     vectors = np.asarray(vectors, dtype=float)
     if vectors.size == 0:
         raise ValueError("rank of an empty collection is undefined")
-    return len(_orthogonalize(vectors, tol))
+    return int(np.count_nonzero(_orthogonalize_many(vectors[None], tol)[1]))
 
 
 def orthonormal_basis(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -299,10 +265,10 @@ def orthonormal_basis(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.
 
     Raises ZeroSpan when every input is numerically zero.
     """
-    basis = _orthogonalize(np.asarray(vectors, dtype=float), tol)
-    if not basis:
+    slots, accepted = _orthogonalize_many(np.asarray(vectors, dtype=float)[None], tol)
+    if not accepted.any():
         raise ZeroSpan("input vectors span the zero subspace")
-    return np.vstack(basis)
+    return slots[0][accepted[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +458,8 @@ def recession_direction(normals: np.ndarray,
     d = normals.shape[1]
     peaks = np.max(np.abs(normals), axis=1)
     rows = normals[peaks > 0.0] / peaks[peaks > 0.0, None]
-    basis = np.array(_orthogonalize(rows, tol, d)).reshape(-1, d)
+    slots, accepted = _orthogonalize_many(rows[None], tol, d)
+    basis = slots[0][accepted[0]]
     if basis.shape[0] < d:
         complement = np.eye(d) - basis.T @ basis
         v = complement[np.argmax((complement * complement).sum(axis=1))]

@@ -15,7 +15,7 @@ every facet function is evaluated at every one of them into one value
 matrix.  Vertex feasibility, deduplication, active sets and the orientation
 repair all read that matrix.  Both are kept on ``incidence``; support
 certification reads simplex apexes from there, and screens their heights in
-the matrix.
+the matrix.  One batched Gram-Schmidt pass ranks every facet's witnesses.
 
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
@@ -34,15 +34,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Infeasible,
-    Singular,
     Tolerances,
-    _orthogonalize,
+    _orthogonalize_many,
     interior_point,
     lu_solve_many,
     recession_direction,
-    solve_real,
 )
-from .linalg import rank  # noqa: F401  (unused; the benchmark's tracer wraps it)
+from .linalg import rank, solve_real  # noqa: F401  (the benchmark's tracer wraps them)
 
 __all__ = [
     "Halfspace",
@@ -206,15 +204,6 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     return out
 
 
-def _corner(halfspaces: list[Halfspace], subset, tol: Tolerances) -> np.ndarray | None:
-    """Intersection point of the hyperplanes ``subset``, None when singular."""
-    try:
-        return solve_real(np.vstack([halfspaces[k].normal for k in subset]),
-                          -np.array([halfspaces[k].offset for k in subset]), tol)
-    except Singular:
-        return None
-
-
 def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
                  ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """The nonsingular d-subsets of the hyperplanes in combinations order, the
@@ -287,16 +276,24 @@ def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,
     return [h.flipped() if flip else h for h, flip in zip(halfspaces, wrong.tolist())]
 
 
-def _facet_has_witness(k: int, vertices: np.ndarray, incidence: VertexIncidence,
-                       dim: int, tol: Tolerances) -> bool:
-    """True when halfspace k is active on at least d vertices spanning a facet."""
-    active = [v for v, on in zip(vertices, incidence.active) if k in on]
-    if len(active) < dim:
-        return False
-    if dim == 1:
-        return True
-    base = active[0]
-    return len(_orthogonalize(np.vstack([v - base for v in active[1:]]), tol, dim - 1)) >= dim - 1
+def _witnessed(vertices: np.ndarray, incidence: VertexIncidence, count: int,
+               dim: int, tol: Tolerances) -> np.ndarray:
+    """Which of the ``count`` halfspaces are active on at least d vertices
+    spanning a facet: the differences of a halfspace's active vertices from
+    the first, in vertex order, must reach rank d - 1.  Every halfspace's
+    differences go through one Gram-Schmidt call, zero-padded to the
+    longest, which keeps each basis, and stopped at d - 1 vectors."""
+    on = np.zeros((len(vertices), count), dtype=bool)
+    for v, active in enumerate(incidence.active):
+        on[v, list(active)] = True
+    sizes = np.count_nonzero(on, axis=0)
+    width = int(sizes.max(initial=1))
+    # each halfspace's active vertices first, in vertex order
+    members = np.argsort(~on, axis=0, kind="stable").T[:, :width]
+    differences = vertices[members[:, 1:]] - vertices[members[:, :1]]
+    differences[np.arange(1, width) >= sizes[:, None]] = 0.0
+    found = np.count_nonzero(_orthogonalize_many(differences, tol, dim - 1)[1], axis=1)
+    return (sizes >= dim) & (found >= dim - 1)
 
 
 def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
@@ -344,9 +341,9 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
     if vertices.shape[0] == 0:
         raise Empty("no feasible vertex; halfspace orientations are inconsistent")
 
-    for k in range(len(canonical)):
-        if not _facet_has_witness(k, vertices, incidence, dim, tol):
-            raise RedundantHalfspace(k)
+    unwitnessed = np.flatnonzero(~_witnessed(vertices, incidence, len(canonical), dim, tol))
+    if unwitnessed.size:
+        raise RedundantHalfspace(int(unwitnessed[0]))
 
     return PolytopeH(dim=dim, halfspaces=tuple(canonical), vertices=vertices,
                      incidence=incidence, interior=center, radius=radius,

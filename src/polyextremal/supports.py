@@ -11,26 +11,22 @@ d+1 heights come from one stacked product with the polytope's
 ``normals`` and ``offsets`` arrays, bitwise ``Halfspace.value``.  Subsets of
 j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
 same way inside that span: project onto an orthonormal basis Q of the
-normals, certify the projection as a j-dimensional simplex, solving its
-corners as certification reads them, and the original set is that simplex
-crossed with the orthogonal directions - a strip.  The slab between two
-antiparallel facets is the j = 1 case; its cross-section is an interval.
+normals, certify the projection as a j-dimensional simplex, and the original
+set is that simplex crossed with the orthogonal directions - a strip.  The
+slab between two antiparallel facets is the j = 1 case; its cross-section
+is an interval.
 
 Enumeration is exhaustive over facet subsets of size d+1, screened all at
 once: the height of apex j of a subset is the value-matrix entry of facet j
 at the corner of the other d, so a few gathers test every subset, and
-``try_simplex``, the one single-subset certifier, runs only on the subsets
-that pass.  Strip normals make every d-subset containing them singular, so
-strips are looked for only inside the d-subsets the arrangement leaves out:
-its LU picks the candidates.  The candidates of each size are screened
-together by ``try_strip``'s own steps, batched: a lockstep Gram-Schmidt
-rank test decides dependence, and one batched LU per omitted facet solves
-every projected corner; ``try_strip`` runs only on the subsets that pass.
-This certifies completeness directly instead of re-deriving the
-constructive existence argument; a guard refuses inputs whose subset count
-explodes.  Certification of one subset never looks at another, so results
-merge deterministically: supports are sorted by facet index set, each
-subset visited once.
+``try_simplex`` runs only on the subsets that pass.  Strip normals make
+every d-subset containing them singular, so strips are looked for only
+inside the d-subsets the arrangement leaves out.  One routine certifies
+strips, every candidate of a size at once; ``try_strip`` is that routine on
+one subset and runs only on the candidates that pass.  This certifies
+completeness directly; a guard refuses inputs whose subset count explodes.
+Certification of one subset never looks at another, so results merge
+deterministically: supports are sorted by facet index set.
 
 The set also fixes the evaluation stack, the supports V_K is maximized over.
 For a centrally symmetric K, Lundin's formula (Baran's, for polytopes) says
@@ -47,9 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Tolerances, _orthogonalize_many, lu_solve_many, orthonormal_basis
-from .linalg import rank, solve_real  # noqa: F401  (unused; the benchmark's tracer wraps them)
-from .polytope import GuardExceeded, Halfspace, PolytopeH, _corner
+from .linalg import _orthogonalize_many, lu_solve_many
+from .linalg import orthonormal_basis, rank, solve_real  # noqa: F401  (the tracer wraps them)
+from .polytope import GuardExceeded, Halfspace, PolytopeH
 
 __all__ = [
     "SimplexSupport",
@@ -157,74 +153,57 @@ class SupportSet:
         return self.supports[i]
 
 
-def _certify_simplex(normals: np.ndarray, offsets: np.ndarray,
-                     halfspaces: tuple[Halfspace, ...], facet_indices: tuple[int, ...],
-                     corner, tol: Tolerances) -> SimplexSupport | None:
-    """Read the apexes of dim+1 hyperplanes in R^dim and test strict positivity.
-
-    ``normals`` (dim+1, dim) and ``offsets`` (dim+1,) are the facet functions
-    of ``halfspaces``.  ``corner`` maps a sorted dim-subset of
-    ``facet_indices`` to its intersection point, or to None (dependent
-    normals, no unique apex); the first missing apex ends the test.  The
-    heights l_j(p_j) come from one stacked (1, dim) @ (dim, 1) product, which
-    takes ``np.dot``'s route, so each is bitwise ``Halfspace.value``; all
-    must exceed pos_abs.
-    """
-    count = len(facet_indices)
-    apexes = np.empty((count, count - 1))
-    for j in range(count):
-        apex = corner(facet_indices[:j] + facet_indices[j + 1:])
-        if apex is None:
-            return None
-        apexes[j] = apex
-    heights = np.matmul(apexes[:, None, :], normals[:, :, None]).reshape(count) + offsets
-    if (heights <= tol.pos_abs).any():
-        return None
-    return SimplexSupport(facet_indices=facet_indices, apexes=apexes,
-                          halfspaces=halfspaces, dim=count - 1,
-                          rows=normals / heights[:, None], shifts=offsets / heights)
+def _facet_subset(polytope: PolytopeH, subset) -> tuple[int, ...]:
+    """``subset`` sorted; ValueError unless it holds distinct facet indices of K."""
+    subset, n = tuple(sorted(subset)), len(polytope.halfspaces)
+    if subset and (subset[0] < 0 or subset[-1] >= n or len(set(subset)) < len(subset)):
+        raise ValueError(f"facet indices must be distinct and in 0..{n - 1}")
+    return subset
 
 
 def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
-    """Certify d+1 facet indices of K as a supporting simplex, or None."""
-    subset = tuple(sorted(subset))
-    if len(subset) != polytope.dim + 1:
-        raise ValueError(f"need exactly {polytope.dim + 1} facet indices")
-    index = list(subset)
-    return _certify_simplex(polytope.normals[index], polytope.offsets[index],
-                            tuple(polytope.halfspaces[k] for k in subset), subset,
-                            polytope.incidence.arrangement.get, polytope.tol)
+    """Certify d+1 facet indices of K as a supporting simplex, or None.
+
+    The apex opposite facet j is the arrangement's corner of the other d,
+    which is missing when their normals are dependent.  The heights
+    l_j(p_j) come from one stacked (1, d) @ (d, 1) product, which takes
+    ``np.dot``'s route, so each is bitwise ``Halfspace.value``; all must
+    exceed pos_abs.
+    """
+    subset, d = _facet_subset(polytope, subset), polytope.dim
+    if len(subset) != d + 1:
+        raise ValueError(f"need exactly {d + 1} facet indices")
+    try:
+        apexes = np.array([polytope.incidence.arrangement[subset[:j] + subset[j + 1:]]
+                           for j in range(d + 1)])
+    except KeyError:
+        return None
+    index = np.array(subset)
+    normals, offsets = polytope.normals[index], polytope.offsets[index]
+    heights = np.matmul(apexes[:, None, :], normals[:, :, None]).reshape(d + 1) + offsets
+    if (heights <= polytope.tol.pos_abs).any():
+        return None
+    return SimplexSupport(facet_indices=subset, apexes=apexes,
+                          halfspaces=tuple(polytope.halfspaces[k] for k in subset), dim=d,
+                          rows=normals / heights[:, None], shifts=offsets / heights)
 
 
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
-    """Certify j+1 facet indices (j < d) as a supporting strip, or None.
-
-    The normals must span exactly j dimensions and the projected system pass
-    the simplex test in R^j, which rejects dependent j-subsets: they have no
-    corner in the projected arrangement.
-    """
-    subset = tuple(sorted(subset))
-    j = len(subset) - 1
-    if not 1 <= j < polytope.dim:
+    """Certify j+1 facet indices (j < d) as a supporting strip, or None:
+    ``_strips`` of the one subset."""
+    subset = _facet_subset(polytope, subset)
+    if not 2 <= len(subset) <= polytope.dim:
         raise ValueError("strip subsets have size 2..dim")
-    tol = polytope.tol
-    index = list(subset)
-    basis = orthonormal_basis(polytope.normals[index], tol)
-    if basis.shape[0] != j:
+    _, basis, normals, offsets, apexes, heights, passed = _strips(polytope, np.array([subset]))
+    if not passed.any():
         return None
-    # the images Q n_k as stacked (j, d) @ (d, 1) products, each one ``basis @ n_k``
-    images = np.matmul(basis, polytope.normals[index, :, None]).reshape(j + 1, j)
-    # normals lie in the row span of basis, so each length is 1 up to roundoff
-    lengths = np.sqrt(np.matmul(images[:, None, :], images[:, :, None]).reshape(j + 1))
-    normals, offsets = images / lengths[:, None], polytope.offsets[index] / lengths
-    projected = [Halfspace(normal=n, offset=float(b)) for n, b in zip(normals, offsets)]
-    cross = _certify_simplex(normals, offsets, tuple(projected), subset, lambda key: _corner(
-        projected, [subset.index(k) for k in key], tol), tol)
-    if cross is None:
-        return None
-    return StripSupport(facet_indices=subset, cross_dim=j, basis=basis,
-                        cross_simplex=cross, rows=cross.rows @ basis,
-                        shifts=cross.shifts)
+    normals, offsets, heights = normals[0], offsets[0], heights[0]
+    projected = tuple(Halfspace(normal=n, offset=float(b)) for n, b in zip(normals, offsets))
+    cross = SimplexSupport(facet_indices=subset, apexes=apexes[0], halfspaces=projected,
+                           dim=len(subset) - 1, rows=normals / heights[:, None],
+                           shifts=offsets / heights)
+    return StripSupport(facet_indices=subset, cross_dim=cross.dim, basis=basis[0],
+                        cross_simplex=cross, rows=cross.rows @ basis[0], shifts=cross.shifts)
 
 
 def _combination_rank(columns: list[np.ndarray], n: int) -> np.ndarray:
@@ -262,35 +241,37 @@ def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tu
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 
-def _strip_candidates(polytope: PolytopeH, subsets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The sorted (j+1)-subsets, all of one size, that pass ``try_strip``'s
-    test, screened at once.
+def _strips(polytope: PolytopeH, index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Strip certification of the sorted (j+1)-subsets ``index`` (C, j+1) at once.
 
-    Each step is ``try_strip``'s, taken for every subset together: the
-    normals' Gram-Schmidt basis must have j rows, the projected corners
-    come from one batched LU per omitted facet, and no height of a corner
-    above its own projected hyperplane may be at or below pos_abs."""
-    if not subsets:
-        return []
-    tol, index = polytope.tol, np.array(subsets, dtype=np.intp)
-    j = index.shape[1] - 1
-    slots, accepted = _orthogonalize_many(polytope.normals[index], tol)
-    spans = np.count_nonzero(accepted, axis=1) == j
+    The subsets whose normals' Gram-Schmidt basis Q has other than j rows
+    are dropped.  The rest are projected, l(x') = (Q n).x' + b scaled to
+    unit normals, and pass when the projection is a simplex of R^j: one LU
+    batch solves all j+1 corners of every subset, and no corner's height
+    above its own hyperplane may be at or below pos_abs.  Returns, for the
+    kept subsets, ``index``, the bases (C', j, d), the projected normals
+    (C', j+1, j) and offsets (C', j+1), the corners (C', j+1, j), their
+    heights (C', j+1), and the mask of the subsets that pass."""
+    tol, j, normals = polytope.tol, index.shape[1] - 1, polytope.normals[index]
+    slots, accepted = _orthogonalize_many(normals, tol)
+    spans = accepted.sum(axis=1) == j
     index, basis = index[spans], slots[spans][accepted[spans]].reshape(-1, j, slots.shape[2])
-    normals = polytope.normals[index]
-    # the images Q n_k and their lengths, each product as ``try_strip`` forms it
-    images = np.matmul(basis[:, None], normals[..., None]).reshape(-1, j + 1, j)
+    if not len(index):  # nothing spans j dimensions: no corner to solve
+        empty = np.empty((0, j + 1, j))
+        return index, basis, empty, empty[..., 0], empty, empty[..., 0], spans[spans]
+    # the images Q n_k as stacked (j, d) @ (d, 1) products, and their lengths,
+    # which are 1 up to roundoff: the normals lie in the row span of Q
+    images = np.matmul(basis[:, None], normals[spans][..., None]).reshape(-1, j + 1, j)
     lengths = np.sqrt(np.matmul(images[..., None, :], images[..., None]).reshape(-1, j + 1))
     normals, offsets = images / lengths[..., None], polytope.offsets[index] / lengths
-    apexes = np.empty_like(normals)
-    passed = np.ones(len(index), dtype=bool)
-    for t in range(j + 1):
-        rest = [k for k in range(j + 1) if k != t]
-        apexes[:, t], nonsingular = lu_solve_many(normals[:, rest], -offsets[:, rest], tol)
-        passed &= nonsingular
+    # corner t drops hyperplane t: the (j+1) systems of every subset in one batch
+    rest = np.array([[k for k in range(j + 1) if k != t] for t in range(j + 1)], dtype=np.intp)
+    apexes, nonsingular = lu_solve_many(normals[:, rest].reshape(-1, j, j),
+                                        -offsets[:, rest].reshape(-1, j), tol)
+    apexes = apexes.reshape(-1, j + 1, j)
     heights = np.matmul(apexes[..., None, :], normals[..., None]).reshape(-1, j + 1) + offsets
-    passed &= ~(heights <= tol.pos_abs).any(axis=1)
-    return [tuple(subset) for subset in index[passed].tolist()]
+    passed = nonsingular.reshape(-1, j + 1).all(axis=1) & ~(heights <= tol.pos_abs).any(axis=1)
+    return index, basis, normals, offsets, apexes, heights, passed
 
 
 def _antipodal_strips(polytope: PolytopeH,
@@ -341,8 +322,12 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     nonsingular = np.fromiter((face in polytope.incidence.arrangement for face in faces),
                               dtype=bool, count=len(faces))
     singular = list(itertools.compress(faces, ~nonsingular))
-    candidates = [subset for size in range(2, d + 1) for subset in _strip_candidates(
-        polytope, sorted({part for face in singular for part in itertools.combinations(face, size)}))]
+    candidates = []
+    if singular:  # without singular d-subsets there are no strips
+        for size in range(2, d + 1):
+            parts = sorted({sub for face in singular for sub in itertools.combinations(face, size)})
+            index, *_, passed = _strips(polytope, np.array(parts, dtype=np.intp))
+            candidates += [tuple(subset) for subset in index[passed].tolist()]
     candidates += _simplex_candidates(polytope, nonsingular)
     accepted: list[SimplexSupport | StripSupport] = []
     for subset in candidates:

@@ -1,7 +1,10 @@
-"""Shared fixtures: canonical polytopes, their support sets, and reference formulas."""
+"""Shared fixtures: canonical polytopes, their support sets, and reference
+formulas, among them a scalar LU and a scalar Gram-Schmidt that the batched
+ones in ``linalg`` must reproduce bit for bit."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from polyextremal import PolytopeH, SupportSet, enumerate_supports, from_json, validate
+from polyextremal.linalg import DEFAULT_TOL, Singular
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -155,3 +159,89 @@ def corner_cut_hexagon(cuts, shift=(0.0, 0.0)):
     halfspaces = [(n, 1.0) for n in normals] + [(-n, c) for n, c in zip(normals, cuts)]
     shift = np.array(shift)
     return validate([(n, b - float(n @ shift)) for n, b in halfspaces], 2)
+
+
+def tilted_prism(seed):
+    """A triangular prism whose side normals leave their plane by 1e-11..1e-9,
+    turned by a random rotation: the three sides are nearly, not exactly,
+    dependent."""
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * np.arange(3) / 3 + rng.uniform(-0.3, 0.3, 3)
+    tilts = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-11, -9, 3)
+    sides = np.column_stack([np.cos(angles), np.sin(angles), tilts])
+    normals = np.vstack([sides, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    offsets = [1.0, 1.0, 1.0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return validate([(list(n), b) for n, b in zip(normals @ q.T, offsets)], 3)
+
+
+def lu_factor_by_columns(a, tol=DEFAULT_TOL):
+    """Partial-pivot LU with numpy operations on whole columns (the first
+    largest entry of a column pivots): the reference ``lu_factor`` must
+    reproduce bit for bit, Singular message included."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    threshold = tol.rank_rel * float(np.max(np.abs(a), initial=0.0))
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) <= threshold:
+            raise Singular(f"pivot {abs(a[p, k]):.3e} at column {k} below threshold {threshold:.3e}")
+        a[[k, p]] = a[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
+    return a, perm
+
+
+def lu_solve_by_columns(a, b, tol=DEFAULT_TOL):
+    """``lu_factor_by_columns``, then forward and back substitution on
+    Python floats, one multiply and one subtract per entry, in a fixed
+    order: the reference for every real solve."""
+    packed, perm = lu_factor_by_columns(a, tol)
+    n = len(perm)
+    lu, x = packed.tolist(), np.asarray(b, dtype=float)[perm].tolist()
+    for i in range(1, n):
+        for j in range(i):
+            x[i] -= lu[i][j] * x[j]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i] -= lu[i][j] * x[j]
+        x[i] /= lu[i][i]
+    return np.array(x, dtype=float)
+
+
+def gram_schmidt(vectors, tol=DEFAULT_TOL, stop=None):
+    """Modified Gram-Schmidt over input order with one re-orthogonalization
+    pass, one vector at a time: the list of accepted orthonormal vectors.
+
+    A candidate is skipped when its residual drops to ``rank_rel`` times the
+    largest input norm; when that norm's square overflows or is not a
+    normal float, the inputs are first scaled by the power of two that
+    brings their largest entry into [0.5, 1).  ``stop`` ends the pass once
+    that many vectors are accepted."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.size == 0:
+        return []
+    with np.errstate(over="ignore", under="ignore"):
+        largest = float((vectors * vectors).sum(axis=1).max())
+    if not sys.float_info.min <= largest < math.inf:
+        vectors = np.ldexp(vectors, -np.frexp(np.max(np.abs(vectors)))[1])
+        largest = float((vectors * vectors).sum(axis=1).max())
+    scale = math.sqrt(largest)
+    threshold = tol.rank_rel * scale
+    basis = []
+    if scale == 0.0:
+        return basis
+    for v in vectors:
+        w = v.astype(float, copy=True)
+        for _ in range(2):
+            for q in basis:
+                w -= np.dot(q, w) * q
+        norm = float(np.sqrt(np.dot(w, w)))
+        if norm > threshold:
+            basis.append(w / norm)
+            if len(basis) == stop:
+                break
+    return basis

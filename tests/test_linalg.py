@@ -14,7 +14,6 @@ from polyextremal.linalg import (
     Singular,
     Tolerances,
     ZeroSpan,
-    _orthogonalize,
     _orthogonalize_many,
     interior_point,
     linprog_max,
@@ -26,6 +25,8 @@ from polyextremal.linalg import (
     solve_real,
 )
 from polyextremal.polytope import PolytopeError, validate
+
+from conftest import gram_schmidt, lu_factor_by_columns, lu_solve_by_columns
 
 QUAD_NORMALS = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, -1.0], [-1.0, -3.0]])
 
@@ -83,24 +84,6 @@ def test_solve_round_trip_complex(n):
     assert np.max(np.abs(got - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
-def _lu_factor_by_columns(a, tol=DEFAULT_TOL):
-    """Partial-pivot LU with numpy operations on whole columns: the reference
-    the scalar ``lu_factor`` must reproduce bit for bit."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    threshold = tol.rank_rel * float(np.max(np.abs(a)))
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= threshold:
-            raise Singular(f"pivot {abs(a[p, k]):.3e} at column {k} below threshold {threshold:.3e}")
-        a[[k, p]] = a[[p, k]]
-        perm[[k, p]] = perm[[p, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
-    return a, perm
-
-
 def test_lu_factor_matches_column_reference_bitwise():
     rng = np.random.default_rng(7)
     singular = 0
@@ -112,7 +95,7 @@ def test_lu_factor_matches_column_reference_bitwise():
         if trial % 5 == 0:
             a[:, 0] = np.sign(a[:, 0])  # ties for the first pivot
         try:
-            packed, perm = _lu_factor_by_columns(a)
+            packed, perm = lu_factor_by_columns(a)
         except Singular as exc:
             with pytest.raises(Singular) as raised:
                 lu_factor(a)
@@ -168,21 +151,26 @@ def _lu_batch_cases():
 
 @pytest.mark.parametrize("n,matrices,rhs", list(_lu_batch_cases()))
 def test_lu_solve_many_matches_lu_factor_bitwise(n, matrices, rhs):
-    """Each solution is ``lu_factor(a).solve(b)`` bit for bit, and the mask is
-    False exactly where ``lu_factor`` raises Singular."""
+    """Each solution is the scalar reference's bit for bit, and so is
+    ``lu_factor(a).solve(b)``; the mask is False exactly where the reference
+    raises Singular, and so does ``lu_factor``, with its message."""
     solutions, nonsingular = lu_solve_many(matrices, rhs)
     assert solutions.shape == rhs.shape and nonsingular.shape == (len(matrices),)
     singular = 0
     for a, b, x, ok in zip(matrices, rhs, solutions, nonsingular):
         try:
-            expected = lu_factor(a).solve(b)
-        except Singular:
+            expected = lu_solve_by_columns(a, b)
+        except Singular as exc:
             assert not ok
             assert np.all(np.isnan(x))
+            with pytest.raises(Singular) as raised:
+                lu_factor(a)
+            assert str(raised.value) == str(exc)
             singular += 1
             continue
         assert ok
         assert x.tobytes() == expected.tobytes()
+        assert lu_factor(a).solve(b).tobytes() == expected.tobytes()
     assert 0 < singular < len(matrices)
 
 
@@ -193,7 +181,7 @@ def test_lu_solve_many_threshold_is_per_matrix():
     large = np.array([[1e6, 0.0], [0.0, 1e-5]])
     solutions, nonsingular = lu_solve_many(np.array([small, large]), np.ones((2, 2)))
     assert nonsingular.tolist() == [True, False]
-    assert solutions[0].tobytes() == lu_factor(small).solve(np.ones(2)).tobytes()
+    assert solutions[0].tobytes() == lu_solve_by_columns(small, np.ones(2)).tobytes()
     with pytest.raises(Singular):
         lu_factor(large)
 
@@ -521,21 +509,45 @@ def _deficient(rng, count, d, rank_):
     return rng.standard_normal((count, rank_)) @ rng.standard_normal((rank_, d))
 
 
+def _padded(stacks):
+    """Stacks of vectors of one length, zero-padded to the longest: (C, m, d)."""
+    width = max(len(stack) for stack in stacks)
+    return np.array([np.vstack([stack, np.zeros((width - len(stack), stack.shape[1]))])
+                     for stack in stacks])
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
 def test_stopped_gram_schmidt_is_a_prefix_of_the_full_basis(scale):
-    """Stopping after ``stop`` accepted vectors returns the first ``stop`` of
-    the full basis bit for bit, so every rank-reaches-k decision is kept."""
+    """Stopping after ``stop`` accepted vectors leaves each stack of a batch
+    with the first ``stop`` of its full basis bit for bit, the scalar
+    reference's, so every rank-reaches-k decision is kept.  The stacks of
+    one batch reach ``stop`` at different inputs, and zero-padding them to
+    one length changes no basis."""
     rng = np.random.default_rng(17)
     cases = [normals for _, normals in _cones()]
     cases += [_deficient(rng, count, d, r) for d in (2, 3, 4, 5) for r in range(1, d)
               for count in (r, d + 3)]
-    for vectors in cases:
-        vectors = scale * vectors
-        full = _orthogonalize(vectors, DEFAULT_TOL)
-        for stop in range(1, vectors.shape[1] + 1):
-            stopped = _orthogonalize(vectors, DEFAULT_TOL, stop)
-            assert len(stopped) == min(stop, len(full))
-            assert [q.tobytes() for q in stopped] == [q.tobytes() for q in full[:stop]]
+    # a dependent second vector: these reach every stop one input later
+    cases += [np.vstack([v, -3.0 * v, rng.standard_normal((d, d))])
+              for d in (2, 3, 4, 5) for v in rng.standard_normal((2, d))]
+    for d in range(1, 6):
+        stacks = [scale * vectors for vectors in cases if vectors.shape[1] == d]
+        batch = _padded(stacks)
+        full_slots, full_accepted = _orthogonalize_many(batch, DEFAULT_TOL)
+        for stop in range(1, d + 1):
+            slots, accepted = _orthogonalize_many(batch, DEFAULT_TOL, stop)
+            reached = set()
+            for vectors, slot, mask, full, full_mask in zip(
+                    stacks, slots, accepted, full_slots, full_accepted):
+                expected = gram_schmidt(vectors, DEFAULT_TOL, stop)
+                assert mask.sum() == min(stop, full_mask.sum()) == len(expected)
+                assert [q.tobytes() for q in slot[mask]] == [q.tobytes() for q in expected]
+                assert [q.tobytes() for q in slot[mask]] == [
+                    q.tobytes() for q in full[full_mask][:stop]]
+                assert not slot[~mask].any()
+                if mask.sum() == stop:
+                    reached.add(int(np.flatnonzero(mask)[-1]))
+            assert len(reached) > 1 or stop == 1
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
@@ -561,9 +573,13 @@ def test_stopped_gram_schmidt_keeps_recession_and_witness_decisions(monkeypatch,
         return out
 
     stopped = outcomes()
-    full = linalg._orthogonalize
-    monkeypatch.setattr(linalg, "_orthogonalize", lambda vectors, tol, stop=None: full(vectors, tol))
-    monkeypatch.setattr(polytope, "_orthogonalize", lambda vectors, tol, stop=None: full(vectors, tol))
+    full = linalg._orthogonalize_many
+
+    def unstopped(vectors, tol, stop=None):
+        return full(vectors, tol)
+
+    monkeypatch.setattr(linalg, "_orthogonalize_many", unstopped)
+    monkeypatch.setattr(polytope, "_orthogonalize_many", unstopped)
     expected = outcomes()
     witnessed = [outcome for outcome in expected[len(cones):]
                  if isinstance(outcome, bytes) or outcome.startswith("RedundantHalfspace")]
@@ -595,7 +611,7 @@ def _gram_schmidt_stacks(rng, m, d):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_batched_gram_schmidt_matches_orthogonalize_bitwise(m):
-    """Each stack's accepted slots are ``_orthogonalize``'s basis bit for
+    """Each stack's accepted slots are the scalar reference's basis bit for
     bit, in order, and every other slot is zero."""
     rng = np.random.default_rng(m)
     for d in sorted({max(1, m - 1), m, m + 1}):
@@ -603,7 +619,7 @@ def test_batched_gram_schmidt_matches_orthogonalize_bitwise(m):
         slots, accepted = _orthogonalize_many(stacks, DEFAULT_TOL)
         assert slots.shape == stacks.shape and accepted.shape == stacks.shape[:2]
         for vectors, slot, mask in zip(stacks, slots, accepted):
-            basis = _orthogonalize(vectors, DEFAULT_TOL)
+            basis = gram_schmidt(vectors, DEFAULT_TOL)
             assert mask.sum() == len(basis)
             assert [q.tobytes() for q in slot[mask]] == [q.tobytes() for q in basis]
             assert not slot[~mask].any()

@@ -1,9 +1,11 @@
 """Tests for halfspace canonicalization, vertex enumeration, and validation."""
 
+import importlib
 import itertools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from polyextremal import linalg, polytope
 from polyextremal.extremal import eval_extremal
-from polyextremal.linalg import Singular, Tolerances, rank, solve_real
+from polyextremal.linalg import Singular, Tolerances, rank
 from polyextremal.polytope import (
     VERTEX_DEDUP_ABS,
     Degenerate,
@@ -32,7 +34,8 @@ from polyextremal.polytope import (
 )
 from polyextremal.supports import enumerate_supports
 
-from conftest import load_fixture, match_point_sets, ngon_polytope, tangent_halfspaces
+from conftest import (cube_polytope, gram_schmidt, load_fixture, lu_solve_by_columns,
+                      match_point_sets, ngon_polytope, tangent_halfspaces, tilted_prism)
 
 QUAD_RAW = [
     ([1.0, 0.0], 0.0),
@@ -193,7 +196,8 @@ def test_enumerate_vertices_incidence_rank():
 
 @pytest.mark.parametrize("name", ["quad", "square", "triangle", "cube", "prism"])
 def test_arrangement_holds_every_nonsingular_subset(name):
-    """incidence.arrangement is the solve of each d-subset, singular ones left out."""
+    """incidence.arrangement is the solve of each d-subset, singular ones
+    left out, bitwise the scalar reference LU's."""
     polytope = load_fixture(name)
     halfspaces, d = polytope.halfspaces, polytope.dim
     arrangement = polytope.incidence.arrangement
@@ -202,7 +206,7 @@ def test_arrangement_holds_every_nonsingular_subset(name):
         rows = np.vstack([halfspaces[k].normal for k in subset])
         rhs = -np.array([halfspaces[k].offset for k in subset])
         try:
-            point = solve_real(rows, rhs)
+            point = lu_solve_by_columns(rows, rhs)
         except Singular:
             continue
         nonsingular.append(subset)
@@ -399,6 +403,66 @@ def test_facet_witness_spans_edge():
         assert len(active) >= 2
         diffs = np.array(active[1:]) - np.array(active[0])
         assert rank(diffs) == 1
+
+
+def _witnesses_one_by_one(vertices, incidence, count, dim, tol):
+    """Each halfspace's witness test on its own, with the scalar Gram-Schmidt:
+    active on at least d vertices whose differences from the first, in
+    vertex order, reach rank d - 1."""
+    out = []
+    for k in range(count):
+        active = [v for v, on in zip(vertices, incidence.active) if k in on]
+        out.append(len(active) >= dim and (dim == 1 or len(gram_schmidt(
+            np.vstack([v - active[0] for v in active[1:]]), tol, dim - 1)) >= dim - 1))
+    return out
+
+
+def _workload_members(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    return [validate(member.halfspaces(), member.dim) for workload in inputs.WORKLOADS
+            for seed in (1, 2, 3) for member in inputs.make_inputs(workload, seed).members]
+
+
+def test_batched_witnesses_match_one_by_one(monkeypatch):
+    """One zero-padded Gram-Schmidt call over every halfspace, stopped at
+    d - 1, decides each witness as the halfspace's own call does: on the
+    fixtures, the benchmark's members, the tilted prisms and the d-cubes.
+    In the 4-cube some facet's first three vertex differences are dependent,
+    so its pass must go past them."""
+    cases = [load_fixture(name) for name in ("cube", "prism", "quad", "quad_vertices",
+                                             "square", "triangle")]
+    cases += _workload_members(monkeypatch)
+    cases += [tilted_prism(seed) for seed in range(12)]
+    cases += [cube_polytope(dim) for dim in (2, 3, 4, 5)]
+    for case in cases:
+        count = len(case.halfspaces)
+        witnessed = polytope._witnessed(case.vertices, case.incidence, count, case.dim, case.tol)
+        assert witnessed.tolist() == _witnesses_one_by_one(
+            case.vertices, case.incidence, count, case.dim, case.tol) == [True] * count
+    cube = cube_polytope(4)
+    first = [[v for v, on in zip(cube.vertices, cube.incidence.active) if k in on][:4]
+             for k in range(8)]
+    assert any(len(gram_schmidt(np.array(f[1:]) - f[0])) < 3 for f in first)
+
+
+@pytest.mark.parametrize("raw,dim,redundant", [
+    # touches the square at one vertex: too few active vertices
+    (SQUARE_RAW[:2] + [([1.0, 1.0], 2.0)] + SQUARE_RAW[2:], 2, 2),
+    # touches the 4-cube on a 2-face: four active vertices, but of rank 2
+    ([(list(s * a), 1.0) for a in np.eye(4)[:2] for s in (1, -1)] + [([1.0, 1.0, 0, 0], 2.0)]
+     + [(list(s * a), 1.0) for a in np.eye(4)[2:] for s in (1, -1)], 4, 4),
+    # misses the polytope altogether
+    (tangent_halfspaces(3, 9, 4) + [([0.0, 0.0, 1.0], 5.0)], 3, 9),
+])
+def test_redundant_halfspace_index_matches_one_by_one(raw, dim, redundant):
+    halfspaces = canonicalize(raw)
+    vertices, incidence = enumerate_vertices(halfspaces, dim)
+    expected = _witnesses_one_by_one(vertices, incidence, len(halfspaces), dim, Tolerances())
+    assert expected.index(False) == redundant
+    with pytest.raises(RedundantHalfspace) as exc:
+        validate(raw, dim)
+    assert exc.value.index == redundant
 
 
 def test_from_vertices_2d_quad():

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from polyextremal import linalg as linalg_module
 from polyextremal import polytope as polytope_module
 from polyextremal import supports as supports_module
 from polyextremal.extremal import eval_supports_many
-from polyextremal.linalg import Singular, lu_solve_many, orthonormal_basis, rank, solve_real
+from polyextremal.linalg import Singular, lu_solve_many
 from polyextremal.polytope import enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
     SimplexSupport,
@@ -21,8 +22,9 @@ from polyextremal.supports import (
     try_strip,
 )
 
-from conftest import (corner_cut_hexagon, cube_polytope, load_fixture, match_point_sets,
-                      ngon_polytope, prism_polytope, symmetric_polytope, tangent_halfspaces)
+from conftest import (corner_cut_hexagon, cube_polytope, gram_schmidt, load_fixture,
+                      lu_solve_by_columns, match_point_sets, ngon_polytope, prism_polytope,
+                      symmetric_polytope, tangent_halfspaces, tilted_prism)
 
 VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
 
@@ -37,7 +39,7 @@ def _oracle_simplex(normals, offsets, tol):
     for j in range(count):
         keep = [k for k in range(count) if k != j]
         try:
-            apexes[j] = solve_real(normals[keep], -offsets[keep], tol)
+            apexes[j] = lu_solve_by_columns(normals[keep], -offsets[keep], tol)
         except Singular:
             return None
         heights[j] = float(np.dot(normals[j], apexes[j]) + offsets[j])
@@ -47,15 +49,17 @@ def _oracle_simplex(normals, offsets, tol):
 
 
 def _oracle_strip(polytope, subset):
-    """The strip test of ``try_strip`` with a fresh solve per cross-section apex."""
+    """The strip test of ``try_strip`` with the scalar Gram-Schmidt and a
+    fresh solve per cross-section apex."""
     tol = polytope.tol
     normals = np.vstack([polytope.halfspaces[k].normal for k in subset])
     j = len(subset) - 1
-    if rank(normals, tol) != j:
+    if len(gram_schmidt(normals, tol)) != j:
         return None
-    if any(rank(np.delete(normals, omit, axis=0), tol) != j for omit in range(j + 1)):
+    if any(len(gram_schmidt(np.delete(normals, omit, axis=0), tol)) != j
+           for omit in range(j + 1)):
         return None
-    basis = orthonormal_basis(normals, tol)
+    basis = np.vstack(gram_schmidt(normals, tol))
     images, offsets = [], []
     for k in subset:
         image = basis @ polytope.halfspaces[k].normal
@@ -132,6 +136,25 @@ def test_try_strip_prism_cross_section(prism):
     q = strip.basis
     assert np.max(np.abs(q @ q.T - np.eye(2))) <= 1e-12
     assert np.max(np.abs(q[:, 2])) <= 1e-12
+
+
+@pytest.mark.parametrize("subset", [(0, 1, 9), (-1, 0, 1), (0, 0, 1), (1, 2, 4)])
+def test_try_simplex_rejects_bad_indices(quad, subset):
+    """An index outside 0..n-1 or a repeated one is a ValueError, as a
+    subset of the wrong size is."""
+    with pytest.raises(ValueError, match="distinct and in 0..3"):
+        try_simplex(quad, subset)
+    with pytest.raises(ValueError, match="exactly 3"):
+        try_simplex(quad, (0, 1))
+
+
+@pytest.mark.parametrize("subset", [(-4, 1), (-1, -2), (0, 4), (2, 2)])
+def test_try_strip_rejects_bad_indices(square, subset):
+    """Negative indices do not wrap around to facets of K."""
+    with pytest.raises(ValueError, match="distinct and in 0..3"):
+        try_strip(square, subset)
+    with pytest.raises(ValueError, match="size 2..dim"):
+        try_strip(square, (0, 1, 2))
 
 
 def test_enumerate_supports_quad(quad_supports):
@@ -371,7 +394,7 @@ CERTIFIER_CASES = {
        for dim in (2, 3, 4, 5)},
     **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 2, dim)
        for dim in (2, 3, 4)},
-    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in (0, 5)},
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in (0, 5)},
 }
 
 
@@ -408,90 +431,82 @@ def test_certification_matches_per_subset_solve_oracle(name):
             assert cross.shifts.tobytes() == shifts.tobytes()
 
 
+def _count_lu(monkeypatch, *modules):
+    """Record the shape of every ``lu_solve_many`` batch the given modules
+    make, with its nonsingular mask, and the size of every LU factorization
+    anywhere in the library: (batches, factored)."""
+    batches, factored = [], []
+    factor = linalg_module._factor_many
+
+    def counting_batch(a, b, tol):
+        solutions, nonsingular = lu_solve_many(a, b, tol)
+        batches.append((np.shape(a), nonsingular.tolist()))
+        return solutions, nonsingular
+
+    def counting_factor(a, tol):
+        factored.append(a.shape)
+        return factor(a, tol)
+
+    for module in modules:
+        monkeypatch.setattr(module, "lu_solve_many", counting_batch)
+    monkeypatch.setattr(linalg_module, "_factor_many", counting_factor)
+    return batches, factored
+
+
 @pytest.mark.parametrize("halfspaces,dim", [
     ([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -3.0], 3.0), ([-3.0, -1.0], 3.0)], 2),
     (tangent_halfspaces(3, 9, seed=4), 3),
 ])
 def test_each_facet_intersection_is_solved_once(monkeypatch, halfspaces, dim):
-    """validate solves every d-subset once, in one batch; certifying
-    (d+1)-subsets solves nothing."""
-    batches, calls = [], []
-
-    def counting_batch(a, b, tol):
-        batches.append(len(a))
-        return lu_solve_many(a, b, tol)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_real(*args, **kwargs)
-
-    monkeypatch.setattr(polytope_module, "lu_solve_many", counting_batch)
-    monkeypatch.setattr(polytope_module, "solve_real", counting)
-    monkeypatch.setattr(supports_module, "solve_real", counting)
+    """validate solves every d-subset once, in one LU batch; certifying
+    (d+1)-subsets solves nothing, and no other LU runs."""
+    batches, factored = _count_lu(monkeypatch, polytope_module, supports_module)
     polytope = validate(halfspaces, dim)
-    assert batches == [math.comb(len(halfspaces), dim)] and calls == []
+    shape = (math.comb(len(halfspaces), dim), dim, dim)
+    assert [batch[0] for batch in batches] == factored == [shape]
     supports = enumerate_supports(polytope)
-    assert batches == [math.comb(len(halfspaces), dim)] and calls == []
+    assert [batch[0] for batch in batches] == factored == [shape]
     assert all(s.kind == "simplex" for s in supports)
 
 
 def test_only_strip_cross_sections_solve(monkeypatch, prism):
-    """On the prism, every solve during enumeration is inside a strip test."""
-    calls = []
+    """On the prism, enumeration factors in one LU batch per strip size
+    screened, of j+1 systems per candidate, and in one batch of j+1 systems
+    per ``try_strip`` call: every solve is inside a strip test."""
+    batches, factored = _count_lu(monkeypatch, supports_module)
     inside_strip = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_real(*args, **kwargs)
-
     def traced_strip(polytope, subset):
-        before = len(calls)
+        before = len(batches)
         strip = try_strip(polytope, subset)
-        inside_strip.append(len(calls) - before)
+        inside_strip.append(batches[before:])
         return strip
 
-    monkeypatch.setattr(polytope_module, "solve_real", counting)
-    monkeypatch.setattr(supports_module, "solve_real", counting)
     monkeypatch.setattr(supports_module, "try_strip", traced_strip)
     supports = enumerate_supports(prism)
     assert [s.kind for s in supports] == ["strip", "strip"]
-    assert sum(inside_strip) == len(calls) > 0
+    assert inside_strip == [[((2, 1, 1), [True, True])], [((3, 2, 2), [True, True, True])]]
+    screens = [shape for shape, _ in batches[:2]]
+    assert [shape[1] for shape in screens] == [1, 2]
+    assert screens[0][0] % 2 == 0 and screens[1][0] % 3 == 0
+    assert [batch[0] for batch in batches] == factored and len(batches) == 4
 
 
-def test_strip_solves_projected_corners_as_it_reads_them(monkeypatch):
-    """In {+z, +x, -x} the first corner certification reads, that of the
-    antiparallel pair, is singular: the test ends after that one solve.  An
-    accepted slab solves each of its two corners once."""
+def test_strip_solves_projected_corners_in_one_batch(monkeypatch):
+    """try_strip solves the j+1 projected corners of its subset in one LU
+    batch.  In {+z, +x, -x} the corner that drops +z, that of the
+    antiparallel pair, is singular, and the subset is no strip; an accepted
+    slab solves its two corners in one batch."""
     box = validate([([0.0, 0.0, 1.0], 1.0), ([1.0, 0.0, 0.0], 1.0), ([-1.0, 0.0, 0.0], 1.0),
                     ([0.0, 0.0, -1.0], 1.0), ([0.0, 1.0, 0.0], 1.0), ([0.0, -1.0, 0.0], 1.0)],
                    3)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_real(*args, **kwargs)
-
-    monkeypatch.setattr(polytope_module, "solve_real", counting)
+    batches, factored = _count_lu(monkeypatch, supports_module)
     assert try_strip(box, (0, 1, 2)) is None
-    assert len(calls) == 1
-    calls.clear()
+    assert batches == [((3, 2, 2), [False, True, True])]
+    batches.clear()
     assert try_strip(box, (0, 3)) is not None
-    assert len(calls) == 2
-
-
-def _tilted_prism(seed):
-    """A triangular prism whose side normals leave their plane by 1e-11..1e-9,
-    turned by a random rotation: the three sides are nearly, not exactly,
-    dependent."""
-    rng = np.random.default_rng(seed)
-    angles = 2 * np.pi * np.arange(3) / 3 + rng.uniform(-0.3, 0.3, 3)
-    tilts = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-11, -9, 3)
-    sides = np.column_stack([np.cos(angles), np.sin(angles), tilts])
-    normals = np.vstack([sides, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
-    offsets = [1.0, 1.0, 1.0, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)]
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q *= np.sign(np.diag(r))
-    return validate([(list(n), b) for n, b in zip(normals @ q.T, offsets)], 3)
+    assert batches == [((2, 1, 1), [True, True])]
+    assert factored == [(3, 2, 2), (2, 1, 1)]
 
 
 SEARCH_CASES = {
@@ -517,7 +532,8 @@ def _support_bytes(support):
 @pytest.mark.parametrize("name", SEARCH_CASES)
 def test_strip_search_loses_no_strip(name):
     """Searching only inside singular d-subsets finds what an exhaustive pass
-    over every subset of sizes 2..d+1 finds, bit for bit."""
+    over every subset of sizes 2..d+1 finds, bit for bit, with facet
+    indices that are Python ints."""
     polytope = SEARCH_CASES[name]()
     n, d = len(polytope.halfspaces), polytope.dim
     exhaustive = []
@@ -526,8 +542,9 @@ def test_strip_search_loses_no_strip(name):
             support = (try_simplex if size == d + 1 else try_strip)(polytope, subset)
             if support is not None:
                 exhaustive.append(_support_bytes(support))
-    assert [_support_bytes(s) for s in enumerate_supports(polytope)] == sorted(
-        exhaustive, key=lambda record: record[1])
+    supports = enumerate_supports(polytope)
+    assert [_support_bytes(s) for s in supports] == sorted(exhaustive, key=lambda record: record[1])
+    assert all(type(k) is int for s in supports for k in s.facet_indices)
 
 
 SCREEN_CASES = {
@@ -562,7 +579,7 @@ HEXAGON_CUTS = ((1.5, 1.5, 1.5), (1.2, 1.5, 1.8), (1.0, 1.0, 1.0), (1.0, 1.5, 0.
 
 STRIP_SCREEN_CASES = {
     **SEARCH_CASES,
-    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in range(12)},
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
     **{f"ngon-{sides}": lambda sides=sides: ngon_polytope(sides) for sides in range(4, 25, 2)},
     **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, 3)
        for dim in (2, 3, 4, 5)},
@@ -574,15 +591,21 @@ STRIP_SCREEN_CASES = {
 def test_batched_strip_screen_agrees_with_try_strip(name):
     """For every size 2..d, the batched strip screen passes exactly the
     subsets that ``try_strip`` certifies, among all subsets of that size and
-    not only those inside singular d-subsets."""
+    not only those inside singular d-subsets, with the bases and corners
+    ``try_strip`` finds for each on its own, bit for bit."""
     polytope = STRIP_SCREEN_CASES[name]()
     n, d = len(polytope.halfspaces), polytope.dim
     for size in range(2, d + 1):
         subsets = list(itertools.combinations(range(n), size))
-        certified = [subset for subset in subsets if try_strip(polytope, subset) is not None]
-        screened = supports_module._strip_candidates(polytope, subsets)
-        assert screened == certified
-        assert all(type(k) is int for subset in screened for k in subset)
+        certified = {subset: strip for subset in subsets
+                     if (strip := try_strip(polytope, subset)) is not None}
+        index, basis, _, _, apexes, _, passed = supports_module._strips(polytope,
+                                                                        np.array(subsets))
+        screened = [tuple(subset) for subset in index[passed].tolist()]
+        assert screened == list(certified)
+        for subset, q, corners in zip(screened, basis[passed], apexes[passed]):
+            assert certified[subset].basis.tobytes() == q.tobytes()
+            assert certified[subset].cross_simplex.apexes.tobytes() == corners.tobytes()
 
 
 def test_combination_rank_follows_itertools_order():
@@ -609,7 +632,7 @@ def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, co
 
 NESTING_CASES = {
     **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
-    **{f"tilted-{seed}": lambda seed=seed: _tilted_prism(seed) for seed in range(12)},
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
 }
 
 
