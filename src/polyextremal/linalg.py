@@ -4,14 +4,14 @@ Everything operates on plain numpy arrays at desk scale: dimensions stay in
 single digits and constraint counts below a hundred.  The solvers are
 deliberately textbook ones - partial-pivot elimination with an explicit
 relative pivot threshold, modified Gram-Schmidt for ranks and orthonormal
-bases, and a dense two-phase simplex method with Bland's rule.  There is one
-LU and one Gram-Schmidt, each run on a whole batch of small problems in
-lockstep; a single system or stack is a batch of one.  A Chebyshev
-ball takes one linear program; whether a cone {v : N v >= 0} is {0} takes
-one rank and at most one more.  Rank and positivity decisions made here
-drive geometric certification downstream, so the thresholds are part of the
-contract: they live in one ``Tolerances`` record that callers thread
-through explicitly.
+bases, and a dense simplex method with Bland's rule, run in one phase from a
+feasible start.  There is one LU and one Gram-Schmidt, each run on a whole
+batch of small problems in lockstep; a single system or stack is a batch of
+one.  A Chebyshev ball takes one linear program; whether a cone
+{v : N v >= 0} is {0} takes one rank and at most one more.  Rank and
+positivity decisions made here drive geometric certification downstream, so
+the thresholds are part of the contract: they live in one ``Tolerances``
+record that callers thread through explicitly.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError("rank_rel must lie in (0, 1)")
-        if self.pos_abs <= 0.0 or self.geom_abs <= 0.0:
-            raise ValueError("pos_abs and geom_abs must be strictly positive")
+        if not (0.0 < self.pos_abs < math.inf and 0.0 < self.geom_abs < math.inf):
+            raise ValueError("pos_abs and geom_abs must be finite and strictly positive")
 
     @classmethod
     def uniform(cls, eps: float) -> "Tolerances":
@@ -272,7 +272,7 @@ def orthonormal_basis(vectors: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Dense two-phase simplex with Bland's rule
+# Dense simplex with Bland's rule, from the feasible origin
 # ---------------------------------------------------------------------------
 
 _LP_EPS = 1e-11  # absolute pivot/improvement cutoff inside the tableau
@@ -293,15 +293,14 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                 allowed: np.ndarray) -> None:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> None:
     """Maximize ``cost`` over the tableau in place.  Bland's rule throughout:
     entering = lowest-index improving column, leaving = lowest basic index
     among the minimum-ratio rows.  Anti-cycling, so termination is guaranteed.
     """
     while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        improving = np.flatnonzero(allowed & (reduced > _LP_EPS))
+        improving = np.flatnonzero(reduced > _LP_EPS)
         if improving.size == 0:
             return
         entering = int(improving[0])
@@ -315,77 +314,30 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), entering)
 
 
-def _simplex_standard(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize c.x subject to A x <= b, x >= 0 (b of any sign)."""
-    m, n = a.shape
-    flip = b < 0.0
-    rows = np.where(flip[:, None], -a, a)
-    rhs = np.abs(b)
-    slack = np.where(flip[:, None], -np.eye(m), np.eye(m))
-    n_art = int(flip.sum())
-    art = np.zeros((m, n_art))
-    art[np.where(flip)[0], np.arange(n_art)] = 1.0
-    tableau = np.hstack([rows, slack, art, rhs[:, None]])
-    total = n + m + n_art
-
-    basis = np.empty(m, dtype=int)
-    art_col = n + m
-    for i in range(m):
-        if flip[i]:
-            basis[i] = art_col
-            art_col += 1
-        else:
-            basis[i] = n + i
-
-    allowed = np.ones(total, dtype=bool)
-    if n_art:
-        phase1 = np.zeros(total)
-        phase1[n + m:] = -1.0
-        _run_simplex(tableau, basis, phase1, allowed)
-        if -float(phase1[basis] @ tableau[:, -1]) > 1e-9 * max(1.0, float(np.max(rhs, initial=0.0))):
-            raise Infeasible("phase-1 optimum positive: no feasible point")
-        # Drive surviving artificials out of the basis, dropping redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n + m:
-                pivot_col = -1
-                for j in range(n + m):
-                    if abs(tableau[i, j]) > _LP_EPS:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, basis, i, pivot_col)
-                else:
-                    keep[i] = False
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = basis[keep]
-        allowed[n + m:] = False
-
-    cost = np.zeros(total)
-    cost[:n] = c
-    _run_simplex(tableau, basis, cost, allowed)
-    x = np.zeros(total)
-    x[basis] = tableau[:, -1]
-    return x[:n], float(c @ x[:n])
-
-
 def linprog_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize c.x subject to A x <= b with x free in sign.
+    """Maximize c.x subject to A x <= b with x free in sign, where b >= 0.
 
-    Free variables are split as differences of nonnegative pairs before the
-    standard-form simplex runs.  Raises Infeasible when no point satisfies the
-    constraints; callers keep the feasible region bounded (box constraints),
-    so an unbounded objective signals a caller bug.
+    The origin is feasible, so one simplex phase runs, from the slack basis,
+    with each free variable split as the difference of a nonnegative pair.
+    Raises ValueError when some b is negative (or NaN); callers keep the
+    feasible region bounded (box constraints), so an unbounded objective
+    signals a caller bug.
     """
     c = np.asarray(c, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
+    if not np.all(b_ub >= 0.0):
+        raise ValueError("right-hand sides must be nonnegative: the origin must be feasible")
+    m, n = a_ub.shape
     split_c = np.concatenate([c, -c])
-    split_a = np.hstack([a_ub, -a_ub])
-    solution, value = _simplex_standard(split_c, split_a, b_ub)
-    n = c.shape[0]
-    return solution[:n] - solution[n:], value
+    # [A | -A | I | b] on the slack basis; b + 0.0 turns -0.0 into +0.0, so no x comes out -0.0
+    tableau = np.hstack([a_ub, -a_ub, np.eye(m), b_ub[:, None] + 0.0])
+    basis = np.arange(2 * n, 2 * n + m)
+    cost = np.concatenate([split_c, np.zeros(m)])
+    _run_simplex(tableau, basis, cost)
+    x = np.zeros(2 * n + m)
+    x[basis] = tableau[:, -1]
+    return x[:n] - x[n:2 * n], float(split_c @ x[:2 * n])
 
 
 # ---------------------------------------------------------------------------
@@ -409,34 +361,51 @@ def interior_point(normals: np.ndarray, offsets: np.ndarray,
     Returns (center, radius).  Raises Infeasible when the optimal radius is
     not strictly positive, i.e. the set is empty or lower-dimensional; the
     exception carries the signed optimal radius so callers can tell the two
-    apart.  Raises ValueError when every normal has length 0, as the zero
-    vector has, since then no row bounds r.  The center search is boxed at
-    1e6 x the data scale, so genuinely unbounded inputs come back with a
-    huge (capped) radius rather than an unbounded program; ``validate``
-    rejects those with recession_direction, called after this program.
+    apart, or NaN when a zero normal has a negative offset.  Raises
+    ValueError when every normal has length 0, as the zero vector has, since
+    then no row bounds r.
+
+    The program is solved from a feasible start, for x = x0 + y and
+    r = floor + s: x0 is the origin when every offset is >= 0 and otherwise
+    the least-squares point of n_k.x = -b_k, and floor is the least
+    l_k(x0) / ||n_k|| (or 0).  The search is boxed at 1e6 x the data scale
+    about x0, so genuinely unbounded inputs come back with a huge (capped)
+    radius rather than an unbounded program; ``validate`` rejects those with
+    recession_direction, called after this program.
     """
     normals = np.asarray(normals, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     if normals.ndim != 2 or normals.shape[0] != offsets.shape[0]:
         raise ValueError("normals must be (m, d) with matching offsets")
+    if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))):
+        raise ValueError("normals and offsets must be finite")
     m, d = normals.shape
     lengths = np.sqrt((normals * normals).sum(axis=1))
     if not lengths.any():
         raise ValueError("every normal has length 0: nothing bounds the radius")
+    if np.any(offsets[lengths == 0.0] < 0.0):
+        raise Infeasible("a normal of length 0 with a negative offset: no feasible point")
+    x0, values = np.zeros(d), offsets
+    if not np.all(offsets >= 0.0):
+        from fractions import Fraction  # here, not at start-up, which it would slow by ~4 ms
+        x0 = np.linalg.lstsq(normals, -offsets, rcond=None)[0]
+        # each l_k(x0) from exact products, rounded once: no cancellation at the offsets' scale
+        values = np.array([float(Fraction(b) + sum(Fraction(v) * Fraction(w)
+                                                   for v, w in zip(n, x0)))
+                           for n, b in zip(normals, offsets)])
+    floor = min(0.0, float(np.min(values[lengths > 0.0] / lengths[lengths > 0.0])))
     box = 1e6 * (1.0 + float(np.max(np.abs(offsets), initial=0.0)))
-    # variables (x, r): rows  -n_k.x + ||n_k|| r <= b_k  and  +-x_i <= box
+    # variables (y, s): rows  -n_k.y + ||n_k|| s <= l_k(x0) - ||n_k|| floor  and  +-y_i <= box
     a = np.zeros((m + 2 * d, d + 1))
     a[:m, :d] = -normals
     a[:m, d] = lengths
     a[m:, :d] = _box_rows(d)
-    rhs = np.concatenate([offsets, np.full(2 * d, box)])
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    solution, value = linprog_max(c, a, rhs)
-    if value <= tol.pos_abs:
-        raise Infeasible(
-            f"no interior ball: optimal radius {value:.3e}", radius=value)
-    return solution[:d], value
+    rhs = np.concatenate([np.maximum(values - lengths * floor, 0.0), np.full(2 * d, box)])
+    solution, value = linprog_max(np.eye(d + 1)[d], a, rhs)
+    radius = floor + value
+    if radius <= tol.pos_abs:
+        raise Infeasible(f"no interior ball: optimal radius {radius:.3e}", radius=radius)
+    return x0 + solution[:d], radius
 
 
 def recession_direction(normals: np.ndarray,

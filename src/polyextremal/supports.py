@@ -361,7 +361,7 @@ def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,
     shift = np.asarray(shift, dtype=float)
     if not np.all(np.isfinite(shift)):
         raise ValueError("shift must be finite")
-    if float(np.sqrt(np.dot(shift, shift))) <= 0.0:
+    if not np.any(shift):
         raise ValueError("shift must be nonzero")
     for vertex in polytope.vertices:
         moved = vertex + shift

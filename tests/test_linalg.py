@@ -26,7 +26,7 @@ from polyextremal.linalg import (
 )
 from polyextremal.polytope import PolytopeError, validate
 
-from conftest import gram_schmidt, lu_factor_by_columns, lu_solve_by_columns
+from conftest import gram_schmidt, lu_factor_by_columns, lu_solve_by_columns, tangent_halfspaces
 
 QUAD_NORMALS = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, -1.0], [-1.0, -3.0]])
 
@@ -43,10 +43,16 @@ def test_tolerances_uniform():
 
 
 def test_tolerances_rejects_nonpositive():
+    """Every threshold must be finite and strictly positive: a NaN margin
+    would pass every ``<= pos_abs`` screen."""
     with pytest.raises(ValueError):
         Tolerances(rank_rel=0.0, pos_abs=1e-9, geom_abs=1e-9)
     with pytest.raises(ValueError):
         Tolerances(rank_rel=2.0, pos_abs=1e-9, geom_abs=1e-9)
+    for field in ("rank_rel", "pos_abs", "geom_abs"):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1e-9):
+            with pytest.raises(ValueError):
+                Tolerances(**{field: bad})
 
 
 def test_solve_real_identity():
@@ -283,6 +289,80 @@ def test_interior_point_rejects_zero_normals(normals):
         interior_point(normals, np.ones(len(normals)))
 
 
+def test_interior_point_matches_highs_where_the_origin_is_outside():
+    """Seeded polytopes with rescaled normals, scaled by s and moved by t with
+    |t| / s up to 1e6, so some offset is negative: the program about the
+    least-squares point x0 reaches HiGHS' radius to 1e-9 relative, and its
+    centre carries that ball inside K."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    rng = np.random.default_rng(1717)
+    checked = 0
+    while checked < 40:
+        d = int(rng.integers(1, 6))
+        normals = np.array([h[0] for h in tangent_halfspaces(d, 3 * d + 2, int(rng.integers(1 << 30)))])
+        if recession_direction(normals) is not None:
+            continue
+        scale = 10.0 ** rng.uniform(-3, 3)
+        shift = scale * 10.0 ** rng.uniform(0, 6) * rng.normal(size=d)
+        normals *= 10.0 ** rng.uniform(-2, 2, size=(len(normals), 1))
+        lengths = np.linalg.norm(normals, axis=1)
+        offsets = scale * lengths - normals @ shift
+        if np.all(offsets >= 0.0):
+            continue
+        ref = scipy_linprog(-np.eye(d + 1)[d], A_ub=np.hstack([-normals, lengths[:, None]]),
+                            b_ub=offsets, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        center, radius = interior_point(normals, offsets)
+        assert abs(radius + ref.fun) <= 1e-9 * abs(ref.fun), (d, scale, shift)
+        slack = normals @ center + offsets - radius * lengths
+        assert np.all(slack >= -1e-9 * lengths * np.max(np.abs(offsets / lengths)))
+        checked += 1
+
+
+def test_interior_point_keeps_a_far_polytope_at_its_own_scale():
+    """The quad scaled by 1e-8 and moved about 1e9 from the origin, past the
+    offsets' rounding of 1.2e-7: the exact optimal radius of these float
+    rows, 2.703182088057175e-08 by rational arithmetic over every vertex of
+    the (x, r) program, is found, since each l_k(x0) is rounded only once."""
+    normals = np.array([[-1.0, -0.0], [-0.0, -1.0], [-0.9486832980505138, -0.31622776601683794],
+                        [0.31622776601683794, 0.9486832980505138]])
+    offsets = np.array([923699275.2848436, 383118322.24295276, 997450726.0471028,
+                        -655557311.7837222])
+    center, radius = interior_point(normals, offsets)
+    assert abs(radius - 2.703182088057175e-08) <= 1e-12 * radius
+    assert np.all(normals @ center + offsets >= radius - 1e-7)
+
+
+@pytest.mark.parametrize("offset", [-1.0, -1e-300])
+def test_interior_point_zero_normal_with_negative_offset_is_infeasible(offset):
+    """0.x + b >= 0 fails everywhere when b < 0: Infeasible with a NaN
+    radius, although the other rows have a ball."""
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+    offsets = np.array([3.0, -1.0, 3.0, -1.0, offset])
+    with pytest.raises(Infeasible) as exc:
+        interior_point(normals, offsets)
+    assert math.isnan(exc.value.radius)
+
+
+@pytest.mark.parametrize("offsets", [[1.0, 1.0, 1.0, 1.0], [3.0, -1.0, 3.0, -1.0]])
+def test_interior_point_ignores_zero_normal_with_positive_offset(offsets):
+    """0.x + b >= 0 holds everywhere when b >= 0, about the origin or not."""
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    offsets = np.array(offsets)
+    center, radius = interior_point(np.vstack([normals, [0.0, 0.0]]), np.append(offsets, 2.0))
+    assert math.isclose(radius, 1.0, rel_tol=1e-12)
+    assert np.allclose(center, (offsets[1::2] - offsets[::2]) / 2, rtol=0.0, atol=1e-12)
+
+
+def test_interior_point_rejects_non_finite_input():
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        interior_point(normals, np.array([1.0, 1.0, math.nan, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        interior_point(np.where(normals > 0.0, math.inf, normals), np.ones(4))
+
+
 def test_interior_point_quad_certifies_interior():
     offsets = np.array([0.0, 0.0, 3.0, 3.0])
     center, radius = interior_point(QUAD_NORMALS, offsets)
@@ -420,6 +500,9 @@ def test_linprog_max_simple():
 
 
 def test_linprog_max_matches_scipy_oracle():
+    """Seeded programs with a strictly feasible x0, solved by HiGHS as they
+    stand and here about x0: A y <= b - A x0 is feasible at y = 0, and its
+    optimum plus c.x0 is the program's."""
     from scipy.optimize import linprog as scipy_linprog
 
     rng = np.random.default_rng(9090)
@@ -436,9 +519,27 @@ def test_linprog_max_matches_scipy_oracle():
         c = rng.normal(size=n)
         ref = scipy_linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
         assert ref.status == 0
-        _, value = linprog_max(c, a_ub, b_ub)
+        shifted = b_ub - a_ub @ x0
+        assert np.all(shifted > 0.0)
+        _, value = linprog_max(c, a_ub, shifted)
+        value += float(c @ x0)
         assert abs(value - (-ref.fun)) <= 1e-7 * (1.0 + abs(ref.fun))
         checked += 1
+
+
+def test_linprog_max_negative_zero_bound_gives_positive_zeros():
+    """A bound of -0.0 (a flipped row with offset 0) is the bound 0: no entry
+    of the solution comes out -0.0, as with the bound +0.0."""
+    x, value = linprog_max(np.ones(2), np.eye(2), np.array([-0.0, -0.0]))
+    assert value == 0.0 and np.array_equal(x, [0.0, 0.0]) and not np.signbit(x).any()
+
+
+@pytest.mark.parametrize("b_ub", [[1.0, -1e-300], [1.0, math.nan]])
+def test_linprog_max_requires_a_feasible_origin(b_ub):
+    """One simplex phase starts at the origin, so every right-hand side must
+    be >= 0; a negative one (or NaN) is the caller's error."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        linprog_max(np.ones(2), np.eye(2), np.array(b_ub))
 
 
 def _pivot_by_rows(tableau, basis, row, col):
@@ -450,14 +551,14 @@ def _pivot_by_rows(tableau, basis, row, col):
     basis[row] = col
 
 
-def _bland_by_rows(tableau, basis, cost, allowed):
+def _bland_by_rows(tableau, basis, cost):
     """Bland's rule with a scalar scan for the entering column, each ratio
     and the leaving row, pivoting with ``_pivot_by_rows``."""
     m = tableau.shape[0]
     while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
         entering = next((j for j in range(tableau.shape[1] - 1)
-                         if allowed[j] and reduced[j] > linalg._LP_EPS), -1)
+                         if reduced[j] > linalg._LP_EPS), -1)
         if entering < 0:
             return
         ratios = np.full(m, np.inf)

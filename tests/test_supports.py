@@ -287,6 +287,17 @@ def test_check_minimality_rejects_zero_shift(quad, quad_supports):
         check_minimality(quad, quad_supports[0], np.zeros(2))
 
 
+@pytest.mark.parametrize("shift", [[1e-200, 0.0], [1e-170, 1e-170], [5e-324, 0.0],
+                                   [1e300, 1e300], [-1e300, 1e300]])
+def test_check_minimality_takes_tiny_and_huge_shifts(quad, quad_supports, shift):
+    """A shift is zero only when every entry is: a squared length that
+    underflows or overflows decides nothing, and raises no warning.  (Below
+    the vertices' rounding, whether a tiny shift pokes out is the rounding's
+    call; a huge one always does.)"""
+    poked = check_minimality(quad, quad_supports[0], np.array(shift))
+    assert poked if abs(shift[0]) > 1.0 else isinstance(poked, bool)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_check_minimality_rejects_non_finite_shift(quad, quad_supports, bad):
     with pytest.raises(ValueError, match="finite"):
