@@ -67,7 +67,6 @@ from .extremal import (
     eval_supports_many,
     inv_joukowski_log,
     lundin_ball,
-    stack_max,
 )
 
 __version__ = "0.1.0"

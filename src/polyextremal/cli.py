@@ -9,12 +9,13 @@ rows appear row-major with u varying fastest, floats serialized with repr
 comment so identical inputs give byte-identical files.
 
 Every evaluation is one ``eval_extremal_many`` call over all of a command's
-points (``eval_supports_many`` for ``eval --diagnostics``, which reads value
-and argmax off the stack's columns through ``stack_max``, as
-``eval_extremal_many`` does).  ``grid --jobs K`` splits the points into one
-contiguous chunk per worker, with at most min(K, points, os.cpu_count())
-workers; the kernel is elementwise per point, so the bytes are the same at
-any --jobs level.
+points, or for ``eval --diagnostics`` one ``extremal._diagnose`` call, which
+forms every support's sums and reads value and argmax off the stack's rows
+of those same sums, so each line's first two fields are the plain bytes.
+``grid --jobs K`` splits the points into one contiguous chunk per worker,
+with at most min(K, points, os.cpu_count()) workers, in a process pool
+imported only then; the kernel is elementwise per point, so the bytes are
+the same at any --jobs level.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -33,12 +34,11 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import DomainError, eval_extremal_many, eval_supports_many, stack_max
+from .extremal import DomainError, _diagnose, eval_extremal_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -153,8 +153,7 @@ def cmd_eval(args, tol: Tolerances) -> int:
     points = np.array([_parse_point(text, polytope.dim) for text in texts])
     supports = enumerate_supports(polytope)
     if args.diagnostics:
-        matrix = eval_supports_many(supports, points)
-        values, argmax = stack_max(supports, matrix[:, supports.stack])
+        values, argmax, matrix = _diagnose(supports, points)
     else:
         values, argmax = eval_extremal_many(supports, points)
         matrix = np.empty((len(points), 0))
@@ -165,10 +164,13 @@ def cmd_eval(args, tol: Tolerances) -> int:
 
 def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
     """``eval_extremal_many`` over the points, one contiguous chunk per
-    worker process when more than one is worth starting."""
+    worker process when more than one is worth starting.  The pool is
+    imported here: ``concurrent.futures.process`` and ``multiprocessing``
+    cost every other command start-up time for nothing."""
     workers = min(jobs, points.shape[0], os.cpu_count() or 1)
     if workers <= 1:
         return eval_extremal_many(supports, points)
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(eval_extremal_many, [supports] * workers,
                               np.array_split(points, workers)))

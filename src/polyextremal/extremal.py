@@ -4,14 +4,29 @@ For a simplex S with apexes p_0..p_d, the value at z in C^d is
 log h(|lambda_0(z)| + ... + |lambda_d(z)|) where the lambda are barycentric
 coordinates of z and h(t) = t + sqrt(t^2 - 1) inverts the Joukowski map.
 S's facets are facet hyperplanes l_k(x) = n_k.x + b_k of K, and l_k vanishes
-at every apex but p_k, so lambda_k(z) = l_k(z) / l_k(p_k), an affine map
-certification stores as the support's ``rows`` and ``shifts``.  A strip's
-rows are pulled back through Q, so one kernel evaluates every support and
+at every apex but p_k, so lambda_k(z) = l_k(z) / l_k(p_k): a support is its
+facet functions and their apex heights l_k(p_k).  A strip's are its
+cross-section's facets lifted back to R^d, l(z) = m.Qz + c, over the
+cross-section's heights.  The set holds one table of facet functions, K's
+facets and then the strips' lifted ones, which every support indexes, and
 no linear system is solved on the way.  The polytope value is the maximum
 over the set's evaluation stack: every certified support, or for a centrally
 symmetric K only the slabs between antipodal facets, which by Lundin's
-formula attain it.  ``argmax`` names the first maximum over the stack by its
-index in the sorted support order, and 0 where V = 0.
+formula attain it.
+
+The kernel evaluates a chunk of points against a set's stacked supports at
+once.  It forms |l_r(z)| once per facet function the supports read and
+per point, the products n_rc z_c added in c order, then adds
+|l_r(z)| / l_r(p_r) over each support's facets in facet order: elementwise
+numpy calls, a few per facet slot however many supports, and no BLAS, so a
+point's values never depend on its chunk.  Every sum is checked against
+the domain band as it is formed.  The max rule (``_stack_max``) works on
+these sums: V is arccosh of each point's largest sum, taken once per point,
+and ``argmax`` names the first stack entry whose sum is within the
+relative band 1e-12 of the largest, by its index in the sorted support
+order, and 0 where V = 0.  The band makes mathematical ties, which rounding
+would otherwise break either way, go to the lowest index.  Only
+per-support values take arccosh of every sum.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -19,18 +34,14 @@ noise lands on either side of 1, and arccosh has a square-root cliff there
 (arccosh(1 + 1e-16) ~ 1e-8), so a band around 1 must collapse to 0 or real
 interior points would evaluate to visible garbage.  Sums up to 1 + 1e-12 map
 to exactly 0.0; genuine exterior points clear that band by orders of
-magnitude.  Below 1 - 1e-9 raises DomainError.  In exact arithmetic no
-point gets there, but roundoff can: far from the origin the rows . z and
-shifts of a support are large and cancel, and the quad translated by
-(1e7, 1e7) reads 0.99999999814 at an interior point.  The arccosh itself
-runs on u = s - 1 (exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to
-dodge the s^2 - 1 cancellation; where u(u+2) overflows (u beyond ~1.3e154)
-it is log 2 + log s, exact there to double precision.  Points must be finite:
+magnitude.  A sum below 1 - 1e-9 raises DomainError.  In exact arithmetic no
+point gets there, but roundoff can: far from the origin n_k.z and b_k are
+large and cancel, and the quad translated by (1e7, 1e7) reads a sum below
+1 - 1e-9 at an interior point.  The arccosh itself runs on u = s - 1
+(exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to dodge the s^2 - 1
+cancellation; where u(u+2) overflows (u beyond ~1.3e154) it is
+log 2 + log s, exact there to double precision.  Points must be finite:
 NaN or infinite coordinates raise ValueError.
-
-One kernel evaluates a chunk of points against a set's stacked supports at
-once: a few dozen elementwise numpy calls per chunk, however many supports,
-and no BLAS, so a point's values never depend on its chunk.
 """
 
 from __future__ import annotations
@@ -53,7 +64,6 @@ __all__ = [
     "eval_extremal",
     "eval_simplex_many",
     "eval_supports_many",
-    "stack_max",
     "eval_extremal_many",
     "lundin_ball",
     "eval_interval",
@@ -61,7 +71,7 @@ __all__ = [
 
 _ZERO_BAND = 1e-12   # sums within this of 1 (above) collapse to value 0
 _DOMAIN_BAND = 1e-9  # sums below 1 by more than this signal an internal bug
-_CHUNK = 16_384      # point x support values per kernel pass; fastest on the benchmark
+_CHUNK = 786_432     # bytes of work arrays per kernel pass; fastest on the benchmark
 
 
 class DomainError(Exception):
@@ -72,16 +82,24 @@ class DomainError(Exception):
 
 def inv_joukowski_log(s: float) -> float:
     """log(s + sqrt(s^2 - 1)) = arccosh(s) for s >= 1, with the band around 1
-    clamped to exactly 0: ``_inv_joukowski_log_many`` of the one value."""
-    return float(_inv_joukowski_log_many(np.array([s], dtype=float), np.empty(1))[0])
+    clamped to exactly 0: ``_inv_joukowski_log_many`` of the one value, after
+    the domain check every kernel sum gets."""
+    s = np.array([s], dtype=float)
+    _check_domain(s)
+    return float(_inv_joukowski_log_many(s, np.empty(1))[0])
+
+
+def _check_domain(s: np.ndarray) -> None:
+    """DomainError when any entry of ``s`` lies below 1 by more than the band."""
+    if s.size and s.min() < 1.0 - _DOMAIN_BAND:
+        raise DomainError(f"inverse Joukowski argument {float(s.min())!r} below 1")
 
 
 def _inv_joukowski_log_many(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """arccosh of the float array ``s``, the band around 1 clamped to 0, into
-    ``out``, which has its shape; ``s`` is overwritten, so that no array of
-    that size is made.  Every evaluator's arccosh, the scalar one included."""
-    if np.any(s < 1.0 - _DOMAIN_BAND):
-        raise DomainError(f"inverse Joukowski argument {float(np.min(s))!r} below 1")
+    """arccosh of the float array ``s``, already checked against the domain
+    band, with the band around 1 clamped to 0, into ``out``, which has its
+    shape; ``s`` is overwritten, so that no array of that size is made.
+    Every evaluator's arccosh, the scalar one included."""
     zero = s <= 1.0 + _ZERO_BAND
     u = np.maximum(np.subtract(s, 1.0, out=s), 0.0, out=s)
     with np.errstate(over="ignore"):
@@ -122,57 +140,99 @@ def _as_points(z: np.ndarray, dim: int) -> np.ndarray:
     return points
 
 
-def _coordinates(rows, shifts, points, coords, term):
-    """lambda_k = rows[k, 0] z_0 + ... + rows[k, d-1] z_{d-1} + shifts[k] of S
-    stacked supports at checked points, into the (points, S) array ``coords``
-    for each k in turn, elementwise and in that order.  The shifts are made
-    complex once, as each add would make them: x becomes x + 0j."""
-    shifts = shifts.astype(complex)
-    for k in range(rows.shape[0]):
-        np.multiply(rows[k, 0], points[:, 0, None], out=coords)
-        for c in range(1, rows.shape[1]):
-            coords += np.multiply(rows[k, c], points[:, c, None], out=term)
-        coords += shifts[k]
-        yield coords
+def _facet_values(normals, offsets, points, work) -> np.ndarray:
+    """|l_r(z)| = |n_r.z + b_r| of R facet functions at checked points,
+    (R+1, m), in the first of the ``work`` arrays: the products n_rc z_c
+    added in c order, elementwise, then b_r, then the modulus.  Row R is
+    the padding's and stays exactly 0."""
+    magnitudes, values, term = (array[:, :points.shape[0]] for array in work)
+    np.multiply(normals[:, :1], points[:, 0], out=values)
+    for c in range(1, normals.shape[1]):
+        values += np.multiply(normals[:, c:c + 1], points[:, c], out=term)
+    values += offsets[:, None]
+    np.abs(values, out=magnitudes[:normals.shape[0]])
+    return magnitudes
 
 
-def _values(rows, shifts, points, work) -> np.ndarray:
-    """(points, S) values, written to the third of the ``work`` arrays, which
-    hold at least that many rows: the magnitudes |lambda_k| added in k order,
-    then the inverse Joukowski map."""
-    coords, term, magnitude, total = (array[:points.shape[0]] for array in work)
-    total.fill(0.0)
-    for lam in _coordinates(rows, shifts, points, coords, term):
-        total += np.abs(lam, out=magnitude)
-    return _inv_joukowski_log_many(total, out=magnitude)
+def _sums(facets, heights, magnitudes, work) -> np.ndarray:
+    """(S, m) barycentric magnitude sums of S supports, in the first of the
+    ``work`` arrays: |l_r| / heights[j] with r = facets[j], added in j order."""
+    total, term = (array[:, :magnitudes.shape[1]] for array in work)
+    np.divide(np.take(magnitudes, facets[0], axis=0, out=total, mode="clip"),
+              heights[0][:, None], out=total)
+    for j in range(1, facets.shape[0]):
+        np.take(magnitudes, facets[j], axis=0, out=term, mode="clip")
+        total += np.divide(term, heights[j][:, None], out=term)
+    return total
 
 
-def _chunked_values(rows, shifts, points: np.ndarray):
-    """(chunk slice, its (points, S) values) per pass over checked points
-    against S stacked supports, at most _CHUNK point-support values a pass;
-    the values sit in work arrays the next pass overwrites.  The work arrays
-    are allocated once: fresh ones per chunk had their pages faulted anew."""
-    width = rows.shape[2]
-    step = max(1, _CHUNK // max(1, width))
-    work = [np.empty((min(step, points.shape[0]), width), dtype)
-            for dtype in (complex, complex, float, float)]
+def _chunk_points(rows: int, width: int) -> int:
+    """Points a kernel pass takes against ``rows`` facet functions and
+    ``width`` supports: its work arrays, rows+1 float and 2 * rows complex
+    facet values and 2 * width float sums per point, fill at most _CHUNK
+    bytes."""
+    return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
+
+
+def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray):
+    """(chunk slice, its (S, points) sums) per pass over checked points against
+    S supports given by ``facets`` and ``heights`` into the facet functions
+    ``normals`` and ``offsets``, ``_chunk_points`` points a pass, each sum
+    checked against the domain band.  The sums sit in work arrays the next
+    pass overwrites.  The work arrays are allocated once: fresh ones per
+    chunk had their pages faulted anew."""
+    rows, width = normals.shape[0], facets.shape[1]
+    # trailing slots that hold only padding, as a stack of slabs has, add
+    # exactly 0.0 to every sum and are skipped
+    slots = int(np.count_nonzero(facets < rows, axis=0).max(initial=0))
+    facets, heights = facets[:slots], heights[:slots]
+    step = _chunk_points(rows, width)
+    size = min(step, points.shape[0])
+    facet_work = [np.zeros((rows + 1, size)), np.empty((rows, size), complex),
+                  np.empty((rows, size), complex)]
+    sum_work = [np.empty((width, size)), np.empty((width, size))]
     for start in range(0, points.shape[0], step):
         chunk = slice(start, start + step)
-        yield chunk, _values(rows, shifts, points[chunk], work)
+        magnitudes = _facet_values(normals, offsets, points[chunk], facet_work)
+        sums = _sums(facets, heights, magnitudes, sum_work)
+        _check_domain(sums)
+        yield chunk, sums
 
 
-def _value_matrix(rows, shifts, points: np.ndarray) -> np.ndarray:
-    """The (points, S) values of S stacked supports, filled chunk by chunk."""
-    matrix = np.empty((points.shape[0], rows.shape[2]))
-    for chunk, values in _chunked_values(rows, shifts, points):
-        matrix[chunk] = values
-    return matrix
+def _set_sums(support_set: SupportSet, points: np.ndarray, every: bool):
+    """``_chunked_sums`` of the set's evaluation stack, or with ``every`` of
+    all its supports, at the checked ``points``."""
+    if every:
+        return _chunked_sums(support_set.normals, support_set.offsets, support_set.facets,
+                             support_set.heights, points)
+    return _chunked_sums(support_set.stack_normals, support_set.stack_offsets,
+                         support_set.stack_facets, support_set.stack_heights, points)
+
+
+def _stack_max(stack: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_K and argmax, as ``EvalResult`` defines them, from ``sums``, one row
+    per entry of ``stack`` and one column per point: the arccosh of each
+    column's largest sum, and the sorted support index of the first entry
+    whose sum is (1 - _ZERO_BAND) times the largest or more, 0 where V = 0."""
+    best = sums.max(axis=0)
+    argmax = stack[np.argmax(sums >= best * (1.0 - _ZERO_BAND), axis=0)]
+    values = _inv_joukowski_log_many(best, out=np.empty_like(best))
+    argmax[values == 0.0] = 0
+    return values, argmax
 
 
 def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
-    """Values of one support, simplex or strip, for each row of ``points``."""
-    points = _as_points(points, support.rows.shape[1])
-    return _value_matrix(support.rows[:, :, None], support.shifts[:, None], points)[:, 0]
+    """Values of one support, simplex or strip, for each row of ``points``:
+    the kernel's sums over the support's own ``halfspaces``, the rows the
+    set's facet functions hold for it, so each value is bitwise the one
+    ``eval_supports_many`` gives it."""
+    normals = np.array([h.normal for h in support.halfspaces])
+    offsets = np.array([h.offset for h in support.halfspaces])
+    points = _as_points(points, normals.shape[1])
+    facets, values = np.arange(len(offsets), dtype=np.intp)[:, None], np.empty(points.shape[0])
+    for chunk, sums in _chunked_sums(normals, offsets, facets, support.heights[:, None], points):
+        _inv_joukowski_log_many(sums[0], out=values[chunk])
+    return values
 
 
 def eval_simplex(support, z: np.ndarray) -> float:
@@ -181,35 +241,46 @@ def eval_simplex(support, z: np.ndarray) -> float:
 
 
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
-    """Every support's value at every point, one row per point."""
+    """Every support's value at every point, one row per point: arccosh of
+    each support's own sum."""
     points = _as_points(points, support_set.polytope.dim)
-    return _value_matrix(support_set.rows, support_set.shifts, points)
+    matrix = np.empty((points.shape[0], len(support_set)))
+    for chunk, sums in _set_sums(support_set, points, every=True):
+        _inv_joukowski_log_many(sums, out=matrix[chunk].T)
+    return matrix
 
 
-def stack_max(support_set: SupportSet, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_K and argmax from ``values``, one row per point and one column per
-    entry of ``support_set.stack``: each row's first maximum, and the sorted
-    support index of its column, 0 where the maximum is 0."""
-    column = np.argmax(values, axis=1)
-    best = np.take_along_axis(values, column[:, None], axis=1)[:, 0]
-    argmax = support_set.stack[column]
-    argmax[best == 0.0] = 0
-    return best, argmax
+def _diagnose(support_set: SupportSet, points: np.ndarray):
+    """``eval_extremal_many`` and ``eval_supports_many`` in one kernel pass per
+    chunk: V and argmax are read off the stack's rows of every support's
+    sums, the same sums, so they are bitwise the plain ones."""
+    points = _as_points(points, support_set.polytope.dim)
+    best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
+    matrix = np.empty((points.shape[0], len(support_set)))
+    for chunk, sums in _set_sums(support_set, points, every=True):
+        best[chunk], argmax[chunk] = _stack_max(support_set.stack, sums[support_set.stack])
+        _inv_joukowski_log_many(sums, out=matrix[chunk].T)
+    return best, argmax, matrix
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Value of V_K at a point, which support attains it, optional diagnostics.
 
-    ``value`` is the maximum over the set's evaluation stack (``stack_max``).
-    ``argmax`` is the sorted support index of the first stack entry whose
-    computed value equals it, and 0 wherever V = 0.  When the stack is every
-    support, as for any K that is not centrally symmetric, that is the first
-    support in the sorted order attaining the maximum.  At real points of K
-    every value is exactly 0, so argmax is 0 there.  Where two supports tie
-    mathematically, rounding decides, and the index may move with any change
-    to the arithmetic.  ``per_support`` holds every support's value, in the
-    stack or not.
+    ``value`` is arccosh of the largest barycentric sum s over the set's
+    evaluation stack, taken once per point.  ``argmax`` is the sorted
+    support index of the first stack entry whose sum is (1 - 1e-12) s or
+    more, and 0 wherever V = 0; the stack is every support unless K is
+    centrally symmetric.  So argmax names a support attaining V up to the
+    band: mathematical ties, such as the quad's lines x = y and x + y = 1,
+    go to the lowest index, where rounding alone would move the index with
+    any 1-ulp change to the arithmetic, and two supports whose sums differ
+    by more than the band are never confused.  Near the real boundary of K,
+    where s approaches 1, the band is wide in value: the named support's
+    own value lies between V - 2e-12 cosh V / sinh(V / 2), about
+    V - 4e-12 / V, and V.  At real points of K every value is exactly 0, so
+    argmax is 0 there.  ``per_support`` holds every support's value,
+    arccosh of its own sum, in the stack or not.
     """
 
     value: float
@@ -220,26 +291,25 @@ class EvalResult:
 def eval_extremal_many(support_set: SupportSet,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V_K and argmax at each point, as ``EvalResult`` defines them: only the
-    evaluation stack is evaluated, in chunks of its width."""
+    evaluation stack's sums are formed, chunk by chunk."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
     points = _as_points(points, support_set.polytope.dim)
     best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
-    for chunk, values in _chunked_values(support_set.stack_rows, support_set.stack_shifts, points):
-        best[chunk], argmax[chunk] = stack_max(support_set, values)
+    for chunk, sums in _set_sums(support_set, points, every=False):
+        best[chunk], argmax[chunk] = _stack_max(support_set.stack, sums)
     return best, argmax
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,
                   diagnostics: bool = False) -> EvalResult:
     """V_K(z) at one point: ``eval_extremal_many`` on that point or, when
-    ``diagnostics`` is set, ``stack_max`` of the stack's columns of every
-    support's value, which are all reported."""
+    ``diagnostics`` is set, the same value and argmax read off every
+    support's sums, whose values are all reported."""
     if not diagnostics:
         values, argmax = eval_extremal_many(support_set, z)
         return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
-    matrix = eval_supports_many(support_set, z)
-    values, argmax = stack_max(support_set, matrix[:, support_set.stack])
+    values, argmax, matrix = _diagnose(support_set, z)
     return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
                       per_support=tuple(matrix[0].tolist()))
 

@@ -79,17 +79,16 @@ class SimplexSupport:
     rows of ``apexes`` live in R^dim.  For cross-sections of strips, ``dim``
     is the cross dimension and ``facet_indices`` still name K's facets.
 
-    ``rows`` (dim+1, dim) and ``shifts`` (dim+1,) are the facet functions
-    scaled by their apex heights, n_k / l_k(p_k) and b_k / l_k(p_k): the
-    barycentric coordinates are lambda_k(z) = rows[k] . z + shifts[k].
+    ``heights[k]`` = l_k(p_k) is the height of apex k above its own facet, so
+    the barycentric coordinates are lambda_k(z) = l_k(z) / heights[k] with
+    l_k = ``halfspaces[k].value``.
     """
 
     facet_indices: tuple[int, ...]
     apexes: np.ndarray
     halfspaces: tuple[Halfspace, ...]
     dim: int
-    rows: np.ndarray
-    shifts: np.ndarray
+    heights: np.ndarray
 
     @property
     def kind(self) -> str:
@@ -101,18 +100,23 @@ class StripSupport:
     """Cross-section simplex in the span of the normals, free in the rest.
 
     ``basis`` holds orthonormal rows Q spanning the j-dimensional normal span;
-    ``cross_simplex`` certifies the projected halfspaces l(x') = (Q n).x' + b
-    as a simplex in R^j.  ``rows`` = cross_simplex.rows @ Q and ``shifts`` =
-    cross_simplex.shifts give its coordinates at Qz straight from z in R^d:
-    lambda_k(z) = rows[k] . z + shifts[k], as for a simplex.
+    ``cross_simplex`` certifies the projected halfspaces, l(x') = (Q n).x' + b
+    scaled to unit normals, as a simplex in R^j.  ``halfspaces`` are those
+    lifted back to R^d, normal Q^T m and offset c for each cross-section
+    facet m.x' + c, and ``heights`` are the cross-section's, so that
+    lambda_k(z) = l_k(z) / heights[k] straight from z in R^d, as for a
+    simplex, with l_k(z) the cross-section's facet function at Qz.  K's own
+    n_k would not do: it leaves the row span of Q by up to the rank
+    tolerance, and that residual r moves the sum of the |lambda| at a real
+    point x off 1 by about r.x / l_k(p_k).
     """
 
     facet_indices: tuple[int, ...]
     cross_dim: int
     basis: np.ndarray
     cross_simplex: SimplexSupport
-    rows: np.ndarray
-    shifts: np.ndarray
+    halfspaces: tuple[Halfspace, ...]
+    heights: np.ndarray
 
     @property
     def kind(self) -> str:
@@ -124,24 +128,36 @@ class SupportSet:
     """All certified supports of one polytope, sorted by facet index set,
     and the evaluation stack V_K is maximized over.
 
-    ``rows`` (d+1, d, S) and ``shifts`` (d+1, S) hold support i's ``rows``
-    and ``shifts`` at [..., i].  A strip's j+1 rows are padded with zero rows,
-    which is exact: they give lambda = 0, |lambda| = 0, and t + 0.0 == t.
+    ``normals`` (R, d) and ``offsets`` (R,) are the facet functions every
+    support reads, l_r(z) = normals[r].z + offsets[r]: K's n facets, then
+    each strip's ``halfspaces`` in support order.  ``facets`` (d+1, S) and
+    ``heights`` (d+1, S) hold support i's rows of them and its ``heights``
+    in column i, so lambda_j of support i is l_r(z) / heights[j, i] with
+    r = facets[j, i].  A strip's j+1 entries are padded with row R, which
+    stands for a facet value of exactly 0, and height 1.0: the padding adds
+    0 / 1.0 = +0.0, and t + 0.0 == t.
 
-    ``stack`` holds the increasing support indices the maximum runs over,
-    and ``stack_rows`` and ``stack_shifts`` their columns of ``rows`` and
-    ``shifts``.  For a centrally symmetric K these are the slabs between
-    antipodal facets, whose maximum is V_K by Lundin's formula as Baran
-    extended it to polytopes; otherwise every support, ``arange(S)``.
+    ``stack`` holds the increasing support indices the maximum runs over.
+    For a centrally symmetric K these are the slabs between antipodal
+    facets, whose maximum is V_K by Lundin's formula as Baran extended it to
+    polytopes; otherwise every support, ``arange(S)``.  ``stack_normals``,
+    ``stack_offsets``, ``stack_facets`` and ``stack_heights`` are the same
+    table and columns for the stack alone: the whole set's arrays when the
+    stack is every support, and for the slabs only the slabs' own facet
+    functions, so that evaluating V_K reads no row it does not need.
     """
 
     polytope: PolytopeH
     supports: tuple[SimplexSupport | StripSupport, ...]
-    rows: np.ndarray = field(repr=False)
-    shifts: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    facets: np.ndarray = field(repr=False)
+    heights: np.ndarray = field(repr=False)
     stack: np.ndarray = field(repr=False)
-    stack_rows: np.ndarray = field(repr=False)
-    stack_shifts: np.ndarray = field(repr=False)
+    stack_normals: np.ndarray = field(repr=False)
+    stack_offsets: np.ndarray = field(repr=False)
+    stack_facets: np.ndarray = field(repr=False)
+    stack_heights: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -185,7 +201,7 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
         return None
     return SimplexSupport(facet_indices=subset, apexes=apexes,
                           halfspaces=tuple(polytope.halfspaces[k] for k in subset), dim=d,
-                          rows=normals / heights[:, None], shifts=offsets / heights)
+                          heights=heights)
 
 
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
@@ -197,13 +213,13 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     _, basis, normals, offsets, apexes, heights, passed = _strips(polytope, np.array([subset]))
     if not passed.any():
         return None
-    normals, offsets, heights = normals[0], offsets[0], heights[0]
+    basis, normals, offsets, heights = basis[0], normals[0], offsets[0], heights[0]
     projected = tuple(Halfspace(normal=n, offset=float(b)) for n, b in zip(normals, offsets))
     cross = SimplexSupport(facet_indices=subset, apexes=apexes[0], halfspaces=projected,
-                           dim=len(subset) - 1, rows=normals / heights[:, None],
-                           shifts=offsets / heights)
-    return StripSupport(facet_indices=subset, cross_dim=cross.dim, basis=basis[0],
-                        cross_simplex=cross, rows=cross.rows @ basis[0], shifts=cross.shifts)
+                           dim=len(subset) - 1, heights=heights)
+    lifted = tuple(Halfspace(normal=n, offset=float(b)) for n, b in zip(normals @ basis, offsets))
+    return StripSupport(facet_indices=subset, cross_dim=cross.dim, basis=basis,
+                        cross_simplex=cross, halfspaces=lifted, heights=heights)
 
 
 def _combination_rank(columns: list[np.ndarray], n: int) -> np.ndarray:
@@ -340,14 +356,38 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
         if facet not in covered:
             raise NoCover(facet)
     ordered = tuple(sorted(accepted, key=lambda s: s.facet_indices))
-    rows, shifts = np.zeros((d + 1, d, len(ordered))), np.zeros((d + 1, len(ordered)))
-    for i, support in enumerate(ordered):
-        rows[:len(support.shifts), :, i] = support.rows
-        shifts[:len(support.shifts), i] = support.shifts
+    normals, offsets, facets, heights = _facet_table(polytope.halfspaces, ordered, d)
     strips = _antipodal_strips(polytope, ordered)
-    stack = np.arange(len(ordered)) if strips is None else np.array(strips, dtype=np.intp)
-    return SupportSet(polytope=polytope, supports=ordered, rows=rows, shifts=shifts,
-                      stack=stack, stack_rows=rows[..., stack], stack_shifts=shifts[:, stack])
+    if strips is None:
+        stack, stack_table = np.arange(len(ordered)), (normals, offsets, facets, heights)
+    else:
+        stack = np.array(strips, dtype=np.intp)
+        stack_table = _facet_table((), [ordered[i] for i in strips], d)
+    return SupportSet(polytope=polytope, supports=ordered, normals=normals, offsets=offsets,
+                      facets=facets, heights=heights, stack=stack,
+                      stack_normals=stack_table[0], stack_offsets=stack_table[1],
+                      stack_facets=stack_table[2], stack_heights=stack_table[3])
+
+
+def _facet_table(base, supports, d: int) -> tuple[np.ndarray, ...]:
+    """The facet functions ``base`` followed by each strip's ``halfspaces``, as
+    normals (R, d) and offsets (R,), and the (d+1, S) rows and heights of
+    ``supports`` in that table: a simplex's rows are its facet indices into
+    ``base``, and a strip's missing slots name row R, with height 1.0."""
+    rows = list(base)
+    facets = np.full((d + 1, len(supports)), -1, dtype=np.intp)
+    heights = np.ones((d + 1, len(supports)))
+    for i, support in enumerate(supports):
+        count = len(support.heights)
+        if support.kind == "strip":
+            facets[:count, i] = np.arange(len(rows), len(rows) + count)
+            rows += support.halfspaces
+        else:
+            facets[:count, i] = support.facet_indices
+        heights[:count, i] = support.heights
+    facets[facets < 0] = len(rows)
+    return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
+            facets, heights)
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

@@ -245,16 +245,18 @@ def test_eval_diagnostics_stdout_is_unchanged(capsys, name):
 
 def test_diagnostics_run_the_kernel_once_per_chunk(capsys, monkeypatch):
     """``eval --diagnostics`` and ``eval_extremal(diagnostics=True)`` read the
-    value and argmax off the per-support matrix: one kernel pass per chunk,
+    value and argmax off every support's sums: one kernel pass per chunk,
     half the passes of evaluating the points twice."""
     calls = []
-    original = extremal._values
-    monkeypatch.setattr(extremal, "_values", lambda *args: calls.append(args) or original(*args))
+    original = extremal._sums
+    monkeypatch.setattr(extremal, "_sums", lambda *args: calls.append(args) or original(*args))
     support_set = enumerate_supports(load_fixture("quad"))
     eval_extremal(support_set, np.array([2.0 + 0j, 2.0 + 0j]), diagnostics=True)
     assert len(calls) == 1
     calls.clear()
-    monkeypatch.setattr(extremal, "_CHUNK", 2 * len(support_set))  # two points a pass
+    # two points a pass: the quad has 4 facets and 2 supports
+    monkeypatch.setattr(extremal, "_CHUNK", 2 * (8 * 5 + 32 * 4 + 16 * 2))
+    assert extremal._chunk_points(4, 2) == 2
     points = DIAGNOSTICS_STDOUT["quad"][0] + ["1,0,1,0"]
     code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--diagnostics",
                              *[f"--point={point}" for point in points])
@@ -282,6 +284,33 @@ def test_eval_diagnostics_keep_the_value_and_argmax_of_a_pruned_set(capsys, tmp_
     assert all(len(row) == 2 + 452 for row in rows)
     assert "".join(" ".join(row[:2]) + "\n" for row in rows) == plain
     assert plain.splitlines()[0] == "0.0 0"
+
+
+@pytest.mark.parametrize("name", ["quad", "quad_vertices", "square", "triangle", "cube", "prism"])
+def test_eval_diagnostics_and_plain_eval_agree(capsys, tmp_path, name):
+    """On every fixture, each ``eval --diagnostics`` line begins with the value
+    and argmax bytes of plain ``eval``: both read them off the same sums.
+    The points include ties on the quad's lines x = y and x + y = 1."""
+    polytope = load_fixture(name)
+    rng = np.random.default_rng(71)
+    points = (rng.uniform(-3.0, 3.0, (60, polytope.dim))
+              + 1j * rng.choice([0.0, 1e-9, 0.5], (60, polytope.dim)))
+    axis = np.linspace(-1.0, 4.0, 21)
+    if name == "quad":
+        points = np.vstack([points, np.stack([axis, axis], axis=1),
+                            np.stack([axis, 1.0 - axis], axis=1)])
+    lines = [",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in z) for z in points]
+    points_file = tmp_path / "points.txt"
+    points_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["eval", fixture_path(name), "--points-file", str(points_file)]
+    code, plain, err = run_cli(capsys, *args)
+    assert code == 0, err
+    code, full, err = run_cli(capsys, *args, "--diagnostics")
+    assert code == 0, err
+    assert [line.split(" ")[:2] for line in full.splitlines()] == [
+        line.split(" ") for line in plain.splitlines()]
+    if name == "quad":
+        assert all(line.split(" ")[1] == "0" for line in plain.splitlines()[60:])
 
 
 def test_eval_rejects_wrong_arity(capsys):
@@ -491,7 +520,7 @@ class _SerialPool:
 def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected):
     """--jobs 100000 starts at most min(points, os.cpu_count()) workers, and
     none at all when only one is worth it; the bytes stay those of --jobs 1."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     outputs = []
@@ -507,6 +536,20 @@ def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected)
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert _SerialPool.created == ([] if expected is None else [expected])
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """A fresh ``import polyextremal.cli`` loads neither ``multiprocessing`` nor
+    ``concurrent.futures.process``: only ``grid`` with more than one worker
+    imports the pool, and every other command starts without it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, polyextremal.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the simplex, strip, ball, and interval extremal-function evaluators."""
 
 import cmath
+import decimal
 import math
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from polyextremal import extremal
 from polyextremal.extremal import (
     DomainError,
-    _coordinates,
+    _chunked_sums,
     _inv_joukowski_log_many,
     barycentric,
     eval_extremal,
@@ -28,7 +29,8 @@ from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
 from conftest import (corner_cut_hexagon, cube_polytope, load_fixture, ngon_polytope,
-                      prism_polytope, quad_reference, symmetric_polytope, tangent_halfspaces)
+                      prism_polytope, quad_reference, symmetric_polytope, tangent_halfspaces,
+                      tilted_prism)
 
 VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
 
@@ -210,32 +212,42 @@ def test_translated_box_keeps_supports_and_values(box, shift):
 
 
 def _kernel_coordinates(support_set, points):
-    """lambda_k of every support as the stacked kernel computes them:
-    a (d+1, points, supports) array."""
-    shape = (points.shape[0], len(support_set))
-    coords, term = np.empty(shape, complex), np.empty(shape, complex)
-    return np.array([lam.copy() for lam in _coordinates(
-        support_set.rows, support_set.shifts, points, coords, term)])
+    """lambda_j = l_r(z) / heights[j] of every support, r = facets[j], from
+    the set's facet functions and its stacked facets and heights, with the
+    padding row's value 0: a (d+1, points, supports) array."""
+    values = np.hstack([points @ support_set.normals.T + support_set.offsets,
+                        np.zeros((points.shape[0], 1))])
+    return values[:, support_set.facets].transpose(1, 0, 2) / support_set.heights[:, None, :]
+
+
+def _kernel_sums(support_set, points):
+    """The kernel's (supports, points) magnitude sums, chunk by chunk."""
+    return np.hstack([sums.copy() for _, sums in _chunked_sums(
+        support_set.normals, support_set.offsets, support_set.facets, support_set.heights,
+        points)])
 
 
 def test_kernel_coordinates_match_barycentric_oracle():
-    """On every valid fixture, the stacked kernel's coordinates of each simplex
-    and strip agree with an LU solve of the defining system (for a strip, of
-    its cross-section at Qz), and a strip's padding coordinates are exactly 0."""
+    """On every valid fixture, the coordinates the stacked facets and heights
+    give each simplex and strip agree with an LU solve of the defining
+    system (for a strip, of its cross-section at Qz), a strip's padding
+    coordinates are exactly 0, and the kernel's sums are the oracle's sums
+    of moduli."""
     rng = np.random.default_rng(19)
     for name in VALID_FIXTURES:
         supports = enumerate_supports(load_fixture(name))
         dim = supports.polytope.dim
         points = rng.uniform(-4, 4, (30, dim)) + 1j * rng.uniform(-3, 3, (30, dim))
-        coords = _kernel_coordinates(supports, points)
+        coords, sums = _kernel_coordinates(supports, points), _kernel_sums(supports, points)
         for i, support in enumerate(supports):
-            for z, lam in zip(points, coords[:, :, i].T):
+            for z, lam, total in zip(points, coords[:, :, i].T, sums[i]):
                 if support.kind == "strip":
                     oracle = barycentric(support.cross_simplex, support.basis @ z)
                 else:
                     oracle = barycentric(support, z)
                 assert np.max(np.abs(lam[:len(oracle)] - oracle)) <= 1e-12, name
                 assert np.all(lam[len(oracle):] == 0.0), name
+                assert abs(total - np.abs(oracle).sum()) <= 1e-12 * total, name
 
 
 def test_barycentric_closed_form_coordinates(quad_supports):
@@ -603,20 +615,23 @@ def test_prism_matches_triangle_through_projection(prism_supports, triangle_supp
         assert v_prism == pytest.approx(v_tri, abs=1e-12)
 
 
-def _reference_values(support, points):
-    """The per-support evaluation the stacked kernel replaced: one support's
-    lambda_k in fixed order, magnitudes added in k order, then arccosh as
-    log1p(u + sqrt(u(u+2))), or log 2 + log s where u(u+2) overflows."""
-    rows, shifts = support.rows, support.shifts
-    coords = np.empty((rows.shape[0], points.shape[0]), dtype=complex)
-    for k in range(rows.shape[0]):
-        column = rows[k, 0] * points[:, 0]
-        for c in range(1, rows.shape[1]):
-            column += rows[k, c] * points[:, c]
-        coords[k] = column + shifts[k]
-    total = np.abs(coords[0])
-    for k in range(1, coords.shape[0]):
-        total = total + np.abs(coords[k])
+def _reference_sums(support, points):
+    """One support's magnitude sums by a loop of its own over its
+    halfspaces, in the kernel's order of operations: each facet value
+    n_k0 z_0 + ... + b_k in that order, its modulus over the apex height,
+    added in facet order."""
+    total = np.zeros(points.shape[0])
+    for halfspace, height in zip(support.halfspaces, support.heights):
+        value = halfspace.normal[0] * points[:, 0]
+        for c in range(1, points.shape[1]):
+            value = value + halfspace.normal[c] * points[:, c]
+        total = total + np.abs(value + halfspace.offset) / height
+    return total
+
+
+def _reference_arccosh(total):
+    """arccosh as log1p(u + sqrt(u(u+2))), or log 2 + log s where u(u+2)
+    overflows, and 0 up to 1 + 1e-12."""
     u = np.maximum(total - 1.0, 0.0)
     with np.errstate(over="ignore"):
         square = u * (u + 2.0)
@@ -627,16 +642,23 @@ def _reference_values(support, points):
     return values
 
 
+def _reference_values(support, points):
+    return _reference_arccosh(_reference_sums(support, points))
+
+
 def _reference_max(support_set, points):
-    """Max over supports by a strict > loop: ties go to the first support."""
-    best = _reference_values(support_set[0], points)
-    argmax = np.zeros(points.shape[0], dtype=np.int64)
-    for i in range(1, len(support_set)):
-        values = _reference_values(support_set[i], points)
-        better = values > best
-        best = np.where(better, values, best)
-        argmax = np.where(better, i, argmax)
-    return best, argmax
+    """V_K and argmax by a loop over the stack: arccosh of the largest sum,
+    and the first entry whose sum is (1 - 1e-12) times that or more, 0
+    where V = 0."""
+    sums = [_reference_sums(support_set[i], points)
+            for i in support_set.stack]
+    best = np.max(sums, axis=0)
+    argmax = np.full(points.shape[0], -1, dtype=np.int64)
+    for i, total in zip(support_set.stack, sums):
+        argmax[(argmax < 0) & (total >= best * (1.0 - 1e-12))] = i
+    values = _reference_arccosh(best)
+    argmax[values == 0.0] = 0
+    return values, argmax
 
 
 KERNEL_CASES = {
@@ -648,6 +670,7 @@ KERNEL_CASES = {
     **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
        for dim in (2, 3, 4)},
     "ngon-24": lambda: ngon_polytope(24),
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in (1, 7)},
 }
 
 
@@ -665,13 +688,14 @@ def _mixed_points(polytope, count, rng):
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_stacked_kernel_matches_per_support_oracle(name):
-    """Values and argmax are those of the per-support loop over every
-    support, bit for bit, in batches of 1 and one chunk's worth of points
-    minus one, exactly, plus one, and each point gives the same bits alone as
-    inside its batch.  A chunk's worth follows the evaluation stack's width,
-    which for the symmetric cases is their slabs alone."""
+    """Values and argmax are those of the per-support loop over the
+    evaluation stack, bit for bit, in batches of 1 and one chunk's worth of
+    points minus one, exactly, plus one, and each point gives the same bits
+    alone as inside its batch.  A chunk's worth follows the stack's table of
+    facet functions and its width, which for the symmetric cases are their
+    slabs' alone."""
     supports = enumerate_supports(KERNEL_CASES[name]())
-    step = max(1, extremal._CHUNK // len(supports.stack))
+    step = extremal._chunk_points(len(supports.stack_offsets), len(supports.stack))
     rng = np.random.default_rng(len(supports))
     for count in sorted({1, step - 1, step, step + 1} - {0}):
         points = _mixed_points(supports.polytope, count, rng)
@@ -717,10 +741,11 @@ def test_support_matrix_matches_per_support_oracle(name):
     """``eval_supports_many`` runs chunk by chunk, and its matrix holds the
     per-support loop's values bit for bit across the chunk boundaries."""
     supports = enumerate_supports(KERNEL_CASES[name]())
-    step = max(1, extremal._CHUNK // len(supports))
+    polytope = supports.polytope
+    step = extremal._chunk_points(len(supports.offsets), len(supports))
     rng = np.random.default_rng(len(supports) + 1)
     for count in sorted({1, step, step + 1, 2 * step + 3} - {0}):
-        points = _mixed_points(supports.polytope, count, rng)
+        points = _mixed_points(polytope, count, rng)
         matrix = eval_supports_many(supports, points)
         expected = np.stack([_reference_values(s, points) for s in supports], axis=1)
         assert matrix.tobytes() == expected.tobytes(), (name, count)
@@ -754,7 +779,7 @@ def test_per_support_diagnostics_match_eval_simplex(name):
         result = eval_extremal(supports, z, diagnostics=True)
         expected = [eval_simplex(support, z) for support in supports]
         assert np.array(result.per_support).tobytes() == np.array(expected).tobytes()
-        assert result.value == result.per_support[result.argmax]
+        assert result.value == max(result.per_support[i] for i in supports.stack)
 
 
 def _lundin(polytope, points):
@@ -795,23 +820,229 @@ def test_pruned_values_match_lundin_formula(name):
     assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, expected))
 
 
+def _assert_argmax_contract(supports, points):
+    """V is arccosh of each point's largest stack sum, the largest of the
+    stack's values; argmax is 0 where V = 0 and otherwise the first stack
+    entry whose sum is (1 - 1e-12) times the largest or more, by its sorted
+    index.  The sums are the per-support loop's."""
+    values, argmax = eval_extremal_many(supports, points)
+    sums = np.array([_reference_sums(supports[i], points)
+                     for i in supports.stack])
+    best = sums.max(axis=0)
+    assert np.array_equal(values, _reference_arccosh(best))
+    matrix = eval_supports_many(supports, points)
+    assert np.array_equal(values, matrix[:, supports.stack].max(axis=1))
+    zero = values == 0.0
+    assert np.all(argmax[zero] == 0)
+    within = sums >= best * (1.0 - 1e-12)
+    first = supports.stack[np.argmax(within, axis=0)]
+    assert np.array_equal(argmax[~zero], first[~zero])
+    return values, argmax
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_argmax_names_the_first_sum_within_the_band(name):
+    """On every fixture, at complex points, real points inside and outside,
+    far points and K's vertices, the named support's sum lies within the
+    band of the largest sum, and no earlier stack entry's does."""
+    supports = enumerate_supports(load_fixture(name))
+    _assert_argmax_contract(supports, _mixed_points(supports.polytope, 300,
+                                                    np.random.default_rng(43)))
+
+
+def test_argmax_breaks_quad_ties_for_the_lowest_index(quad_supports):
+    """The quad's two simplices have equal sums on the lines x = y and
+    x + y = 1, real or complex; rounding puts either one higher, but the
+    band names support 0 at every such point of the 101 x 101 grid over
+    [-1, 4]^2 and at complex points of both lines."""
+    axis = np.linspace(-1.0, 4.0, 101)
+    rng = np.random.default_rng(53)
+    w = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-2, 2, 200)
+    points = np.vstack([np.stack([axis, axis], axis=1),
+                        np.stack([axis[:61], axis[60::-1]], axis=1),  # u + v = 1 on the grid
+                        np.stack([w, w], axis=1), np.stack([w, 1.0 - w], axis=1)]).astype(complex)
+    sums = np.array([_reference_sums(support, points)
+                     for support in quad_supports])
+    assert np.all(np.abs(sums[1] - sums[0]) <= 1e-14 * sums[0])
+    assert np.any(sums[1] > sums[0])  # a strict max would name support 1 there
+    values, argmax = _assert_argmax_contract(quad_supports, points)
+    assert np.all(argmax == 0) and np.any(values > 0.0)
+
+
 @pytest.mark.parametrize("name", SYMMETRIC_CASES)
 def test_pruned_argmax_contract(name):
-    """argmax is 0 where V = 0 and otherwise the first stack entry attaining
-    V, by its sorted index; diagnostics read the same value and argmax off
-    the full matrix, whose every column is reported."""
+    """The argmax contract over the slabs alone; diagnostics read the same
+    value and argmax off the same sums, and report every column."""
     supports = enumerate_supports(SYMMETRIC_CASES[name]())
     points = _mixed_points(supports.polytope, 300, np.random.default_rng(13))
-    values, argmax = eval_extremal_many(supports, points)
-    matrix = eval_supports_many(supports, points)
-    stacked = matrix[:, supports.stack]
+    values, argmax = _assert_argmax_contract(supports, points)
     zero = values == 0.0
     assert zero.any() and not zero.all()
-    assert np.all(argmax[zero] == 0)
-    first = supports.stack[np.argmax(stacked == values[:, None], axis=1)]
-    assert np.array_equal(argmax[~zero], first[~zero])
-    assert np.array_equal(values, stacked.max(axis=1))
+    matrix = eval_supports_many(supports, points)
     for k in (0, 1, 2, 150, 299):
         result = eval_extremal(supports, points[k], diagnostics=True)
         assert (result.value, result.argmax) == (values[k], argmax[k])
         assert np.array(result.per_support).tobytes() == matrix[k].tobytes()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_argmax_value_gap_is_bounded_near_the_boundary(name):
+    """Near the real boundary of K every sum approaches 1, and the band's
+    1e-12 of the largest sum s spans a wider gap in value.  Sum s_a of the
+    named support is within it, and where s_a falls in the zero band its
+    value V_a is 0 and not arccosh(s_a), which costs up to 1e-12 more: so
+    cosh V - cosh V_a <= 2e-12 s and V - V_a <= 2e-12 cosh V / sinh(V / 2),
+    about 4e-12 / V.  The value the named support reaches is never above V
+    and never further below it than that, plus 16 eps max(1, V) for the
+    arccosh's own rounding.  The points lie 1e-12..1e-3 outside a facet of
+    K, some with imaginary parts."""
+    supports = enumerate_supports(KERNEL_CASES[name]())
+    polytope, eps = supports.polytope, np.finfo(float).eps
+    rng = np.random.default_rng(83)
+    points = []
+    for k, halfspace in enumerate(polytope.halfspaces):
+        corners = polytope.vertices[[k in active for active in polytope.incidence.active]]
+        weights = rng.dirichlet(np.ones(len(corners)), 20)
+        steps = 10.0 ** rng.uniform(-12, -3, (20, 1))
+        points.append(weights @ corners - steps * halfspace.normal
+                      + 1j * rng.choice([0.0, 1e-9, 1e-5], (20, polytope.dim)))
+    points = np.vstack(points)
+    values, argmax, matrix = extremal._diagnose(supports, points)
+    named = matrix[np.arange(len(points)), argmax]
+    outside = values > 0.0
+    assert outside.sum() > len(points) // 2
+    gap = values[outside] - named[outside]
+    bound = (2e-12 * np.cosh(values[outside]) / np.sinh(values[outside] / 2)
+             + 16 * eps * np.maximum(1.0, values[outside]))
+    assert np.all(gap >= 0.0) and np.all(gap <= bound), name
+
+
+def _translated(polytope, shift):
+    return validate([(h.normal, h.offset - float(h.normal @ np.array(shift)))
+                     for h in polytope.halfspaces], polytope.dim)
+
+
+TILTED_CASES = {
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
+    **{f"tilted-{seed}-moved": lambda seed=seed: _translated(tilted_prism(seed), (2.5, -1.5, 4.0))
+       for seed in (1, 7, 11)},
+}
+
+
+def _cross_section_max(support_set, points):
+    """V_K with each strip evaluated at the projected point Qz against the
+    halfspaces and heights of its cross-section, the simplex certification
+    checked, and each simplex from K's facets: a route apart from the
+    strips' lifted facets."""
+    sums = []
+    for i in support_set.stack:
+        support = support_set[i]
+        strip = support.kind == "strip"
+        simplex = support.cross_simplex if strip else support
+        frame = points @ support.basis.T if strip else points
+        sums.append(sum(np.abs(frame @ h.normal + h.offset) / height
+                        for h, height in zip(simplex.halfspaces, simplex.heights)))
+    return _reference_arccosh(np.max(sums, axis=0))
+
+
+@pytest.mark.parametrize("name", TILTED_CASES)
+def test_tilted_strips_vanish_on_K(name):
+    """A tilted prism's side normals leave their plane by 1e-11..1e-9; where
+    that is inside the rank tolerance, as at 8 of the 12 seeds, its three
+    sides make a strip, besides the slab between its caps.  A strip reads
+    its cross-section's facets lifted into the span of Q, not K's own
+    normals, whose residual would move the sum at a real point of K off 1
+    by up to about 1e-9 and V to about 1e-5.  At real points inside K every
+    value is exactly 0 and argmax 0.  Elsewhere, K's vertices among them, V
+    is the cross-section route's to rounding, 1e-12 max(1, 1/V): a vertex
+    on a cap lies up to the sides' tilt outside the strip, which the rank
+    tolerance lets through, and reads about 1e-5 on both routes."""
+    supports = enumerate_supports(TILTED_CASES[name]())
+    polytope = supports.polytope
+    assert any(support.kind == "strip" for support in supports)
+    rng = np.random.default_rng(89)
+    inside = np.vstack([rng.dirichlet(np.ones(len(polytope.vertices)), 300) @ polytope.vertices,
+                        polytope.interior])
+    values, argmax = eval_extremal_many(supports, inside)
+    assert np.all(values == 0.0) and np.all(argmax == 0)
+    assert np.all(eval_supports_many(supports, inside) == 0.0)
+    points = rng.uniform(-4, 4, (200, 3)) + 1j * rng.choice([0.0, 0.5], (200, 3))
+    points = np.vstack([points + polytope.interior, polytope.vertices])
+    values, _ = eval_extremal_many(supports, points)
+    expected = _cross_section_max(supports, points)
+    assert np.array_equal(values == 0.0, expected == 0.0)
+    assert np.all(np.abs(values - expected)
+                  <= 1e-12 * np.maximum(1.0, 1.0 / np.maximum(values, 1e-300))), name
+
+
+def _decimal_values(support_set, points):
+    """V_K to 40 digits and each point's forward-error bound on its largest
+    sum, from the float normals, offsets, heights and points taken exactly:
+    facet values, moduli, quotients, sums and arccosh in decimal arithmetic.
+
+    The bound is E = (2d + 8) eps (sum_j A_j / h_j + s) over the stack's
+    supports, largest where they differ, with A_k = sum_c |n_kc| (|x_c| +
+    |y_c|) + |b_k| for z = x + iy: each part of l_k(z) gathers d products and
+    d additions, at most gamma_(d+1) A_k in all; the modulus, the quotient
+    and the d additions of nonnegative quotients add at most 2 eps |l_k|,
+    eps lambda_j and gamma_d s.  (2d + 8) eps leaves a factor of about 2."""
+    polytope, eps = support_set.polytope, np.finfo(float).eps
+    d, D = polytope.dim, decimal.Decimal
+    with decimal.localcontext() as context:
+        context.prec = 40
+        normals = [[D(float(c)) for c in row] for row in support_set.stack_normals]
+        offsets = [D(float(b)) for b in support_set.stack_offsets]
+        facets = support_set.stack_facets.T.tolist()
+        heights = [[D(float(h)) for h in column] for column in support_set.stack_heights.T]
+        exact, bounds = [], []
+        for z in points:
+            x, y = [D(float(c.real)) for c in z], [D(float(c.imag)) for c in z]
+            moduli, scales = [], []
+            for normal, offset in zip(normals, offsets):
+                real = sum((n * c for n, c in zip(normal, x)), offset)
+                imag = sum(n * c for n, c in zip(normal, y))
+                moduli.append((real * real + imag * imag).sqrt())
+                scales.append(sum(abs(n) * (abs(a) + abs(b)) for n, a, b in zip(normal, x, y))
+                              + abs(offset))
+            moduli.append(D(0))
+            scales.append(D(0))
+            slots = [list(zip(ks, hs)) for ks, hs in zip(facets, heights)]
+            sums = [sum(moduli[k] / h for k, h in slot) for slot in slots]
+            weights = [sum(scales[k] / h for k, h in slot) for slot in slots]
+            best = max(sums)
+            exact.append(best)
+            bounds.append(max(D((2 * d + 8) * eps) * (w + t) for w, t in zip(weights, sums)))
+        return exact, bounds
+
+
+def _decimal_arccosh(s):
+    with decimal.localcontext() as context:
+        context.prec = 40
+        return float((s + (s * s - 1).sqrt()).ln()) if s > 1 else 0.0
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_matches_decimal_oracle(name):
+    """Against 40-digit arithmetic on the same float inputs, at complex points
+    (a few of them 1e6 out, where l_k cancels) and real points outside K,
+    V lies in [arccosh(s - E), arccosh(s + E)], widened by 4 eps V for the
+    arccosh's own rounding: s is the exact largest sum and E the forward-error
+    bound of ``_decimal_values``; below 1 + 1e-12 the lower end is 0, the
+    band's value.  V = 0 nowhere here, since these points are not in K."""
+    supports = enumerate_supports(KERNEL_CASES[name]())
+    polytope, eps = supports.polytope, np.finfo(float).eps
+    rng = np.random.default_rng(67)
+    dim = polytope.dim
+    complex_points = rng.uniform(-3, 3, (20, dim)) + 1j * rng.uniform(-2, 2, (20, dim))
+    complex_points[::7] *= 1e6
+    real = rng.uniform(-3, 3, (200, dim))
+    outside = real[np.min(real @ polytope.normals.T + polytope.offsets, axis=1) < 0.0][:20]
+    points = np.vstack([complex_points, outside.astype(complex)])
+    values, _ = eval_extremal_many(supports, points)
+    exact, bounds = _decimal_values(supports, points)
+    assert np.all(values > 0.0)
+    for value, s, bound in zip(values.tolist(), exact, bounds):
+        low = s - bound
+        lower = 0.0 if low <= 1 + decimal.Decimal(1e-12) else _decimal_arccosh(low)
+        upper = _decimal_arccosh(s + bound)
+        assert lower * (1 - 4 * eps) <= value <= upper * (1 + 4 * eps), (name, value, s)

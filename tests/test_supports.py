@@ -11,7 +11,7 @@ from polyextremal import polytope as polytope_module
 from polyextremal import supports as supports_module
 from polyextremal.extremal import eval_supports_many
 from polyextremal.linalg import Singular, lu_solve_many
-from polyextremal.polytope import enumerate_vertices, from_vertices_2d, validate
+from polyextremal.polytope import Halfspace, enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
     SimplexSupport,
     StripSupport,
@@ -30,7 +30,7 @@ VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle"
 
 
 def _oracle_simplex(normals, offsets, tol):
-    """Apexes, rows and shifts of a (k+1)-hyperplane system in R^k, each apex
+    """Apexes and heights of a (k+1)-hyperplane system in R^k, each apex
     solved on its own and its height taken as ``Halfspace.value`` takes it;
     None when some apex is singular or not strictly inside."""
     count = len(offsets)
@@ -45,12 +45,13 @@ def _oracle_simplex(normals, offsets, tol):
         heights[j] = float(np.dot(normals[j], apexes[j]) + offsets[j])
         if heights[j] <= tol.pos_abs:
             return None
-    return apexes, normals / heights[:, None], offsets / heights
+    return apexes, heights
 
 
 def _oracle_strip(polytope, subset):
     """The strip test of ``try_strip`` with the scalar Gram-Schmidt and a
-    fresh solve per cross-section apex."""
+    fresh solve per cross-section apex: the basis, the cross-section's
+    facets lifted back to R^d, and its apexes and heights."""
     tol = polytope.tol
     normals = np.vstack([polytope.halfspaces[k].normal for k in subset])
     j = len(subset) - 1
@@ -67,7 +68,8 @@ def _oracle_strip(polytope, subset):
         images.append(image / length)
         offsets.append(polytope.halfspaces[k].offset / length)
     cross = _oracle_simplex(np.vstack(images), np.array(offsets), tol)
-    return None if cross is None else (basis,) + cross
+    lifted = [Halfspace(normal=n, offset=b) for n, b in zip(np.vstack(images) @ basis, offsets)]
+    return None if cross is None else (basis, lifted) + cross
 
 
 QUAD_APEX_SETS = [
@@ -191,19 +193,33 @@ def test_enumerate_supports_prism(prism_supports):
 
 
 @pytest.mark.parametrize("name", ["quad", "square", "cube", "prism"])
-def test_support_set_stacks_rows_and_shifts(name):
-    """Column i of the stacked arrays is support i's rows and shifts, with a
-    strip's missing rows padded by exact zeros."""
+def test_support_set_stacks_facets_and_heights(name):
+    """The set's facet functions are K's facets and then each strip's own
+    halfspaces, in support order.  Column i of the stacked arrays is support
+    i's rows of them, which name its own halfspaces, and its heights, with a
+    strip's missing slots padded by row R, the zero facet value, and height
+    1.0."""
     supports = enumerate_supports(load_fixture(name))
-    d = supports.polytope.dim
-    assert supports.rows.shape == (d + 1, d, len(supports))
-    assert supports.shifts.shape == (d + 1, len(supports))
+    polytope = supports.polytope
+    d, n, rows = polytope.dim, len(polytope.halfspaces), len(supports.offsets)
+    strips = [h for support in supports if support.kind == "strip" for h in support.halfspaces]
+    assert rows == n + len(strips) and supports.normals.shape == (rows, d)
+    assert supports.normals[:n].tobytes() == polytope.normals.tobytes()
+    assert supports.offsets[:n].tobytes() == polytope.offsets.tobytes()
+    assert supports.facets.shape == supports.heights.shape == (d + 1, len(supports))
+    assert supports.facets.dtype == np.intp
     for i, support in enumerate(supports):
-        count = len(support.shifts)
-        assert supports.rows[:count, :, i].tobytes() == support.rows.tobytes()
-        assert supports.shifts[:count, i].tobytes() == support.shifts.tobytes()
-        assert np.all(supports.rows[count:, :, i] == 0.0)
-        assert np.all(supports.shifts[count:, i] == 0.0)
+        count = len(support.heights)
+        facets = supports.facets[:count, i]
+        if support.kind == "simplex":
+            assert facets.tolist() == list(support.facet_indices)
+        assert np.all(facets < rows)
+        assert supports.normals[facets].tobytes() == np.array(
+            [h.normal for h in support.halfspaces]).tobytes()
+        assert supports.offsets[facets].tolist() == [h.offset for h in support.halfspaces]
+        assert supports.heights[:count, i].tobytes() == support.heights.tobytes()
+        assert np.all(supports.facets[count:, i] == rows)
+        assert np.all(supports.heights[count:, i] == 1.0)
 
 
 def test_simplex_count_bound(quad_supports, quad):
@@ -413,7 +429,8 @@ CERTIFIER_CASES = {
 def test_certification_matches_per_subset_solve_oracle(name):
     """Apexes read from the arrangement equal a fresh solve, and the stacked
     heights equal ``Halfspace.value`` at each apex, bit for bit: the same
-    subsets pass, with the same apexes, rows and shifts."""
+    subsets pass, with the same apexes and heights, and a strip reads its
+    cross-section's facets lifted by Q^T, over the cross-section's heights."""
     polytope = CERTIFIER_CASES[name]()
     d = polytope.dim
     normals = np.vstack([h.normal for h in polytope.halfspaces])
@@ -432,14 +449,14 @@ def test_certification_matches_per_subset_solve_oracle(name):
             if got is None:
                 continue
             if size <= d:
-                basis, *expected = expected
+                basis, lifted, *expected = expected
                 assert got.basis.tobytes() == basis.tobytes()
-                assert got.rows.tobytes() == (expected[1] @ basis).tobytes()
-                assert got.shifts.tobytes() == expected[2].tobytes()
-            apexes, rows, shifts = expected
+                assert got.heights.tobytes() == expected[1].tobytes()
+                assert [(h.normal.tobytes(), h.offset) for h in got.halfspaces] == [
+                    (h.normal.tobytes(), h.offset) for h in lifted]
+            apexes, heights = expected
             assert cross.apexes.tobytes() == apexes.tobytes()
-            assert cross.rows.tobytes() == rows.tobytes()
-            assert cross.shifts.tobytes() == shifts.tobytes()
+            assert cross.heights.tobytes() == heights.tobytes()
 
 
 def _count_lu(monkeypatch, *modules):
@@ -537,7 +554,7 @@ def _support_bytes(support):
     cross = support.cross_simplex if strip else support
     basis = support.basis.tobytes() if strip else b""
     return (support.kind, support.facet_indices, cross.apexes.tobytes(),
-            support.rows.tobytes(), support.shifts.tobytes(), basis)
+            support.heights.tobytes(), basis)
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
@@ -603,20 +620,23 @@ def test_batched_strip_screen_agrees_with_try_strip(name):
     """For every size 2..d, the batched strip screen passes exactly the
     subsets that ``try_strip`` certifies, among all subsets of that size and
     not only those inside singular d-subsets, with the bases and corners
-    ``try_strip`` finds for each on its own, bit for bit."""
+    and heights ``try_strip`` finds for each on its own, bit for bit."""
     polytope = STRIP_SCREEN_CASES[name]()
     n, d = len(polytope.halfspaces), polytope.dim
     for size in range(2, d + 1):
         subsets = list(itertools.combinations(range(n), size))
         certified = {subset: strip for subset in subsets
                      if (strip := try_strip(polytope, subset)) is not None}
-        index, basis, _, _, apexes, _, passed = supports_module._strips(polytope,
-                                                                        np.array(subsets))
+        index, basis, _, _, apexes, heights, passed = supports_module._strips(
+            polytope, np.array(subsets))
         screened = [tuple(subset) for subset in index[passed].tolist()]
         assert screened == list(certified)
-        for subset, q, corners in zip(screened, basis[passed], apexes[passed]):
+        for subset, q, corners, cross in zip(screened, basis[passed], apexes[passed],
+                                             heights[passed]):
             assert certified[subset].basis.tobytes() == q.tobytes()
             assert certified[subset].cross_simplex.apexes.tobytes() == corners.tobytes()
+            assert certified[subset].cross_simplex.heights.tobytes() == cross.tobytes()
+            assert certified[subset].heights.tobytes() == cross.tobytes()
 
 
 def test_combination_rank_follows_itertools_order():
@@ -662,10 +682,24 @@ def _antipodal_pairs(supports):
     return [supports[i].facet_indices for i in supports.stack]
 
 
+def _read_rows(normals, offsets, facets):
+    """The (normal, offset) rows ``facets`` names, the padding row as zeros."""
+    table = np.column_stack([normals, offsets])
+    return np.vstack([table, np.zeros((1, table.shape[1]))])[facets]
+
+
 def _assert_full_stack(supports):
+    """The stack is every support and reads the very rows the set does; its
+    table is the set's own unless every support is a slab, as for the square
+    and the cube, when it holds the slabs' rows alone."""
     assert supports.stack.tolist() == list(range(len(supports)))
-    assert supports.stack_rows.tobytes() == supports.rows.tobytes()
-    assert supports.stack_shifts.tobytes() == supports.shifts.tobytes()
+    assert supports.stack_heights.tobytes() == supports.heights.tobytes()
+    assert _read_rows(supports.stack_normals, supports.stack_offsets,
+                      supports.stack_facets).tobytes() == _read_rows(
+        supports.normals, supports.offsets, supports.facets).tobytes()
+    if any(support.kind == "simplex" for support in supports):
+        assert supports.stack_facets.tobytes() == supports.facets.tobytes()
+        assert supports.stack_normals.tobytes() == supports.normals.tobytes()
 
 
 @pytest.mark.parametrize("cuts", [(1.5, 1.5, 1.5), (1.2, 1.5, 1.8)])
@@ -690,8 +724,13 @@ def test_centred_hexagon_is_pruned_to_its_slabs(cuts, shift):
     supports = enumerate_supports(corner_cut_hexagon(cuts, shift))
     assert len(supports) > 3
     assert _antipodal_pairs(supports) == [(0, 3), (1, 4), (2, 5)]
-    assert supports.stack_rows.tobytes() == supports.rows[..., supports.stack].tobytes()
-    assert supports.stack_shifts.tobytes() == supports.shifts[:, supports.stack].tobytes()
+    assert supports.stack_heights.tobytes() == supports.heights[:, supports.stack].tobytes()
+    # the stack's own table holds the three slabs' rows alone, those of the set
+    own, full = supports.stack_facets, supports.facets[:, supports.stack]
+    assert own[:2].T.tolist() == [[0, 1], [2, 3], [4, 5]] and np.all(own[2] == 6)
+    assert np.all(full[2] == len(supports.offsets))
+    assert supports.stack_normals[own[:2]].tobytes() == supports.normals[full[:2]].tobytes()
+    assert supports.stack_offsets[own[:2]].tobytes() == supports.offsets[full[:2]].tobytes()
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (4, 2)])
