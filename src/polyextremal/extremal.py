@@ -83,8 +83,10 @@ class DomainError(Exception):
 def inv_joukowski_log(s: float) -> float:
     """log(s + sqrt(s^2 - 1)) = arccosh(s) for s >= 1, with the band around 1
     clamped to exactly 0: ``_inv_joukowski_log_many`` of the one value, after
-    the domain check every kernel sum gets."""
+    the domain check every kernel sum gets.  NaN raises ValueError."""
     s = np.array([s], dtype=float)
+    if np.isnan(s[0]):
+        raise ValueError("inverse Joukowski argument is NaN")
     _check_domain(s)
     return float(_inv_joukowski_log_many(s, np.empty(1))[0])
 
@@ -316,19 +318,54 @@ def eval_extremal(support_set: SupportSet, z: np.ndarray,
 
 def lundin_ball(z: np.ndarray, radius: float) -> float:
     """V of the real ball of given radius in R^d at z in C^d:
-    half of log h(|z/R|^2 + |(z/R)^2 - 1|) with z^2 = sum z_i^2."""
+    half of log h(|z/R|^2 + |(z/R)^2 - 1|) with z^2 = sum z_i^2.  Where that
+    argument overflows, ``_ball_far`` takes the value from z and R scaled by
+    powers of two."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 1 or not z.size:
+        raise ValueError("point must be a nonempty vector")
     if not math.isfinite(radius) or not np.all(np.isfinite(z)):
         raise ValueError("radius and point coordinates must be finite")
-    z = z / radius
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = z / radius
+    try:
+        total = _ball_argument(scaled.tolist(), 1.0)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        return _ball_far(z, radius)
+    return 0.5 * inv_joukowski_log(total)
+
+
+def _ball_argument(components: list[complex], one: float) -> float:
+    """|w|^2 + |w^2 - one| of the point w given by ``components``, with
+    w^2 = sum w_i^2, each sum taken in component order."""
     square = complex(0.0)
     magnitude = 0.0
-    for component in z:
-        square += complex(component) * complex(component)
-        magnitude += abs(complex(component)) ** 2
-    return 0.5 * inv_joukowski_log(magnitude + abs(square - 1.0))
+    for component in components:
+        square += component * component
+        magnitude += abs(component) ** 2
+    return magnitude + abs(square - one)
+
+
+def _ball_far(z: np.ndarray, radius: float) -> float:
+    """``lundin_ball`` where z / R or the argument S overflows, or a
+    subnormal R spoils numpy's division: z / R = 2^e u, with z and R scaled
+    by powers of two apart.  Up to e = 500, S is formed from 2^e u; beyond,
+    S = 4^e (|u|^2 + |u^2 - 4^-e|) exceeds 2^1000, and arccosh S = log 2S to
+    double precision."""
+    r = math.frexp(radius)[1]
+    parts = np.concatenate([z.real, z.imag]).tolist()
+    k = max((math.frexp(x)[1] for x in parts if x), default=r)  # z = 0: e = 0
+    width, e = math.ldexp(radius, -r), k - r
+    u = [complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k)) / width for c in z.tolist()]
+    if e <= 500:
+        w = [complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in u]
+        return 0.5 * inv_joukowski_log(_ball_argument(w, 1.0))
+    return (0.5 * math.log(_ball_argument(u, math.ldexp(1.0, -2 * e)))
+            + (e + 0.5) * math.log(2.0))
 
 
 def eval_interval(a: float, b: float, t: complex) -> float:
@@ -337,13 +374,41 @@ def eval_interval(a: float, b: float, t: complex) -> float:
     Maps [a, b] to [-1, 1], then evaluates log|s + sqrt(s^2 - 1)| picking the
     square-root branch of modulus >= 1.  Kept deliberately independent of the
     barycentric route (cmath arithmetic, product form (s-1)(s+1), branch by
-    comparing moduli) so the two can serve as oracles for each other.
+    comparing moduli) so the two can serve as oracles for each other.  Where
+    b - a, s or the product overflows, ``_interval_far`` takes the value from
+    t, a and b scaled by powers of two.
     """
     if not (math.isfinite(a) and math.isfinite(b) and cmath.isfinite(complex(t))):
         raise ValueError("endpoints and point must be finite")
     if not b > a:
         raise ValueError("need a < b")
     s = (2.0 * complex(t) - a - b) / (b - a)
-    root = cmath.sqrt((s - 1.0) * (s + 1.0))
+    product = (s - 1.0) * (s + 1.0)
+    if math.isinf(b - a) or not cmath.isfinite(product):
+        return _interval_far(a, b, complex(t))
+    return _interval_value(s, product)
+
+
+def _interval_value(s: complex, product: complex) -> float:
+    """log|s + sqrt(s^2 - 1)| from s and s^2 - 1 = ``product``, taking the
+    larger modulus of s + root and s - root."""
+    root = cmath.sqrt(product)
     grown = max(abs(s + root), abs(s - root))
     return max(0.0, math.log(grown))
+
+
+def _interval_far(a: float, b: float, t: complex) -> float:
+    """``eval_interval`` where b - a, s = (2t - a - b) / (b - a) or s^2 - 1
+    overflows: s = 2^e w, with the numerator scaled by the largest power of
+    two in t, a and b and the width by that in a and b.  Beyond |s| = 2^60
+    the value is log 2|s|, off by under |s|^-2 / 4 < 2^-122; below it, 2t or
+    b - a alone overflowed, and s itself is formed from w."""
+    k = max(math.frexp(x)[1] for x in (t.real, t.imag, a, b) if x)
+    j = max(math.frexp(x)[1] for x in (a, b) if x)
+    numerator = (2.0 * complex(math.ldexp(t.real, -k), math.ldexp(t.imag, -k))
+                 - math.ldexp(a, -k) - math.ldexp(b, -k))
+    w, e = numerator / (math.ldexp(b, -j) - math.ldexp(a, -j)), k - j
+    if math.frexp(abs(w))[1] + e > 60:
+        return math.log(abs(w)) + (e + 1) * math.log(2.0)
+    s = complex(math.ldexp(w.real, e), math.ldexp(w.imag, e))
+    return _interval_value(s, (s - 1.0) * (s + 1.0))

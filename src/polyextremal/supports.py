@@ -22,9 +22,10 @@ at the corner of the other d, so a few gathers test every subset, and
 ``try_simplex`` runs only on the subsets that pass.  Strip normals make
 every d-subset containing them singular, so strips are looked for only
 inside the d-subsets the arrangement leaves out.  One routine certifies
-strips, every candidate of a size at once; ``try_strip`` is that routine on
-one subset and runs only on the candidates that pass.  This certifies
-completeness directly; a guard refuses inputs whose subset count explodes.
+strips, every candidate of a size at once, and builds the records of those
+that pass, so each strip is certified once; ``try_strip`` is that routine
+on one subset.  This certifies completeness directly; a guard refuses
+inputs whose subset count explodes.
 Certification of one subset never looks at another, so results merge
 deterministically: supports are sorted by facet index set.
 
@@ -210,16 +211,8 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     subset = _facet_subset(polytope, subset)
     if not 2 <= len(subset) <= polytope.dim:
         raise ValueError("strip subsets have size 2..dim")
-    _, basis, normals, offsets, apexes, heights, passed = _strips(polytope, np.array([subset]))
-    if not passed.any():
-        return None
-    basis, normals, offsets, heights = basis[0], normals[0], offsets[0], heights[0]
-    projected = tuple(Halfspace(normal=n, offset=float(b)) for n, b in zip(normals, offsets))
-    cross = SimplexSupport(facet_indices=subset, apexes=apexes[0], halfspaces=projected,
-                           dim=len(subset) - 1, heights=heights)
-    lifted = tuple(Halfspace(normal=n, offset=float(b)) for n, b in zip(normals @ basis, offsets))
-    return StripSupport(facet_indices=subset, cross_dim=cross.dim, basis=basis,
-                        cross_simplex=cross, halfspaces=lifted, heights=heights)
+    strips = _strips(polytope, np.array([subset]))
+    return strips[0] if strips else None
 
 
 def _combination_rank(columns: list[np.ndarray], n: int) -> np.ndarray:
@@ -257,24 +250,21 @@ def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tu
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 
-def _strips(polytope: PolytopeH, index: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Strip certification of the sorted (j+1)-subsets ``index`` (C, j+1) at once.
+def _strips(polytope: PolytopeH, index: np.ndarray) -> list[StripSupport]:
+    """The strips among the sorted (j+1)-subsets ``index`` (C, j+1), certified at once.
 
     The subsets whose normals' Gram-Schmidt basis Q has other than j rows
     are dropped.  The rest are projected, l(x') = (Q n).x' + b scaled to
     unit normals, and pass when the projection is a simplex of R^j: one LU
     batch solves all j+1 corners of every subset, and no corner's height
-    above its own hyperplane may be at or below pos_abs.  Returns, for the
-    kept subsets, ``index``, the bases (C', j, d), the projected normals
-    (C', j+1, j) and offsets (C', j+1), the corners (C', j+1, j), their
-    heights (C', j+1), and the mask of the subsets that pass."""
+    above its own hyperplane may be at or below pos_abs.  Returns the
+    records of the subsets that pass, in the order of ``index``."""
     tol, j, normals = polytope.tol, index.shape[1] - 1, polytope.normals[index]
     slots, accepted = _orthogonalize_many(normals, tol)
     spans = accepted.sum(axis=1) == j
     index, basis = index[spans], slots[spans][accepted[spans]].reshape(-1, j, slots.shape[2])
     if not len(index):  # nothing spans j dimensions: no corner to solve
-        empty = np.empty((0, j + 1, j))
-        return index, basis, empty, empty[..., 0], empty, empty[..., 0], spans[spans]
+        return []
     # the images Q n_k as stacked (j, d) @ (d, 1) products, and their lengths,
     # which are 1 up to roundoff: the normals lie in the row span of Q
     images = np.matmul(basis[:, None], normals[spans][..., None]).reshape(-1, j + 1, j)
@@ -287,7 +277,17 @@ def _strips(polytope: PolytopeH, index: np.ndarray) -> tuple[np.ndarray, ...]:
     apexes = apexes.reshape(-1, j + 1, j)
     heights = np.matmul(apexes[..., None, :], normals[..., None]).reshape(-1, j + 1) + offsets
     passed = nonsingular.reshape(-1, j + 1).all(axis=1) & ~(heights <= tol.pos_abs).any(axis=1)
-    return index, basis, normals, offsets, apexes, heights, passed
+    strips = []
+    for i, subset in zip(np.flatnonzero(passed), map(tuple, index[passed].tolist())):
+        projected = tuple(Halfspace(normal=m, offset=float(c))
+                          for m, c in zip(normals[i], offsets[i]))
+        cross = SimplexSupport(facet_indices=subset, apexes=apexes[i], halfspaces=projected,
+                               dim=j, heights=heights[i])
+        lifted = tuple(Halfspace(normal=m, offset=float(c))
+                       for m, c in zip(normals[i] @ basis[i], offsets[i]))
+        strips.append(StripSupport(facet_indices=subset, cross_dim=j, basis=basis[i],
+                                   cross_simplex=cross, halfspaces=lifted, heights=heights[i]))
+    return strips
 
 
 def _antipodal_strips(polytope: PolytopeH,
@@ -338,18 +338,14 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     nonsingular = np.fromiter((face in polytope.incidence.arrangement for face in faces),
                               dtype=bool, count=len(faces))
     singular = list(itertools.compress(faces, ~nonsingular))
-    candidates = []
+    accepted: list[SimplexSupport | StripSupport] = []
     if singular:  # without singular d-subsets there are no strips
         for size in range(2, d + 1):
             parts = sorted({sub for face in singular for sub in itertools.combinations(face, size)})
-            index, *_, passed = _strips(polytope, np.array(parts, dtype=np.intp))
-            candidates += [tuple(subset) for subset in index[passed].tolist()]
-    candidates += _simplex_candidates(polytope, nonsingular)
-    accepted: list[SimplexSupport | StripSupport] = []
-    for subset in candidates:
-        support = (try_simplex if len(subset) == d + 1 else try_strip)(polytope, subset)
-        if support is not None:
-            accepted.append(support)
+            accepted += _strips(polytope, np.array(parts, dtype=np.intp))
+    # the screen decides as try_simplex does, so each candidate is a simplex
+    accepted += [try_simplex(polytope, subset)
+                 for subset in _simplex_candidates(polytope, nonsingular)]
 
     covered = {facet for support in accepted for facet in support.facet_indices}
     for facet in range(n):
@@ -399,6 +395,8 @@ def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,
     simplex iff some vertex violates some defining halfspace strictly.
     """
     shift = np.asarray(shift, dtype=float)
+    if shift.shape != (polytope.dim,):
+        raise ValueError(f"shift must have shape ({polytope.dim},)")
     if not np.all(np.isfinite(shift)):
         raise ValueError("shift must be finite")
     if not np.any(shift):

@@ -80,6 +80,12 @@ def test_inv_joukowski_log_domain_error():
         inv_joukowski_log(0.0)
 
 
+def test_inv_joukowski_log_rejects_nan_and_keeps_infinity():
+    with pytest.raises(ValueError, match="NaN"):
+        inv_joukowski_log(math.nan)
+    assert inv_joukowski_log(math.inf) == math.inf
+
+
 def test_inv_joukowski_log_far_field():
     """Where u(u+2) overflows the value is log 2 + log s; below that numpy's
     log1p formula is kept bit for bit, in the scalar and the batch form."""
@@ -562,6 +568,51 @@ def test_eval_interval_rejects_non_finite_input(a, b, t):
 def test_lundin_ball_rejects_non_finite_input(z, radius):
     with pytest.raises(ValueError, match="finite"):
         lundin_ball(np.array(z, dtype=complex), radius)
+
+
+@pytest.mark.parametrize("z", [np.zeros((2, 2), dtype=complex), np.zeros((1, 2), dtype=complex),
+                               np.zeros(0, dtype=complex)])
+def test_lundin_ball_rejects_malformed_point(z):
+    with pytest.raises(ValueError, match="nonempty vector"):
+        lundin_ball(z, 1.0)
+
+
+EXTREME_POINTS = (1e150, 1e154, 1e200, 1e300, 1e200j, (1 + 1j) * 1e200)
+
+
+@pytest.mark.parametrize("t", EXTREME_POINTS)
+def test_reference_evaluators_agree_at_extreme_points(t):
+    """At |t| up to 1e300 the interval formula, the ball on the complex line
+    (t, 0), where it is the segment's value, and the kernel on the segment
+    [-1, 1] agree to 4 eps relative: each reference evaluator takes a scaled
+    route where its direct formula overflows."""
+    segment = enumerate_supports(validate([([1.0], 1.0), ([-1.0], 1.0)], 1))
+    kernel = eval_extremal(segment, np.array([t])).value
+    assert math.isfinite(kernel)
+    for value in (eval_interval(-1.0, 1.0, t), lundin_ball(np.array([t, 0.0]), 1.0)):
+        assert abs(value - kernel) <= 4 * np.finfo(float).eps * kernel
+
+
+@pytest.mark.parametrize("a, b, t, expected", [
+    (-1.0, 1.0, -1.7e308, math.log(2.0) + math.log(1.7e308)),
+    (1e308, 1.7e308, 1.5e308, 0.0),             # 2t overflows, s = 3/7 is inside
+    (-1.7e308, 1.7e308, 1e308j, math.asinh(1e308 / 1.7e308)),  # b - a and 2t overflow
+    (0.0, 2.0 ** -1070, 1e300, math.log(4e300) + 1070 * math.log(2.0)),
+    (0.0, 5e-324, 1e-323, math.log(3.0 + math.sqrt(8.0))),
+])
+def test_eval_interval_is_finite_at_extreme_inputs(a, b, t, expected):
+    assert eval_interval(a, b, t) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("z, radius, expected", [
+    ([1.7e308, 0.0], 1e-300, math.log(2.0) + math.log(1.7e308) - math.log(1e-300)),
+    ([0.0, 0.0], 5e-324, 0.0),                  # numpy's division by R is NaN here
+    ([3e-320j, 0.0], 1e-320, 0.5 * math.acosh(19.0)),
+    ([2e-310, 0.0], 1e-310, 0.5 * math.acosh(7.0)),
+])
+def test_lundin_ball_is_finite_at_extreme_inputs(z, radius, expected):
+    value = lundin_ball(np.array(z, dtype=complex), radius)
+    assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
 
 
 def test_eval_interval_explicit_branch_formula():

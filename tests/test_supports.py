@@ -314,6 +314,14 @@ def test_check_minimality_takes_tiny_and_huge_shifts(quad, quad_supports, shift)
     assert poked if abs(shift[0]) > 1.0 else isinstance(poked, bool)
 
 
+@pytest.mark.parametrize("shift", [0.5, [0.5], [[0.1, 0.2]], [0.1, 0.2, 0.3], []])
+def test_check_minimality_rejects_shift_of_wrong_shape(quad, quad_supports, shift):
+    """A shift is one point of R^d: a scalar, a row or a vector of another
+    length would broadcast or fail inside numpy."""
+    with pytest.raises(ValueError, match="shape"):
+        check_minimality(quad, quad_supports[0], shift)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_check_minimality_rejects_non_finite_shift(quad, quad_supports, bad):
     with pytest.raises(ValueError, match="finite"):
@@ -499,25 +507,15 @@ def test_each_facet_intersection_is_solved_once(monkeypatch, halfspaces, dim):
 
 def test_only_strip_cross_sections_solve(monkeypatch, prism):
     """On the prism, enumeration factors in one LU batch per strip size
-    screened, of j+1 systems per candidate, and in one batch of j+1 systems
-    per ``try_strip`` call: every solve is inside a strip test."""
+    screened, of j+1 systems per candidate, and in nothing else: the screen
+    certifies each strip once, and no other LU runs."""
     batches, factored = _count_lu(monkeypatch, supports_module)
-    inside_strip = []
-
-    def traced_strip(polytope, subset):
-        before = len(batches)
-        strip = try_strip(polytope, subset)
-        inside_strip.append(batches[before:])
-        return strip
-
-    monkeypatch.setattr(supports_module, "try_strip", traced_strip)
     supports = enumerate_supports(prism)
     assert [s.kind for s in supports] == ["strip", "strip"]
-    assert inside_strip == [[((2, 1, 1), [True, True])], [((3, 2, 2), [True, True, True])]]
-    screens = [shape for shape, _ in batches[:2]]
+    screens = [shape for shape, _ in batches]
     assert [shape[1] for shape in screens] == [1, 2]
     assert screens[0][0] % 2 == 0 and screens[1][0] % 3 == 0
-    assert [batch[0] for batch in batches] == factored and len(batches) == 4
+    assert screens == factored
 
 
 def test_strip_solves_projected_corners_in_one_batch(monkeypatch):
@@ -555,6 +553,19 @@ def _support_bytes(support):
     basis = support.basis.tobytes() if strip else b""
     return (support.kind, support.facet_indices, cross.apexes.tobytes(),
             support.heights.tobytes(), basis)
+
+
+def _halfspace_bytes(halfspaces):
+    return [(h.normal.tobytes(), h.offset) for h in halfspaces]
+
+
+def _strip_bytes(strip):
+    """Every field of a strip record, arrays as bytes."""
+    cross = strip.cross_simplex
+    return (strip.facet_indices, strip.cross_dim, strip.basis.tobytes(),
+            strip.heights.tobytes(), _halfspace_bytes(strip.halfspaces),
+            cross.facet_indices, cross.dim, cross.apexes.tobytes(), cross.heights.tobytes(),
+            _halfspace_bytes(cross.halfspaces))
 
 
 @pytest.mark.parametrize("name", SEARCH_CASES)
@@ -617,26 +628,42 @@ STRIP_SCREEN_CASES = {
 
 @pytest.mark.parametrize("name", STRIP_SCREEN_CASES)
 def test_batched_strip_screen_agrees_with_try_strip(name):
-    """For every size 2..d, the batched strip screen passes exactly the
-    subsets that ``try_strip`` certifies, among all subsets of that size and
-    not only those inside singular d-subsets, with the bases and corners
-    and heights ``try_strip`` finds for each on its own, bit for bit."""
+    """For every size 2..d, the batched strip screen returns the records of
+    exactly the subsets that ``try_strip`` certifies, among all subsets of
+    that size and not only those inside singular d-subsets, each bitwise the
+    record ``try_strip`` builds for its subset alone."""
     polytope = STRIP_SCREEN_CASES[name]()
     n, d = len(polytope.halfspaces), polytope.dim
     for size in range(2, d + 1):
         subsets = list(itertools.combinations(range(n), size))
-        certified = {subset: strip for subset in subsets
-                     if (strip := try_strip(polytope, subset)) is not None}
-        index, basis, _, _, apexes, heights, passed = supports_module._strips(
-            polytope, np.array(subsets))
-        screened = [tuple(subset) for subset in index[passed].tolist()]
-        assert screened == list(certified)
-        for subset, q, corners, cross in zip(screened, basis[passed], apexes[passed],
-                                             heights[passed]):
-            assert certified[subset].basis.tobytes() == q.tobytes()
-            assert certified[subset].cross_simplex.apexes.tobytes() == corners.tobytes()
-            assert certified[subset].cross_simplex.heights.tobytes() == cross.tobytes()
-            assert certified[subset].heights.tobytes() == cross.tobytes()
+        certified = [strip for subset in subsets
+                     if (strip := try_strip(polytope, subset)) is not None]
+        screened = supports_module._strips(polytope, np.array(subsets))
+        assert [_strip_bytes(s) for s in screened] == [_strip_bytes(s) for s in certified]
+        assert all(type(k) is int for s in screened for k in s.facet_indices)
+
+
+STRIP_AGREEMENT_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
+    **{f"symmetric-d{dim}-{seed}": lambda dim=dim, seed=seed: symmetric_polytope(dim, dim + 2, seed)
+       for dim in (2, 3, 4) for seed in range(2)},
+    **{f"prism-d{dim}-{seed}": lambda dim=dim, seed=seed: prism_polytope(dim, seed)
+       for dim in (3, 4) for seed in range(3)},
+    **{f"ngon-{sides}": lambda sides=sides: ngon_polytope(sides) for sides in (4, 6, 12, 24)},
+}
+
+
+@pytest.mark.parametrize("name", STRIP_AGREEMENT_CASES)
+def test_enumerated_strips_are_try_strip_records(name):
+    """The two strip entry points agree: every strip ``enumerate_supports``
+    returns is, field by field and bit for bit, ``try_strip`` of its facet
+    tuple, basis, heights, lifted halfspaces and the cross-section's apexes,
+    halfspaces and heights."""
+    polytope = STRIP_AGREEMENT_CASES[name]()
+    strips = [s for s in enumerate_supports(polytope) if s.kind == "strip"]
+    for strip in strips:
+        assert _strip_bytes(try_strip(polytope, strip.facet_indices)) == _strip_bytes(strip)
 
 
 def test_combination_rank_follows_itertools_order():
@@ -646,19 +673,42 @@ def test_combination_rank_follows_itertools_order():
         assert ranks.tolist() == list(range(len(subsets)))
 
 
+def _count_screens(monkeypatch):
+    """The ``index`` of every strip-screen call, with ``try_strip`` made to
+    fail the test: set-up certifies strips by the screen alone."""
+    calls, screen = [], supports_module._strips
+
+    def counting(polytope, index):
+        calls.append(index)
+        return screen(polytope, index)
+
+    def refused(*args):
+        raise AssertionError("set-up called try_strip")
+
+    monkeypatch.setattr(supports_module, "_strips", counting)
+    monkeypatch.setattr(supports_module, "try_strip", refused)
+    return calls
+
+
 @pytest.mark.parametrize("dim,count,seed", [(3, 10, 1), (4, 9, 6)])
 def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, count, seed):
     polytope = validate(tangent_halfspaces(dim, count, seed), dim)
     assert len(polytope.incidence.arrangement) == math.comb(count, dim)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return try_strip(*args)
-
-    monkeypatch.setattr(supports_module, "try_strip", counting)
+    calls = _count_screens(monkeypatch)
     assert all(s.kind == "simplex" for s in enumerate_supports(polytope))
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["prism", "cube", "square", "prism-d4-1", "symmetric-d3-0",
+                                  "ngon-24"])
+def test_setup_screens_each_strip_size_once(monkeypatch, name):
+    """Where some d-subset is singular, set-up makes one strip-screen call
+    per size 2..d and no ``try_strip`` call."""
+    polytope = STRIP_AGREEMENT_CASES[name]()
+    calls = _count_screens(monkeypatch)
+    supports = enumerate_supports(polytope)
+    assert any(s.kind == "strip" for s in supports)
+    assert [index.shape[1] for index in calls] == list(range(2, polytope.dim + 1))
 
 
 NESTING_CASES = {

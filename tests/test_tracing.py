@@ -25,8 +25,9 @@ def test_tracer_boundaries_resolve(monkeypatch):
 
 def test_traced_setup_records_spans_and_restores(monkeypatch):
     """A traced set-up records ``supports.try_simplex`` spans, which the
-    benchmark's per-layer metrics divide by, and ``restore`` puts every
-    wrapped attribute back."""
+    benchmark's per-layer metrics divide by, and no ``supports.try_strip``
+    span, since the strip screen certifies strips itself; ``restore`` puts
+    every wrapped attribute back."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     originals = {(module, attribute): getattr(getattr(polyextremal, module), attribute)
@@ -39,16 +40,18 @@ def test_traced_setup_records_spans_and_restores(monkeypatch):
                                                for n in normals]})
     tracer = tracing.Tracer()
     tracer.install(polyextremal)
+    kinds = set()
     try:
         for document in documents:
             polytope = polyextremal.polytope.validate(
                 [(h["normal"], h["offset"]) for h in document["halfspaces"]], document["dim"])
-            polyextremal.supports.enumerate_supports(polytope)
+            kinds.update(s.kind for s in polyextremal.supports.enumerate_supports(polytope))
     finally:
         tracer.restore()
     totals = tracer.totals()
+    assert kinds == {"simplex", "strip"}
     assert totals["supports.try_simplex"]["calls"] > 0
-    assert totals["supports.try_strip"]["calls"] > 0
+    assert "supports.try_strip" not in totals
     assert totals["polytope.enumerate_vertices"]["calls"] == len(documents)
     assert all(getattr(getattr(polyextremal, module), attribute) is original
                for (module, attribute), original in originals.items())
