@@ -19,14 +19,15 @@ once.  It forms |l_r(z)| once per facet function the supports read and
 per point, the products n_rc z_c added in c order, then adds
 |l_r(z)| / l_r(p_r) over each support's facets in facet order: elementwise
 numpy calls, a few per facet slot however many supports, and no BLAS, so a
-point's values never depend on its chunk.  Every sum is checked against
-the domain band as it is formed.  The max rule (``_stack_max``) works on
-these sums: V is arccosh of each point's largest sum, taken once per point,
-and ``argmax`` names the first stack entry whose sum is within the
-relative band 1e-12 of the largest, by its index in the sorted support
-order, and 0 where V = 0.  The band makes mathematical ties, which rounding
-would otherwise break either way, go to the lowest index.  Only
-per-support values take arccosh of every sum.
+point's values never depend on its chunk.  Each is a ufunc or an ndarray
+method, not a Python wrapper, which costs more cold.  Every sum is checked
+against the domain band as it is formed.  The max rule (``_stack_max``)
+works on these sums: V is arccosh of each point's largest sum, taken once
+per point, and ``argmax`` names the first stack entry whose sum is within
+the relative band 1e-12 of the largest, by its index in the sorted
+support order, and 0 where V = 0.  The band makes mathematical ties,
+which rounding would otherwise break either way, go to the lowest index.
+Only per-support values take arccosh of every sum.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -39,9 +40,14 @@ point gets there, but roundoff can: far from the origin n_k.z and b_k are
 large and cancel, and the quad translated by (1e7, 1e7) reads a sum below
 1 - 1e-9 at an interior point.  The arccosh itself runs on u = s - 1
 (exact for s in [1, 2]) as log1p(u + sqrt(u(u+2))) to dodge the s^2 - 1
-cancellation; where u(u+2) overflows (u beyond ~1.3e154) it is
-log 2 + log s, exact there to double precision.  Points must be finite:
-NaN or infinite coordinates raise ValueError.
+cancellation.  Beyond _FAR = 1.3407807929942596e154, the largest u for
+which u(u+2) is finite, a test against that constant, not an overflow
+caught under ``np.errstate``, takes the far branch, log 2 + log s, exact
+there to double precision.  An infinite or NaN sum gets there only where
+a finite point's sum overflowed, as |1 + t| does on [-1, 1] at
+t = 1.7e308(1 + i): the branch raises ``_Overflow``, and ``_far_point``
+takes that point's value from the point scaled by a power of two.  Points
+must be finite: NaN or infinite coordinates raise ValueError.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ __all__ = [
 _ZERO_BAND = 1e-12   # sums within this of 1 (above) collapse to value 0
 _DOMAIN_BAND = 1e-9  # sums below 1 by more than this signal an internal bug
 _CHUNK = 786_432     # bytes of work arrays per kernel pass; fastest on the benchmark
+_FAR = 1.3407807929942596e154  # the largest u with (u + 2) u finite, found by bisection
 
 
 class DomainError(Exception):
@@ -80,38 +87,55 @@ class DomainError(Exception):
     far from the origin, or a defect."""
 
 
+class _Overflow(ArithmeticError):
+    """An arccosh argument is infinite or NaN: in the kernel, a sum at a
+    finite point that overflowed."""
+
+
 def inv_joukowski_log(s: float) -> float:
     """log(s + sqrt(s^2 - 1)) = arccosh(s) for s >= 1, with the band around 1
     clamped to exactly 0: ``_inv_joukowski_log_many`` of the one value, after
-    the domain check every kernel sum gets.  NaN raises ValueError."""
-    s = np.array([s], dtype=float)
+    the domain check every kernel sum gets.  NaN raises ValueError, and
+    arccosh(inf) is inf."""
+    s, out = np.array([s], dtype=float), np.empty(1)
     if np.isnan(s[0]):
         raise ValueError("inverse Joukowski argument is NaN")
     _check_domain(s)
-    return float(_inv_joukowski_log_many(s, np.empty(1))[0])
+    try:
+        _inv_joukowski_log_many(s, out)
+    except _Overflow:
+        return math.inf
+    return float(out[0])
 
 
 def _check_domain(s: np.ndarray) -> None:
     """DomainError when any entry of ``s`` lies below 1 by more than the band."""
-    if s.size and s.min() < 1.0 - _DOMAIN_BAND:
-        raise DomainError(f"inverse Joukowski argument {float(s.min())!r} below 1")
+    low = np.minimum.reduce(s, axis=None, initial=math.inf)
+    if low < 1.0 - _DOMAIN_BAND:
+        raise DomainError(f"inverse Joukowski argument {float(low)!r} below 1")
 
 
 def _inv_joukowski_log_many(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """arccosh of the float array ``s``, already checked against the domain
     band, with the band around 1 clamped to 0, into ``out``, which has its
-    shape; ``s`` is overwritten, so that no array of that size is made.
-    Every evaluator's arccosh, the scalar one included."""
-    zero = s <= 1.0 + _ZERO_BAND
+    shape, and the mask of the clamped entries; ``s`` is overwritten, so
+    that no array of that size is made.  Every evaluator's arccosh, the
+    scalar one included.  Its far branch raises _Overflow on inf or NaN."""
+    zero = np.less_equal(s, 1.0 + _ZERO_BAND)
     u = np.maximum(np.subtract(s, 1.0, out=s), 0.0, out=s)
-    with np.errstate(over="ignore"):
-        square = np.multiply(np.add(u, 2.0, out=out), u, out=out)
-    far = np.isinf(square)
-    np.log1p(np.add(np.sqrt(square, out=out), u, out=out), out=out)
-    if far.any():
-        out[far] = math.log(2.0) + np.log(u[far])  # u == s there
+    top = np.maximum.reduce(u, axis=None, initial=0.0)
+    if not top <= _FAR:
+        if not top < math.inf:
+            raise _Overflow
+        far = np.greater(u, _FAR)
+        beyond = np.log(u[far])  # u == s there
+        np.minimum(u, _FAR, out=u)
+    np.log1p(np.add(np.sqrt(np.multiply(np.add(u, 2.0, out=out), u, out=out), out=out), u,
+                    out=out), out=out)
+    if top > _FAR:
+        out[far] = math.log(2.0) + beyond
     out[zero] = 0.0
-    return out
+    return zero
 
 
 def barycentric(simplex: SimplexSupport, z: np.ndarray) -> np.ndarray:
@@ -130,16 +154,20 @@ def barycentric(simplex: SimplexSupport, z: np.ndarray) -> np.ndarray:
     return lu_factor(matrix, DEFAULT_TOL).solve(np.append(z, 1.0))
 
 
-def _as_points(z: np.ndarray, dim: int) -> np.ndarray:
-    """The evaluators' one entry point: rows of finite points of C^dim."""
+def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """The evaluators' one entry point: rows of finite points of C^dim, and
+    whether their squared norm, one BLAS call, overflows.  It is finite only
+    if every coordinate is, which is tested one by one only where it is not."""
     points = np.asarray(z, dtype=complex)
     if points.ndim == 1:
         points = points[None, :]
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(f"points must have dimension {dim}")
-    if not np.all(np.isfinite(points)):
+    if cmath.isfinite(np.vdot(points, points)):
+        return points, False
+    if not np.isfinite(points).all():
         raise ValueError("point coordinates must be finite")
-    return points
+    return points, True
 
 
 def _facet_values(normals, offsets, points, work) -> np.ndarray:
@@ -147,24 +175,24 @@ def _facet_values(normals, offsets, points, work) -> np.ndarray:
     (R+1, m), in the first of the ``work`` arrays: the products n_rc z_c
     added in c order, elementwise, then b_r, then the modulus.  Row R is
     the padding's and stays exactly 0."""
-    magnitudes, values, term = (array[:, :points.shape[0]] for array in work)
+    magnitudes, values, term = work[:3]
     np.multiply(normals[:, :1], points[:, 0], out=values)
     for c in range(1, normals.shape[1]):
         values += np.multiply(normals[:, c:c + 1], points[:, c], out=term)
     values += offsets[:, None]
-    np.abs(values, out=magnitudes[:normals.shape[0]])
+    np.abs(values, out=magnitudes[:-1])
     return magnitudes
 
 
 def _sums(facets, heights, magnitudes, work) -> np.ndarray:
-    """(S, m) barycentric magnitude sums of S supports, in the first of the
-    ``work`` arrays: |l_r| / heights[j] with r = facets[j], added in j order."""
-    total, term = (array[:, :magnitudes.shape[1]] for array in work)
-    np.divide(np.take(magnitudes, facets[0], axis=0, out=total, mode="clip"),
+    """(S, m) barycentric magnitude sums of S supports, in the ``work`` array
+    for them: |l_r| / heights[j] with r = facets[j], added in j order."""
+    total, term = work[3:5]
+    np.divide(magnitudes.take(facets[0], axis=0, out=total, mode="clip"),
               heights[0][:, None], out=total)
     for j in range(1, facets.shape[0]):
-        np.take(magnitudes, facets[j], axis=0, out=term, mode="clip")
-        total += np.divide(term, heights[j][:, None], out=term)
+        total += np.divide(magnitudes.take(facets[j], axis=0, out=term, mode="clip"),
+                           heights[j][:, None], out=term)
     return total
 
 
@@ -172,55 +200,94 @@ def _chunk_points(rows: int, width: int) -> int:
     """Points a kernel pass takes against ``rows`` facet functions and
     ``width`` supports: its work arrays, rows+1 float and 2 * rows complex
     facet values and 2 * width float sums per point, fill at most _CHUNK
-    bytes."""
+    bytes, besides the max rule's float and width flags per point."""
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
 def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray):
-    """(chunk slice, its (S, points) sums) per pass over checked points against
-    S supports given by ``facets`` and ``heights`` into the facet functions
-    ``normals`` and ``offsets``, ``_chunk_points`` points a pass, each sum
-    checked against the domain band.  The sums sit in work arrays the next
-    pass overwrites.  The work arrays are allocated once: fresh ones per
-    chunk had their pages faulted anew."""
+    """(chunk slice, its (S, points) sums, the work arrays) per pass over
+    checked points against S supports given by ``facets`` and ``heights``
+    into the facet functions ``normals`` and ``offsets``, ``_chunk_points``
+    points a pass, each sum checked against the domain band.  The sums sit
+    in work arrays the next pass overwrites, cut from three buffers
+    allocated once: fresh ones per chunk had their pages faulted anew."""
     rows, width = normals.shape[0], facets.shape[1]
-    # trailing slots that hold only padding, as a stack of slabs has, add
-    # exactly 0.0 to every sum and are skipped
-    slots = int(np.count_nonzero(facets < rows, axis=0).max(initial=0))
-    facets, heights = facets[:slots], heights[:slots]
     step = _chunk_points(rows, width)
     size = min(step, points.shape[0])
-    facet_work = [np.zeros((rows + 1, size)), np.empty((rows, size), complex),
-                  np.empty((rows, size), complex)]
-    sum_work = [np.empty((width, size)), np.empty((width, size))]
+    floats, complexes = np.zeros((rows + 2 + 2 * width, size)), np.empty((2 * rows, size), complex)
+    # magnitudes (row ``rows`` the padding's 0), facet values and a term, sums
+    # and a term, each point's largest sum, the max rule's flags
+    work = (floats[:rows + 1], complexes[:rows], complexes[rows:],
+            floats[rows + 1:rows + 1 + width], floats[rows + 1 + width:-1], floats[-1],
+            np.empty((width, size), bool))
     for start in range(0, points.shape[0], step):
-        chunk = slice(start, start + step)
-        magnitudes = _facet_values(normals, offsets, points[chunk], facet_work)
-        sums = _sums(facets, heights, magnitudes, sum_work)
+        chunk = points[start:start + step]
+        if chunk.shape[0] < size:
+            work = tuple(array[..., :chunk.shape[0]] for array in work)
+        sums = _sums(facets, heights, _facet_values(normals, offsets, chunk, work), work)
         _check_domain(sums)
-        yield chunk, sums
+        yield slice(start, start + step), sums, work
 
 
-def _set_sums(support_set: SupportSet, points: np.ndarray, every: bool):
-    """``_chunked_sums`` of the set's evaluation stack, or with ``every`` of
-    all its supports, at the checked ``points``."""
-    if every:
-        return _chunked_sums(support_set.normals, support_set.offsets, support_set.facets,
-                             support_set.heights, points)
-    return _chunked_sums(support_set.stack_normals, support_set.stack_offsets,
-                         support_set.stack_facets, support_set.stack_heights, points)
+def _stack_max(stack, sums, work, values, argmax) -> None:
+    """V_K and argmax, as ``EvalResult`` defines them, into ``values`` and
+    ``argmax`` from ``sums``, one column per point and one row per stack
+    entry, or per support, of which the stack's are read: the arccosh of
+    each column's largest sum, and the sorted support index of the first
+    entry whose sum is (1 - _ZERO_BAND) times the largest or more, 0 where
+    V = 0."""
+    if sums.shape[0] > stack.shape[0]:
+        sums = sums[stack]
+    best, flags = work[5], work[6][:sums.shape[0]]
+    np.maximum.reduce(sums, axis=0, out=best)
+    np.greater_equal(sums, np.multiply(best, 1.0 - _ZERO_BAND, out=values), out=flags)
+    flags.argmax(axis=0, out=argmax)
+    stack.take(argmax, out=argmax, mode="clip")
+    argmax[_inv_joukowski_log_many(best, values)] = 0
 
 
-def _stack_max(stack: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_K and argmax, as ``EvalResult`` defines them, from ``sums``, one row
-    per entry of ``stack`` and one column per point: the arccosh of each
-    column's largest sum, and the sorted support index of the first entry
-    whose sum is (1 - _ZERO_BAND) times the largest or more, 0 where V = 0."""
-    best = sums.max(axis=0)
-    argmax = stack[np.argmax(sums >= best * (1.0 - _ZERO_BAND), axis=0)]
-    values = _inv_joukowski_log_many(best, out=np.empty_like(best))
-    argmax[values == 0.0] = 0
-    return values, argmax
+def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
+    """The evaluators' one chunk loop: over ``points`` against the supports of
+    ``table`` = (normals, offsets, facets, heights), V and argmax over
+    ``stack`` into ``values`` and ``argmax``, and every value into ``matrix``.
+    Only ``far`` points can overflow a sum, and they run without numpy's
+    overflow warnings; a pass where a sum overflowed is done again point by
+    point by ``_far_point``."""
+    if far:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _evaluate(table, points, False, stack, values, argmax, matrix)
+    for chunk, sums, work in _chunked_sums(*table, points):
+        try:
+            if values is not None:
+                _stack_max(stack, sums, work, values[chunk], argmax[chunk])
+            if matrix is not None:
+                _inv_joukowski_log_many(sums, matrix[chunk].T)
+        except _Overflow:
+            for j in range(chunk.start, chunk.start + sums.shape[1]):
+                _far_point(table, points[j], stack, *[
+                    None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
+
+
+def _far_point(table, z, stack, values, argmax, matrix) -> None:
+    """``_evaluate`` at one finite point z, bit for bit but where a sum
+    overflows.  Then z = 2^k w with w's largest part in [2^511, 2^512), the
+    sum is 2^k s(w) but for the offsets' negligible share, and its arccosh
+    is arccosh s(w) + k log 2."""
+    k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
+    direct, work = next(_chunked_sums(*table, z[None, :]))[1:]
+    scaled = next(_chunked_sums(*table, z[None, :] * math.ldexp(1.0, -k)))[1]
+    if values is not None:
+        try:
+            _stack_max(stack, direct, work, values, argmax)
+        except _Overflow:
+            _stack_max(stack, scaled, work, values, argmax)
+            values += k * math.log(2.0)
+    if matrix is not None:
+        far, overflowed = np.empty_like(scaled), ~np.isfinite(direct)
+        _inv_joukowski_log_many(scaled, far)
+        direct[overflowed] = 1.0
+        _inv_joukowski_log_many(direct, matrix.T)
+        matrix.T[overflowed] = far[overflowed] + k * math.log(2.0)
 
 
 def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
@@ -230,10 +297,10 @@ def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
     ``eval_supports_many`` gives it."""
     normals = np.array([h.normal for h in support.halfspaces])
     offsets = np.array([h.offset for h in support.halfspaces])
-    points = _as_points(points, normals.shape[1])
+    points, far = _as_points(points, normals.shape[1])
     facets, values = np.arange(len(offsets), dtype=np.intp)[:, None], np.empty(points.shape[0])
-    for chunk, sums in _chunked_sums(normals, offsets, facets, support.heights[:, None], points):
-        _inv_joukowski_log_many(sums[0], out=values[chunk])
+    _evaluate((normals, offsets, facets, support.heights[:, None]), points, far,
+              matrix=values[:, None])
     return values
 
 
@@ -245,10 +312,10 @@ def eval_simplex(support, z: np.ndarray) -> float:
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
     """Every support's value at every point, one row per point: arccosh of
     each support's own sum."""
-    points = _as_points(points, support_set.polytope.dim)
+    points, far = _as_points(points, support_set.polytope.dim)
     matrix = np.empty((points.shape[0], len(support_set)))
-    for chunk, sums in _set_sums(support_set, points, every=True):
-        _inv_joukowski_log_many(sums, out=matrix[chunk].T)
+    _evaluate((support_set.normals, support_set.offsets, support_set.facets,
+               support_set.heights), points, far, matrix=matrix)
     return matrix
 
 
@@ -256,13 +323,12 @@ def _diagnose(support_set: SupportSet, points: np.ndarray):
     """``eval_extremal_many`` and ``eval_supports_many`` in one kernel pass per
     chunk: V and argmax are read off the stack's rows of every support's
     sums, the same sums, so they are bitwise the plain ones."""
-    points = _as_points(points, support_set.polytope.dim)
-    best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
+    points, far = _as_points(points, support_set.polytope.dim)
+    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
     matrix = np.empty((points.shape[0], len(support_set)))
-    for chunk, sums in _set_sums(support_set, points, every=True):
-        best[chunk], argmax[chunk] = _stack_max(support_set.stack, sums[support_set.stack])
-        _inv_joukowski_log_many(sums, out=matrix[chunk].T)
-    return best, argmax, matrix
+    _evaluate((support_set.normals, support_set.offsets, support_set.facets,
+               support_set.heights), points, far, support_set.stack, values, argmax, matrix)
+    return values, argmax, matrix
 
 
 @dataclass(frozen=True)
@@ -296,11 +362,12 @@ def eval_extremal_many(support_set: SupportSet,
     evaluation stack's sums are formed, chunk by chunk."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
-    points = _as_points(points, support_set.polytope.dim)
-    best, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.int64)
-    for chunk, sums in _set_sums(support_set, points, every=False):
-        best[chunk], argmax[chunk] = _stack_max(support_set.stack, sums)
-    return best, argmax
+    points, far = _as_points(points, support_set.polytope.dim)
+    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
+    _evaluate((support_set.stack_normals, support_set.stack_offsets, support_set.stack_facets,
+               support_set.stack_heights), points, far, support_set.stack,
+              values=values, argmax=argmax)
+    return values, argmax
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,

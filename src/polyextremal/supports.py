@@ -131,12 +131,13 @@ class SupportSet:
 
     ``normals`` (R, d) and ``offsets`` (R,) are the facet functions every
     support reads, l_r(z) = normals[r].z + offsets[r]: K's n facets, then
-    each strip's ``halfspaces`` in support order.  ``facets`` (d+1, S) and
-    ``heights`` (d+1, S) hold support i's rows of them and its ``heights``
+    each strip's ``halfspaces`` in support order.  ``facets`` (m, S) and
+    ``heights`` (m, S) hold support i's rows of them and its ``heights``
     in column i, so lambda_j of support i is l_r(z) / heights[j, i] with
-    r = facets[j, i].  A strip's j+1 entries are padded with row R, which
-    stands for a facet value of exactly 0, and height 1.0: the padding adds
-    0 / 1.0 = +0.0, and t + 0.0 == t.
+    r = facets[j, i], and m <= d+1 is the most facets a support has.  A
+    strip's j+1 < m entries are padded with row R, which stands for a facet
+    value of exactly 0, and height 1.0: the padding adds 0 / 1.0 = +0.0,
+    and t + 0.0 == t.
 
     ``stack`` holds the increasing support indices the maximum runs over.
     For a centrally symmetric K these are the slabs between antipodal
@@ -145,7 +146,7 @@ class SupportSet:
     ``stack_offsets``, ``stack_facets`` and ``stack_heights`` are the same
     table and columns for the stack alone: the whole set's arrays when the
     stack is every support, and for the slabs only the slabs' own facet
-    functions, so that evaluating V_K reads no row it does not need.
+    functions in 2 slots: evaluating V_K reads no row it does not need.
     """
 
     polytope: PolytopeH
@@ -352,27 +353,29 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
         if facet not in covered:
             raise NoCover(facet)
     ordered = tuple(sorted(accepted, key=lambda s: s.facet_indices))
-    normals, offsets, facets, heights = _facet_table(polytope.halfspaces, ordered, d)
+    normals, offsets, facets, heights = _facet_table(polytope.halfspaces, ordered)
     strips = _antipodal_strips(polytope, ordered)
     if strips is None:
-        stack, stack_table = np.arange(len(ordered)), (normals, offsets, facets, heights)
+        stack = np.arange(len(ordered), dtype=np.intp)
+        stack_table = (normals, offsets, facets, heights)
     else:
         stack = np.array(strips, dtype=np.intp)
-        stack_table = _facet_table((), [ordered[i] for i in strips], d)
+        stack_table = _facet_table((), [ordered[i] for i in strips])
     return SupportSet(polytope=polytope, supports=ordered, normals=normals, offsets=offsets,
                       facets=facets, heights=heights, stack=stack,
                       stack_normals=stack_table[0], stack_offsets=stack_table[1],
                       stack_facets=stack_table[2], stack_heights=stack_table[3])
 
 
-def _facet_table(base, supports, d: int) -> tuple[np.ndarray, ...]:
+def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
     """The facet functions ``base`` followed by each strip's ``halfspaces``, as
-    normals (R, d) and offsets (R,), and the (d+1, S) rows and heights of
-    ``supports`` in that table: a simplex's rows are its facet indices into
-    ``base``, and a strip's missing slots name row R, with height 1.0."""
+    normals (R, d) and offsets (R,), and the (m, S) rows and heights of
+    ``supports``, m their most facets: a simplex's rows are its facet
+    indices into ``base``, and missing slots name row R, with height 1.0."""
     rows = list(base)
-    facets = np.full((d + 1, len(supports)), -1, dtype=np.intp)
-    heights = np.ones((d + 1, len(supports)))
+    slots = max((len(support.heights) for support in supports), default=0)
+    facets = np.full((slots, len(supports)), -1, dtype=np.intp)
+    heights = np.ones((slots, len(supports)))
     for i, support in enumerate(supports):
         count = len(support.heights)
         if support.kind == "strip":

@@ -2,17 +2,20 @@
 
 import cmath
 import decimal
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyextremal import extremal
+from polyextremal import cli, extremal, from_json
 from polyextremal.extremal import (
     DomainError,
+    EvalResult,
     _chunked_sums,
     _inv_joukowski_log_many,
     barycentric,
@@ -86,19 +89,26 @@ def test_inv_joukowski_log_rejects_nan_and_keeps_infinity():
     assert inv_joukowski_log(math.inf) == math.inf
 
 
+def _batch_arccosh(s):
+    """The kernel's arccosh of the array ``s``, which it overwrites."""
+    out = np.empty_like(s)
+    _inv_joukowski_log_many(s, out)
+    return out
+
+
 def test_inv_joukowski_log_far_field():
     """Where u(u+2) overflows the value is log 2 + log s; below that numpy's
     log1p formula is kept bit for bit, in the scalar and the batch form."""
     for s in (1e155, 1e200, 1e300, 1.7e308):
         expected = math.log(2.0) + math.log(s)
         assert inv_joukowski_log(s) == pytest.approx(expected, rel=1e-15)
-        batch = _inv_joukowski_log_many(np.array([s]), np.empty(1))[0]
+        batch = _batch_arccosh(np.array([s]))[0]
         assert batch == pytest.approx(expected, rel=1e-15)
     for s in (3.0, 1e100, 1e150, 1e154):
         u = np.array([s - 1.0])
         expected = np.log1p(u + np.sqrt(u * (u + 2.0)))[0]
         assert inv_joukowski_log(s) == expected
-        assert _inv_joukowski_log_many(np.array([s]), np.empty(1))[0] == expected
+        assert _batch_arccosh(np.array([s]))[0] == expected
 
 
 def test_inv_joukowski_log_is_the_batch_form():
@@ -108,7 +118,7 @@ def test_inv_joukowski_log_is_the_batch_form():
     samples = np.concatenate([np.linspace(1.0 - 1e-9, 1.0 + 1e-11, 201),
                               np.linspace(1.0, 26.0, 2501),
                               np.geomspace(1.0 + 1e-12, 1.7e308, 2501)])
-    batch = _inv_joukowski_log_many(samples.copy(), np.empty_like(samples))
+    batch = _batch_arccosh(samples.copy())
     scalar = np.array([inv_joukowski_log(s) for s in samples.tolist()])
     assert scalar.tobytes() == batch.tobytes()
 
@@ -228,7 +238,7 @@ def _kernel_coordinates(support_set, points):
 
 def _kernel_sums(support_set, points):
     """The kernel's (supports, points) magnitude sums, chunk by chunk."""
-    return np.hstack([sums.copy() for _, sums in _chunked_sums(
+    return np.hstack([sums.copy() for _, sums, _ in _chunked_sums(
         support_set.normals, support_set.offsets, support_set.facets, support_set.heights,
         points)])
 
@@ -1097,3 +1107,182 @@ def test_kernel_matches_decimal_oracle(name):
         lower = 0.0 if low <= 1 + decimal.Decimal(1e-12) else _decimal_arccosh(low)
         upper = _decimal_arccosh(s + bound)
         assert lower * (1 - 4 * eps) <= value <= upper * (1 + 4 * eps), (name, value, s)
+
+
+def _errstate_arccosh(s):
+    """The arccosh as it read before its far threshold was a constant: the
+    square formed everywhere under ``np.errstate``, and the far branch
+    wherever it overflowed to inf."""
+    s = np.array(s, dtype=float)
+    u = np.maximum(s - 1.0, 0.0)
+    with np.errstate(over="ignore"):
+        square = (u + 2.0) * u
+    values = np.log1p(np.sqrt(square) + u)
+    far = np.isinf(square)
+    values[far] = math.log(2.0) + np.log(u[far])
+    values[s <= 1.0 + 1e-12] = 0.0
+    return values
+
+
+def test_arccosh_far_threshold_is_exact():
+    """The far branch starts one ulp above _FAR, the largest u with
+    (u + 2) u finite: there and at 1e300 the scalar and batch arccosh are
+    the errstate formula's bit for bit, with no numpy warning."""
+    bound = extremal._FAR
+    assert math.isfinite((bound + 2.0) * bound)
+    assert math.isinf((math.nextafter(bound, math.inf) + 2.0) * math.nextafter(bound, math.inf))
+    samples = [math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf), 1e300, 1.7e308]
+    samples = [1.0 + u for u in samples]  # s - 1 == u at this size
+    assert [s - 1.0 for s in samples[:3]] == [math.nextafter(bound, 0.0), bound,
+                                              math.nextafter(bound, math.inf)]
+    expected = _errstate_arccosh(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _batch_arccosh(np.array(samples))
+        scalar = np.array([inv_joukowski_log(s) for s in samples])
+    assert batch.tobytes() == scalar.tobytes() == expected.tobytes()
+
+
+OVERFLOW_POINTS = (1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1.7e308 - 1.7e308j,
+                   -1.7e308 + 1.7e308j, -1.7e308, 1.7e308j, 1e308 + 1e308j, 1e160)
+
+
+@pytest.mark.parametrize("t", EXTREME_POINTS + OVERFLOW_POINTS)
+def test_every_evaluator_is_finite_at_extreme_points(t):
+    """On [-1, 1], up to |t| = 1.7e308, where |1 + t| overflows, every
+    evaluator agrees with the interval formula and the ball to 4 eps, and
+    on the cube [-1, 1]^3, by the product rule, with the largest interval
+    value of the coordinates; no numpy warning escapes."""
+    eps = np.finfo(float).eps
+    segment = enumerate_supports(validate([([1.0], 1.0), ([-1.0], 1.0)], 1))
+    expected = eval_interval(-1.0, 1.0, t)
+    assert abs(lundin_ball(np.array([t, 0.0]), 1.0) - expected) <= 4 * eps * expected
+    point = np.array([t])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = eval_extremal(segment, point, diagnostics=True)
+        values = [result.value, *result.per_support, eval_extremal(segment, point).value,
+                  eval_extremal_many(segment, point)[0][0],
+                  eval_supports_many(segment, point)[0, 0], eval_simplex(segment[0], point),
+                  eval_simplex_many(segment[0], point)[0]]
+    for value in values:
+        assert abs(value - expected) <= 4 * eps * expected, values
+    cube = enumerate_supports(cube_polytope(3))
+    points = np.array([[t, 0.5, -0.25j], [2.0, t, 1e300], [0.0, 0.0, t]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, argmax, matrix = extremal._diagnose(cube, points)
+        plain = eval_extremal_many(cube, points)
+    assert values.tobytes() == plain[0].tobytes() and argmax.tobytes() == plain[1].tobytes()
+    for z, value, index, row in zip(points, values, argmax, matrix):
+        reference = [eval_interval(-1.0, 1.0, c) for c in z]
+        assert abs(value - max(reference)) <= 4 * eps * value
+        axis = int(np.argmax(reference))
+        assert cube[index].facet_indices == (2 * axis, 2 * axis + 1)
+        for support, entry in zip(cube, row):
+            coordinate = z[support.facet_indices[0] // 2]
+            assert abs(entry - eval_interval(-1.0, 1.0, coordinate)) <= 4 * eps * max(entry, 1.0)
+
+
+def test_overflowing_points_leave_their_batch_alone():
+    """In one chunk with points whose sums overflow, every other point's
+    value, argmax and support values are those it has alone, bit for bit;
+    a NaN anywhere still raises ValueError and a sum below the domain band
+    DomainError."""
+    supports = enumerate_supports(load_fixture("prism"))
+    rng = np.random.default_rng(97)
+    points = _mixed_points(supports.polytope, 30, rng)
+    points[[4, 17]] = [1.7e308 * (1 - 1j), 0.5, 2.0], [-1e308, 1.7e308j, 1e308]
+    values, argmax, matrix = extremal._diagnose(supports, points)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(matrix))
+    for k in range(len(points)):
+        alone = extremal._diagnose(supports, points[k])
+        assert (alone[0].tobytes(), alone[1].tobytes(), alone[2].tobytes()) == (
+            values[k:k + 1].tobytes(), argmax[k:k + 1].tobytes(), matrix[k:k + 1].tobytes())
+    for k in (0, 4, 17, 29):
+        bad = points.copy()
+        bad[k, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            eval_extremal_many(supports, bad)
+    quad = load_fixture("quad")
+    moved = _translated(quad, (1e7, 1e7))  # a sum below 1 - 1e-9 at the interior point
+    moved_supports = enumerate_supports(moved)
+    for batch in ([moved.interior, [1.7e308j, 1.7e308]], [[1.7e308j, 1.7e308], moved.interior]):
+        with pytest.raises(DomainError):
+            eval_extremal_many(moved_supports, np.array(batch, dtype=complex))
+
+
+def test_numpy_wrappers_stay_off_the_per_call_path(monkeypatch):
+    """With numpy's Python-level ``all``, ``take``, ``argmax``,
+    ``count_nonzero`` and ``errstate`` replaced by stubs that raise, the
+    evaluators still return their values: an evaluation calls ufuncs and
+    ndarray methods only, each a C call."""
+    cases = [enumerate_supports(load_fixture(name)) for name in ("quad", "cube", "prism")]
+    cases.append(enumerate_supports(ngon_polytope(8)))
+    rng = np.random.default_rng(101)
+    points = [_mixed_points(s.polytope, 20, rng) for s in cases]
+    expected = [(eval_extremal(s, p[3]), eval_extremal_many(s, p), eval_supports_many(s, p))
+                for s, p in zip(cases, points)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy wrapper on the per-call path")
+
+    for name in ("all", "take", "argmax", "count_nonzero", "errstate"):
+        monkeypatch.setattr(np, name, refuse)
+    for s, p, (single, many, matrix) in zip(cases, points, expected):
+        assert eval_extremal(s, p[3]) == single
+        values, argmax = eval_extremal_many(s, p)
+        assert values.tobytes() == many[0].tobytes() and argmax.tobytes() == many[1].tobytes()
+        assert eval_supports_many(s, p).tobytes() == matrix.tobytes()
+
+
+SLOT_CASES = {**KERNEL_CASES, "hexagon": lambda: corner_cut_hexagon((1.0, 1.0, 1.0)),
+              **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)}}
+
+
+def _padded(facets, heights, rows, slots):
+    """Columns in ``slots`` slots: those past the set's own are the padding
+    row ``rows`` over height 1.0, as a strip's missing slots are."""
+    extra = slots - facets.shape[0]
+    return (np.vstack([facets, np.full((extra, facets.shape[1]), rows, dtype=np.intp)]),
+            np.vstack([heights, np.ones((extra, facets.shape[1]))]))
+
+
+@pytest.mark.parametrize("name", SLOT_CASES)
+def test_slot_count_keeps_every_output(name, tmp_path, capsys):
+    """The set's columns have as many slots as its widest support.  In
+    d + 1 slots, as every set held them before, the padding added exactly
+    +0.0: the support matrix, V, argmax and the bytes of ``eval
+    --diagnostics`` are those of the sums over d + 1 slots, bit for bit,
+    and each point gives alone what it gives in its batch."""
+    polytope = SLOT_CASES[name]()
+    document = {"dim": polytope.dim, "halfspaces": [
+        {"normal": h.normal.tolist(), "offset": h.offset} for h in polytope.halfspaces]}
+    path = tmp_path / "polytope.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    supports = enumerate_supports(from_json(document))
+    dim, rows = supports.polytope.dim, len(supports.offsets)
+    assert supports.facets.shape[0] == max(len(s.heights) for s in supports) <= dim + 1
+    points = _mixed_points(supports.polytope, 40, np.random.default_rng(len(supports)))
+    facets, heights = _padded(supports.facets, supports.heights, rows, dim + 1)
+    sums = np.hstack([chunk.copy() for _, chunk, _ in _chunked_sums(
+        supports.normals, supports.offsets, facets, heights, points)])
+    stack = sums[supports.stack]
+    best = stack.max(axis=0)
+    argmax = supports.stack[np.argmax(stack >= best * (1.0 - 1e-12), axis=0)]
+    values = _batch_arccosh(best.copy())
+    argmax[values == 0.0] = 0
+    matrix = _batch_arccosh(sums.copy()).T
+    assert eval_supports_many(supports, points).tobytes() == matrix.tobytes()
+    for got in (extremal._diagnose(supports, points), eval_extremal_many(supports, points)):
+        assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == argmax.tobytes()
+    for k in range(len(points)):
+        result = eval_extremal(supports, points[k], diagnostics=True)
+        assert (result.value, result.argmax) == (values[k], argmax[k])
+        assert np.array(result.per_support).tobytes() == matrix[k].tobytes()
+        assert eval_extremal(supports, points[k]) == EvalResult(values[k], argmax[k])
+    texts = [",".join(f"{c.real!r},{c.imag!r}" for c in z) for z in points.tolist()]
+    assert cli.main(["eval", str(path), "--diagnostics", *[f"--point={t}" for t in texts]]) == 0
+    assert capsys.readouterr().out == "".join(
+        " ".join(map(repr, [v, i, *row])) + "\n"
+        for v, i, row in zip(values.tolist(), argmax.tolist(), matrix.tolist()))

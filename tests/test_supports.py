@@ -198,7 +198,8 @@ def test_support_set_stacks_facets_and_heights(name):
     halfspaces, in support order.  Column i of the stacked arrays is support
     i's rows of them, which name its own halfspaces, and its heights, with a
     strip's missing slots padded by row R, the zero facet value, and height
-    1.0."""
+    1.0.  The arrays have as many slots as the support with the most facets,
+    so the last slot holds a facet of some support."""
     supports = enumerate_supports(load_fixture(name))
     polytope = supports.polytope
     d, n, rows = polytope.dim, len(polytope.halfspaces), len(supports.offsets)
@@ -206,7 +207,10 @@ def test_support_set_stacks_facets_and_heights(name):
     assert rows == n + len(strips) and supports.normals.shape == (rows, d)
     assert supports.normals[:n].tobytes() == polytope.normals.tobytes()
     assert supports.offsets[:n].tobytes() == polytope.offsets.tobytes()
-    assert supports.facets.shape == supports.heights.shape == (d + 1, len(supports))
+    slots = max(len(support.heights) for support in supports)
+    assert slots == {"square": 2, "cube": 2, "prism": 3}.get(name, d + 1)
+    assert supports.facets.shape == supports.heights.shape == (slots, len(supports))
+    assert np.any(supports.facets[-1] < rows)
     assert supports.facets.dtype == np.intp
     for i, support in enumerate(supports):
         count = len(support.heights)
@@ -774,11 +778,15 @@ def test_centred_hexagon_is_pruned_to_its_slabs(cuts, shift):
     supports = enumerate_supports(corner_cut_hexagon(cuts, shift))
     assert len(supports) > 3
     assert _antipodal_pairs(supports) == [(0, 3), (1, 4), (2, 5)]
-    assert supports.stack_heights.tobytes() == supports.heights[:, supports.stack].tobytes()
-    # the stack's own table holds the three slabs' rows alone, those of the set
+    # the stack's own table holds the three slabs' rows alone, those of the
+    # set, in two slots: the set has a third for its simplices, which the
+    # slabs pad
     own, full = supports.stack_facets, supports.facets[:, supports.stack]
-    assert own[:2].T.tolist() == [[0, 1], [2, 3], [4, 5]] and np.all(own[2] == 6)
+    assert own.shape == supports.stack_heights.shape == (2, 3) and full.shape == (3, 3)
+    assert own.T.tolist() == [[0, 1], [2, 3], [4, 5]]
+    assert supports.stack_heights.tobytes() == supports.heights[:2, supports.stack].tobytes()
     assert np.all(full[2] == len(supports.offsets))
+    assert np.all(supports.heights[2, supports.stack] == 1.0)
     assert supports.stack_normals[own[:2]].tobytes() == supports.normals[full[:2]].tobytes()
     assert supports.stack_offsets[own[:2]].tobytes() == supports.offsets[full[:2]].tobytes()
 
