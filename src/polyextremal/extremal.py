@@ -170,6 +170,14 @@ def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     return points, True
 
 
+def _one_point(z: np.ndarray) -> np.ndarray:
+    """z, ValueError unless it is one point: of shape (d,) or (1, d)."""
+    point = np.asarray(z, dtype=complex)
+    if not (point.ndim == 1 or point.ndim == 2 and point.shape[0] == 1):
+        raise ValueError("expected one point, of shape (d,) or (1, d)")
+    return point
+
+
 def _facet_values(normals, offsets, points, work) -> np.ndarray:
     """|l_r(z)| = |n_r.z + b_r| of R facet functions at checked points,
     (R+1, m), in the first of the ``work`` arrays: the products n_rc z_c
@@ -305,8 +313,8 @@ def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
 
 
 def eval_simplex(support, z: np.ndarray) -> float:
-    """V of one support, simplex or strip, at one point of C^d."""
-    return float(eval_simplex_many(support, z)[0])
+    """V of one support, simplex or strip, at one point of C^d: (d,) or (1, d)."""
+    return float(eval_simplex_many(support, _one_point(z))[0])
 
 
 def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarray:
@@ -372,9 +380,10 @@ def eval_extremal_many(support_set: SupportSet,
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,
                   diagnostics: bool = False) -> EvalResult:
-    """V_K(z) at one point: ``eval_extremal_many`` on that point or, when
-    ``diagnostics`` is set, the same value and argmax read off every
+    """V_K(z) at one point, (d,) or (1, d): ``eval_extremal_many`` on it or,
+    when ``diagnostics`` is set, the same value and argmax read off every
     support's sums, whose values are all reported."""
+    z = _one_point(z)
     if not diagnostics:
         values, argmax = eval_extremal_many(support_set, z)
         return EvalResult(value=float(values[0]), argmax=int(argmax[0]))

@@ -13,9 +13,9 @@ The intersection points of all d-subsets, the hyperplane arrangement, are
 solved in one batched LU pass (again only after an orientation repair), and
 every facet function is evaluated at every one of them into one value
 matrix.  Vertex feasibility, deduplication, active sets and the orientation
-repair all read that matrix.  Both are kept on ``incidence``; support
-certification reads simplex apexes from there, and screens their heights in
-the matrix.  One batched Gram-Schmidt pass ranks every facet's witnesses.
+repair all read that matrix.  Both are kept on ``incidence``, by the rank of
+each d-subset, for support certification to read simplex apexes and their
+heights.  One batched Gram-Schmidt pass ranks every facet's witnesses.
 
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
@@ -129,14 +129,15 @@ class Halfspace:
 class VertexIncidence:
     """For each vertex, the sorted indices of the halfspaces active there.
 
-    ``arrangement`` maps each sorted d-tuple of halfspace indices with
-    independent normals to the point where those hyperplanes meet, and
-    ``values[t, k]`` is l_k at its t-th point.  The vertices are its feasible
-    corners; support certification reads simplex apexes from the first and
-    screens their heights in the second."""
+    Row t of ``corners`` (C, d), ``nonsingular`` and ``values`` (C, n) is the
+    t-th d-subset of halfspaces in ``itertools.combinations`` order: the
+    point where its hyperplanes meet and every l_k there, both NaN where the
+    normals are dependent.  The vertices are the feasible corners; support
+    certification reads simplex apexes and their heights from these rows."""
 
     active: tuple[tuple[int, ...], ...]
-    arrangement: dict[tuple[int, ...], np.ndarray] = field(compare=False, repr=False)
+    corners: np.ndarray = field(compare=False, repr=False)
+    nonsingular: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
 
 
@@ -172,9 +173,9 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     """Scale every normal to unit length and collapse duplicate conditions.
 
     Accepts Halfspace records or (normal, offset) pairs.  Duplicates are
-    detected after normalization (same direction and offset within geom_abs),
-    each candidate compared with every kept condition at once, keeping the
-    first occurrence; near-parallel but distinct facets survive.
+    detected after normalization: ``_first_apart`` of the (normal, offset)
+    rows within geom_abs, so the first occurrence is kept; near-parallel but
+    distinct facets survive.
     """
     out: list[Halfspace] = []
     for raw in halfspaces:
@@ -193,47 +194,40 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
             normal, offset = normal / peak, offset / peak
             square = float(np.dot(normal, normal))
         length = float(np.sqrt(square))
-        candidate = Halfspace(normal=normal / length, offset=offset / length)
-        if not out:
-            normals, offsets = np.empty((0, normal.size)), np.empty(0)  # those of ``out``, stacked
-        elif np.any((np.max(np.abs(candidate.normal - normals), axis=1) <= tol.geom_abs)
-                    & (np.abs(candidate.offset - offsets) <= tol.geom_abs)):
-            continue
-        out.append(candidate)
-        normals, offsets = np.vstack([normals, candidate.normal]), np.append(offsets, candidate.offset)
-    return out
+        out.append(Halfspace(normal=normal / length, offset=offset / length))
+    rows = np.array([np.append(h.normal, h.offset) for h in out])  # ragged: ValueError
+    return [out[i] for i in _first_apart(rows, tol.geom_abs)]
 
 
 def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
-                 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The nonsingular d-subsets of the hyperplanes in combinations order, the
-    point where each meets, from one batched solve, and every l_k there: row
-    t of both arrays belongs to the t-th subset.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point where each d-subset of the hyperplanes meets, from one
+    batched solve, whether it is nonsingular, and every l_k there: row t of
+    each belongs to the t-th subset in combinations order, NaN if singular.
 
     A stacked (1, d) @ (d, 1) product takes ``np.dot``'s route, so each value
     is bitwise ``Halfspace.value`` at that point."""
-    subsets = list(itertools.combinations(range(len(halfspaces)), dim))
+    n, count = len(halfspaces), math.comb(len(halfspaces), dim)
     normals = np.vstack([h.normal for h in halfspaces])
     offsets = np.array([h.offset for h in halfspaces])
-    index = np.array(subsets, dtype=np.intp).reshape(len(subsets), dim)
-    points, nonsingular = lu_solve_many(normals[index], -offsets[index], tol)
-    points = points[nonsingular]
-    values = np.matmul(points[:, None, None, :], normals[None, :, :, None]).reshape(
-        len(points), len(halfspaces))
+    index = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), dim)),
+                        dtype=np.intp, count=count * dim).reshape(count, dim)
+    corners, nonsingular = lu_solve_many(normals[index], -offsets[index], tol)
+    values = np.matmul(corners[:, None, None, :], normals[None, :, :, None]).reshape(count, n)
     values += offsets
-    return list(itertools.compress(subsets, nonsingular.tolist())), points, values
+    return corners, nonsingular, values
 
 
-def _first_apart(points: np.ndarray) -> list[int]:
-    """Indices of the points not within VERTEX_DEDUP_ABS (max norm) of an
-    earlier kept one: the first point of each cluster is kept."""
+def _first_apart(points: np.ndarray, radius: float) -> list[int]:
+    """Indices of the points not within ``radius`` (max norm) of an earlier
+    kept one: the first point of each cluster is kept."""
     kept: list[int] = []
     alive = np.ones(points.shape[0], dtype=bool)
     while alive.any():
         first = int(np.argmax(alive))
         kept.append(first)
         alive[first] = False
-        alive[np.max(np.abs(points - points[first]), axis=1) <= VERTEX_DEDUP_ABS] = False
+        alive[np.max(np.abs(points - points[first]), axis=1) <= radius] = False
     return kept
 
 
@@ -242,20 +236,20 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     """Vertices of the intersection plus the active halfspaces at each.
 
     Every d-subset of hyperplanes with independent normals contributes its
-    intersection point, kept in the returned ``arrangement``; points violating
-    any halfspace by more than geom_abs are dropped, the rest deduplicated
-    within an absolute merge radius.  Feasibility and activity are read from
-    the arrangement's value matrix.  The returned order follows subset
-    enumeration order (deterministic); as a point set the result does not
-    depend on halfspace order.
+    intersection point, kept in the returned incidence's ``corners``; points
+    violating any halfspace by more than geom_abs are dropped, the rest
+    deduplicated within an absolute merge radius.  Feasibility and activity
+    are read from the arrangement's value matrix.  The returned order follows
+    subset enumeration order (deterministic); as a point set the result does
+    not depend on halfspace order.
     """
-    subsets, points, values = _arrangement(halfspaces, dim, tol)
-    feasible = np.flatnonzero(np.min(values, axis=1) >= -tol.geom_abs)
-    kept = feasible[_first_apart(points[feasible])]
+    corners, nonsingular, values = _arrangement(halfspaces, dim, tol)
+    feasible = np.flatnonzero(nonsingular & (np.min(values, axis=1) >= -tol.geom_abs))
+    kept = feasible[_first_apart(corners[feasible], VERTEX_DEDUP_ABS)]
     on = np.abs(values[kept]) <= tol.geom_abs
     active = tuple(tuple(itertools.compress(range(len(halfspaces)), row)) for row in on.tolist())
-    return points[kept], VertexIncidence(active=active, arrangement=dict(zip(subsets, points)),
-                                         values=values)
+    return corners[kept], VertexIncidence(active=active, corners=corners,
+                                          nonsingular=nonsingular, values=values)
 
 
 def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,
@@ -266,11 +260,10 @@ def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,
     <= 0 at every candidate corner is certainly mis-oriented (the intersection,
     if any, lives among those corners); mixed strict signs mean flipping could
     not be justified, so the caller reports the inconsistency instead.
-    ``values`` is the arrangement's value matrix, one row per corner.
+    ``values`` is the arrangement's value matrix, one row per nonsingular corner.
     """
-    if values.shape[0] == 0:
-        return None
-    wrong = (values.max(axis=0) <= tol.geom_abs) & (values.min(axis=0) < -tol.geom_abs)
+    wrong = ((values.max(axis=0, initial=-math.inf) <= tol.geom_abs)
+             & (values.min(axis=0, initial=math.inf) < -tol.geom_abs))
     if not wrong.any():
         return None
     return [h.flipped() if flip else h for h, flip in zip(halfspaces, wrong.tolist())]
@@ -318,7 +311,7 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
 
     vertices, incidence = enumerate_vertices(canonical, dim, tol)
     if vertices.shape[0] == 0:
-        repaired = _repair_orientation(canonical, incidence.values, tol)
+        repaired = _repair_orientation(canonical, incidence.values[incidence.nonsingular], tol)
         if repaired is not None:
             canonical = repaired
             # solved again: a negated row with a zero offset turns +0.0 into -0.0

@@ -5,23 +5,22 @@ any one of the d+1 hyperplanes leaves a unique intersection point (the apex
 opposite it) and each apex lies strictly on the positive side of its own
 hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
-hyperplane arrangement ``validate`` solved while enumerating vertices; they
-are read from ``polytope.incidence.arrangement``, not solved again, and the
-d+1 heights come from one stacked product with the polytope's
-``normals`` and ``offsets`` arrays, bitwise ``Halfspace.value``.  Subsets of
-j+1 < d+1 hyperplanes whose normals span only j dimensions are tested the
-same way inside that span: project onto an orthonormal basis Q of the
-normals, certify the projection as a j-dimensional simplex, and the original
-set is that simplex crossed with the orthogonal directions - a strip.  The
-slab between two antiparallel facets is the j = 1 case; its cross-section
-is an interval.
+hyperplane arrangement ``validate`` solved while enumerating vertices, and
+their heights entries of its value matrix, both read from
+``polytope.incidence`` by the rank of each d-subset, not computed again.
+Subsets of j+1 < d+1 hyperplanes whose normals span only j dimensions are
+tested the same way inside that span: project onto an orthonormal basis Q of
+the normals, certify the projection as a j-dimensional simplex, and the
+original set is that simplex crossed with the orthogonal directions - a
+strip.  The slab between two antiparallel facets is the j = 1 case; its
+cross-section is an interval.
 
 Enumeration is exhaustive over facet subsets of size d+1, screened all at
 once: the height of apex j of a subset is the value-matrix entry of facet j
 at the corner of the other d, so a few gathers test every subset, and
-``try_simplex`` runs only on the subsets that pass.  Strip normals make
-every d-subset containing them singular, so strips are looked for only
-inside the d-subsets the arrangement leaves out.  One routine certifies
+``try_simplex``, the same test on one subset, runs only on the subsets that
+pass.  Strip normals make every d-subset containing them singular, so strips
+are looked for only inside the singular d-subsets.  One routine certifies
 strips, every candidate of a size at once, and builds the records of those
 that pass, so each strip is certified once; ``try_strip`` is that routine
 on one subset.  This certifies completeness directly; a guard refuses
@@ -40,6 +39,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,36 +172,56 @@ class SupportSet:
 
 
 def _facet_subset(polytope: PolytopeH, subset) -> tuple[int, ...]:
-    """``subset`` sorted; ValueError unless it holds distinct facet indices of K."""
-    subset, n = tuple(sorted(subset)), len(polytope.halfspaces)
+    """``subset`` sorted, as Python ints; ValueError unless it holds distinct
+    facet indices of K, each an integer."""
+    indices, n = map(operator.index, subset), len(polytope.halfspaces)
+    try:
+        subset = tuple(sorted(indices))
+    except TypeError:
+        raise ValueError("facet indices must be integers") from None
     if subset and (subset[0] < 0 or subset[-1] >= n or len(set(subset)) < len(subset)):
         raise ValueError(f"facet indices must be distinct and in 0..{n - 1}")
     return subset
+
+
+def _apexes_above(nonsingular: np.ndarray, heights: np.ndarray, tol) -> np.ndarray:
+    """Whether each apex exists, its face ``nonsingular``, and lies above its
+    own facet by more than pos_abs: the test of every simplex apex."""
+    return nonsingular & ~(heights <= tol.pos_abs)
+
+
+def _face_ranks(columns, n: int, comb=math.comb) -> list:
+    """The rank in ``itertools.combinations(range(n), d)`` order of each face
+    of the sorted (d+1)-subset c, face j dropping c_j: C(n, d) - 1 minus
+    sum_{i<j} C(n-1-c_i, d-i) and sum_{i>j} C(n-1-c_i, d+1-i).  The c_i are
+    ints, or int arrays of many subsets, with ``comb`` C(m, k) of an array m."""
+    d = len(columns) - 1
+    above = [comb(n - 1 - c, d + 1 - i) for i, c in enumerate(columns)]
+    ranks, head, tail = [], math.comb(n, d) - 1, sum(above)
+    for i, c in enumerate(columns):
+        tail -= above[i]
+        ranks.append(head - tail)
+        head -= comb(n - 1 - c, d - i)
+    return ranks
 
 
 def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
     """Certify d+1 facet indices of K as a supporting simplex, or None.
 
     The apex opposite facet j is the arrangement's corner of the other d,
-    which is missing when their normals are dependent.  The heights
-    l_j(p_j) come from one stacked (1, d) @ (d, 1) product, which takes
-    ``np.dot``'s route, so each is bitwise ``Halfspace.value``; all must
-    exceed pos_abs.
-    """
+    which is missing when their normals are dependent, and its height
+    l_j(p_j) is the value-matrix entry of facet j there, both read at the
+    face's rank.  The test is the batched screen's, ``_apexes_above``."""
     subset, d = _facet_subset(polytope, subset), polytope.dim
     if len(subset) != d + 1:
         raise ValueError(f"need exactly {d + 1} facet indices")
-    try:
-        apexes = np.array([polytope.incidence.arrangement[subset[:j] + subset[j + 1:]]
-                           for j in range(d + 1)])
-    except KeyError:
+    incidence = polytope.incidence
+    faces = np.array(_face_ranks(subset, len(polytope.halfspaces)), dtype=np.intp)
+    heights = incidence.values[faces, np.array(subset)]
+    # all() of a short list: ndarray.all() costs several times more per call
+    if not all(_apexes_above(incidence.nonsingular[faces], heights, polytope.tol).tolist()):
         return None
-    index = np.array(subset)
-    normals, offsets = polytope.normals[index], polytope.offsets[index]
-    heights = np.matmul(apexes[:, None, :], normals[:, :, None]).reshape(d + 1) + offsets
-    if (heights <= polytope.tol.pos_abs).any():
-        return None
-    return SimplexSupport(facet_indices=subset, apexes=apexes,
+    return SimplexSupport(facet_indices=subset, apexes=incidence.corners[faces],
                           halfspaces=tuple(polytope.halfspaces[k] for k in subset), dim=d,
                           heights=heights)
 
@@ -216,38 +236,19 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
     return strips[0] if strips else None
 
 
-def _combination_rank(columns: list[np.ndarray], n: int) -> np.ndarray:
-    """Position of each subset in the order of ``itertools.combinations(range(n), k)``,
-    the subsets given as k columns of increasing entries."""
-    k = len(columns)
-    rank = np.zeros(len(columns[0]), dtype=np.int64)
-    start = 0
-    for i, column in enumerate(columns):
-        # below[c]: the subsets that agree before entry i and hold some v < c
-        # there, each leaving C(n-1-v, k-1-i) ways to go on
-        below = np.cumsum([0] + [math.comb(n - 1 - v, k - 1 - i) for v in range(n)])
-        rank += below[column] - below[start]
-        start = column + 1
-    return rank
-
-
-def _simplex_candidates(polytope: PolytopeH, nonsingular: np.ndarray) -> list[tuple[int, ...]]:
-    """The (d+1)-subsets that pass ``try_simplex``'s test, screened at once.
-
-    ``nonsingular`` marks the d-subsets, in combinations order, that the
-    arrangement holds.  The apex opposite facet j of a subset is the corner
-    of the subset without j, so its height is a gather from the value
-    matrix; a subset passes when every corner exists and no height is at or
-    below pos_abs."""
-    n, d = len(polytope.halfspaces), polytope.dim
-    values, row = polytope.incidence.values, np.cumsum(nonsingular) - 1
+def _simplex_candidates(polytope: PolytopeH) -> list[tuple[int, ...]]:
+    """The (d+1)-subsets that pass ``try_simplex``'s test, screened at once:
+    the apex opposite facet j is the corner of the face without j, read with
+    its height at the face's rank, and all d+1 must be ``_apexes_above``."""
+    n, d, incidence = len(polytope.halfspaces), polytope.dim, polytope.incidence
     subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d + 1)),
                           dtype=np.intp, count=math.comb(n, d + 1) * (d + 1)).reshape(-1, d + 1)
-    columns = list(subsets.T)
+    table = [np.array([math.comb(m, k) for m in range(n)]) for k in range(d + 2)]
+    faces = _face_ranks(list(subsets.T), n, lambda m, k: table[k][m])
     passed = np.ones(len(subsets), dtype=bool)
-    for j in range(d + 1):
-        face = _combination_rank(columns[:j] + columns[j + 1:], n)
-        passed &= nonsingular[face] & ~(values[row[face], columns[j]] <= polytope.tol.pos_abs)
+    for face, column in zip(faces, subsets.T):
+        passed &= _apexes_above(incidence.nonsingular[face], incidence.values[face, column],
+                                polytope.tol)
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 
@@ -323,22 +324,19 @@ def _antipodal_strips(polytope: PolytopeH,
 def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     """Certify as a simplex every facet subset of size d+1 that the batched
     screen passes, and as a strip every subset of size 2..d inside a
-    d-subset the arrangement leaves out that the strip screen passes.
+    singular d-subset that the strip screen passes.
 
     Raises NoCover when some facet of K ends up in no accepted support, which
     signals inconsistent input or numerical failure (mathematically every
     facet is covered).  Raises GuardExceeded beyond the subset budget.
     """
-    n = len(polytope.halfspaces)
-    d = polytope.dim
+    n, d = len(polytope.halfspaces), polytope.dim
     total = sum(math.comb(n, size) for size in range(2, d + 2))
     if total > SUBSET_GUARD:
         raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
 
-    faces = list(itertools.combinations(range(n), d))
-    nonsingular = np.fromiter((face in polytope.incidence.arrangement for face in faces),
-                              dtype=bool, count=len(faces))
-    singular = list(itertools.compress(faces, ~nonsingular))
+    singular = list(itertools.compress(itertools.combinations(range(n), d),
+                                       (~polytope.incidence.nonsingular).tolist()))
     accepted: list[SimplexSupport | StripSupport] = []
     if singular:  # without singular d-subsets there are no strips
         for size in range(2, d + 1):
@@ -346,7 +344,7 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
             accepted += _strips(polytope, np.array(parts, dtype=np.intp))
     # the screen decides as try_simplex does, so each candidate is a simplex
     accepted += [try_simplex(polytope, subset)
-                 for subset in _simplex_candidates(polytope, nonsingular)]
+                 for subset in _simplex_candidates(polytope)]
 
     covered = {facet for support in accepted for facet in support.facet_indices}
     for facet in range(n):

@@ -2,6 +2,7 @@
 formulas, among them a scalar LU and a scalar Gram-Schmidt that the batched
 ones in ``linalg`` must reproduce bit for bit."""
 
+import itertools
 import json
 import math
 import sys
@@ -210,6 +211,20 @@ def lu_solve_by_columns(a, b, tol=DEFAULT_TOL):
             x[i] -= lu[i][j] * x[j]
         x[i] /= lu[i][i]
     return np.array(x, dtype=float)
+
+
+def singular_subsets(halfspaces, dim):
+    """Whether ``lu_factor_by_columns`` raises Singular on the normals of
+    each d-subset of ``halfspaces``, in combinations order."""
+    flags = []
+    for subset in itertools.combinations(range(len(halfspaces)), dim):
+        try:
+            lu_factor_by_columns(np.vstack([halfspaces[k].normal for k in subset]))
+        except Singular:
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
 
 
 def gram_schmidt(vectors, tol=DEFAULT_TOL, stop=None):

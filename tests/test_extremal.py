@@ -144,6 +144,23 @@ def test_non_finite_points_rejected(quad_supports, bad):
         eval_simplex(quad_supports[0], z)
 
 
+@pytest.mark.parametrize("z", [np.array([[0.5, 2j], [0.25, 0.25]]), np.zeros((0, 2)),
+                               np.zeros((1, 1, 2)), np.array(0.5 + 1j)])
+def test_single_point_evaluators_take_exactly_one_point(quad_supports, z):
+    """``eval_extremal`` and ``eval_simplex`` take one point, as (d,) or
+    (1, d), and both give the same value; more points, none, or a scalar
+    are a ValueError."""
+    point = np.array([0.5 + 0j, 2j])
+    for diagnostics in (False, True):
+        assert eval_extremal(quad_supports, point[None, :], diagnostics) == eval_extremal(
+            quad_supports, point, diagnostics)
+        with pytest.raises(ValueError, match="one point"):
+            eval_extremal(quad_supports, z, diagnostics)
+    assert eval_simplex(quad_supports[0], point[None, :]) == eval_simplex(quad_supports[0], point)
+    with pytest.raises(ValueError, match="one point"):
+        eval_simplex(quad_supports[0], z)
+
+
 def unit_square_at(shift: float):
     """The unit square [shift, shift + 1]^2."""
     return validate([([1.0, 0.0], -shift), ([-1.0, 0.0], shift + 1.0),

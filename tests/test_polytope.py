@@ -35,7 +35,8 @@ from polyextremal.polytope import (
 from polyextremal.supports import enumerate_supports
 
 from conftest import (cube_polytope, gram_schmidt, load_fixture, lu_solve_by_columns,
-                      match_point_sets, ngon_polytope, tangent_halfspaces, tilted_prism)
+                      match_point_sets, ngon_polytope, singular_subsets, tangent_halfspaces,
+                      tilted_prism)
 
 QUAD_RAW = [
     ([1.0, 0.0], 0.0),
@@ -81,8 +82,9 @@ def _canonicalize_pairwise(halfspaces, tol):
 
 @pytest.mark.parametrize("geom", [1e-9, 1e-6])
 def test_canonicalize_matches_pairwise_reference(geom):
-    """Comparing each candidate with every kept condition at once keeps the
-    same conditions, bit for bit, as comparing with one at a time."""
+    """Deduplicating the (normal, offset) rows by ``_first_apart`` keeps the
+    same conditions, bit for bit, as comparing each candidate with one kept
+    condition at a time."""
     tol = Tolerances(geom_abs=geom)
     rng = np.random.default_rng(909)
     dropped = 0
@@ -196,23 +198,31 @@ def test_enumerate_vertices_incidence_rank():
 
 @pytest.mark.parametrize("name", ["quad", "square", "triangle", "cube", "prism"])
 def test_arrangement_holds_every_nonsingular_subset(name):
-    """incidence.arrangement is the solve of each d-subset, singular ones
-    left out, bitwise the scalar reference LU's."""
+    """Row t of incidence.corners is the solve of the t-th d-subset in
+    combinations order, bitwise the scalar reference LU's, and the rows of
+    corners and values are NaN, and ``nonsingular`` False, exactly where
+    that LU raises Singular."""
     polytope = load_fixture(name)
     halfspaces, d = polytope.halfspaces, polytope.dim
-    arrangement = polytope.incidence.arrangement
-    nonsingular = []
-    for subset in itertools.combinations(range(len(halfspaces)), d):
+    incidence = polytope.incidence
+    subsets = list(itertools.combinations(range(len(halfspaces)), d))
+    assert incidence.corners.shape == (len(subsets), d)
+    assert incidence.nonsingular.shape == (len(subsets),)
+    for t, subset in enumerate(subsets):
         rows = np.vstack([halfspaces[k].normal for k in subset])
         rhs = -np.array([halfspaces[k].offset for k in subset])
         try:
             point = lu_solve_by_columns(rows, rhs)
         except Singular:
+            assert not incidence.nonsingular[t]
+            assert np.isnan(incidence.corners[t]).all() and np.isnan(incidence.values[t]).all()
             continue
-        nonsingular.append(subset)
-        assert arrangement[subset].tobytes() == point.tobytes()
-    assert list(arrangement) == nonsingular
-    corners = [p.tobytes() for p in arrangement.values()]
+        assert incidence.nonsingular[t]
+        assert incidence.corners[t].tobytes() == point.tobytes()
+        assert not np.isnan(incidence.values[t]).any()
+    # the square, the cube and the prism have parallel facets: singular subsets
+    assert incidence.nonsingular.all() == (name in ("quad", "triangle"))
+    corners = [p.tobytes() for p in incidence.corners[incidence.nonsingular]]
     assert all(v.tobytes() in corners for v in polytope.vertices)
 
 
@@ -243,13 +253,19 @@ VERTEX_CASES = {
 def test_enumerate_vertices_matches_per_corner_loop(name):
     """Vertices and active sets read from the value matrix equal a loop over
     the arrangement's corners with ``Halfspace.value``, bit for bit: feasible
-    corners, the first of each cluster within VERTEX_DEDUP_ABS kept."""
+    corners, the first of each cluster within VERTEX_DEDUP_ABS kept.  The
+    loop skips the subsets where the scalar reference LU raises Singular,
+    whose rows are NaN."""
     halfspaces = list(VERTEX_CASES[name]())
     dim = halfspaces[0].normal.shape[0]
     vertices, incidence = enumerate_vertices(halfspaces, dim)
     geom = Tolerances().geom_abs
+    singular = singular_subsets(halfspaces, dim)
+    assert incidence.nonsingular.tolist() == [not flag for flag in singular]
+    assert np.isnan(incidence.corners[singular]).all()
+    assert np.isnan(incidence.values[singular]).all()
     kept = []
-    for p in incidence.arrangement.values():
+    for p in incidence.corners[[not flag for flag in singular]]:
         if min(h.value(p) for h in halfspaces) >= -geom and not any(
                 np.max(np.abs(p - q)) <= VERTEX_DEDUP_ABS for q in kept):
             kept.append(p)

@@ -24,7 +24,7 @@ from polyextremal.supports import (
 
 from conftest import (corner_cut_hexagon, cube_polytope, gram_schmidt, load_fixture,
                       lu_solve_by_columns, match_point_sets, ngon_polytope, prism_polytope,
-                      symmetric_polytope, tangent_halfspaces, tilted_prism)
+                      singular_subsets, symmetric_polytope, tangent_halfspaces, tilted_prism)
 
 VALID_FIXTURES = ("cube", "prism", "quad", "quad_vertices", "square", "triangle")
 
@@ -148,6 +148,22 @@ def test_try_simplex_rejects_bad_indices(quad, subset):
         try_simplex(quad, subset)
     with pytest.raises(ValueError, match="exactly 3"):
         try_simplex(quad, (0, 1))
+
+
+@pytest.mark.parametrize("subset", [(0.5, 1, 2), (0.0, 1.0, 2.0), (np.float64(0), 1, 2),
+                                    ("0", 1, 2), (None, 1, 2)])
+def test_facet_indices_must_be_integers(quad, square, subset):
+    """A facet index that is not an integer is a ValueError, and integer
+    types such as ``np.int64`` come back as Python ints."""
+    with pytest.raises(ValueError, match="integers"):
+        try_simplex(quad, subset)
+    with pytest.raises(ValueError, match="integers"):
+        try_strip(square, subset[:2])
+    simplex = try_simplex(quad, np.array([3, 0, 1]))
+    assert simplex.facet_indices == (0, 1, 3)
+    assert all(type(k) is int for k in simplex.facet_indices)
+    strip = try_strip(square, (np.int64(1), np.int32(0)))
+    assert strip.facet_indices == (0, 1) and all(type(k) is int for k in strip.facet_indices)
 
 
 @pytest.mark.parametrize("subset", [(-4, 1), (-1, -2), (0, 4), (2, 2)])
@@ -601,17 +617,22 @@ SCREEN_CASES = {
 @pytest.mark.parametrize("name", SCREEN_CASES)
 def test_batched_screen_agrees_with_try_simplex(name):
     """The value matrix is ``Halfspace.value`` at every arrangement corner,
-    bit for bit, and the batched screen passes exactly the (d+1)-subsets that
-    ``try_simplex`` certifies."""
+    bit for bit, its rows and the corners' are NaN exactly where the scalar
+    reference LU raises Singular, and the batched screen passes exactly the
+    (d+1)-subsets that ``try_simplex`` certifies."""
     polytope = SCREEN_CASES[name]()
     n, d = len(polytope.halfspaces), polytope.dim
     incidence = polytope.incidence
-    assert incidence.values.shape == (len(incidence.arrangement), n)
-    for point, row in zip(incidence.arrangement.values(), incidence.values):
-        assert row.tobytes() == np.array([h.value(point) for h in polytope.halfspaces]).tobytes()
-    nonsingular = np.array([face in incidence.arrangement
-                            for face in itertools.combinations(range(n), d)])
-    screened = supports_module._simplex_candidates(polytope, nonsingular)
+    assert incidence.values.shape == (math.comb(n, d), n)
+    singular = singular_subsets(polytope.halfspaces, d)
+    assert incidence.nonsingular.tolist() == [not flag for flag in singular]
+    for point, row, flag in zip(incidence.corners, incidence.values, singular):
+        if flag:
+            assert np.isnan(point).all() and np.isnan(row).all()
+        else:
+            assert row.tobytes() == np.array(
+                [h.value(point) for h in polytope.halfspaces]).tobytes()
+    screened = supports_module._simplex_candidates(polytope)
     certified = [subset for subset in itertools.combinations(range(n), d + 1)
                  if try_simplex(polytope, subset) is not None]
     assert screened == certified
@@ -670,11 +691,19 @@ def test_enumerated_strips_are_try_strip_records(name):
         assert _strip_bytes(try_strip(polytope, strip.facet_indices)) == _strip_bytes(strip)
 
 
-def test_combination_rank_follows_itertools_order():
-    for n, k in ((1, 1), (5, 1), (5, 2), (6, 3), (9, 4), (12, 6), (7, 7)):
-        subsets = np.array(list(itertools.combinations(range(n), k)))
-        ranks = supports_module._combination_rank(list(subsets.T), n)
-        assert ranks.tolist() == list(range(len(subsets)))
+def test_face_ranks_follow_itertools_order():
+    """Face j of each (d+1)-subset, the subset without its j-th entry, has
+    the rank its position in ``itertools.combinations(range(n), d)``, from
+    ints and from the columns of every subset at once."""
+    for n, d in ((2, 1), (5, 1), (5, 2), (6, 3), (9, 4), (12, 5), (7, 6), (4, 0)):
+        position = {face: t for t, face in enumerate(itertools.combinations(range(n), d))}
+        subsets = list(itertools.combinations(range(n), d + 1))
+        expected = [[position[s[:j] + s[j + 1:]] for j in range(d + 1)] for s in subsets]
+        assert [supports_module._face_ranks(s, n) for s in subsets] == expected
+        table = [np.array([math.comb(m, k) for m in range(n)]) for k in range(d + 2)]
+        faces = supports_module._face_ranks(list(np.array(subsets).T), n,
+                                            lambda m, k: table[k][m])
+        assert np.array(faces).T.tolist() == expected
 
 
 def _count_screens(monkeypatch):
@@ -697,7 +726,9 @@ def _count_screens(monkeypatch):
 @pytest.mark.parametrize("dim,count,seed", [(3, 10, 1), (4, 9, 6)])
 def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, count, seed):
     polytope = validate(tangent_halfspaces(dim, count, seed), dim)
-    assert len(polytope.incidence.arrangement) == math.comb(count, dim)
+    assert polytope.incidence.nonsingular.tolist() == [True] * math.comb(count, dim)
+    assert not any(singular_subsets(polytope.halfspaces, dim))
+    assert not np.isnan(polytope.incidence.corners).any()
     calls = _count_screens(monkeypatch)
     assert all(s.kind == "simplex" for s in enumerate_supports(polytope))
     assert calls == []
