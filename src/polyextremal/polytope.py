@@ -17,6 +17,12 @@ repair all read that matrix.  Both are kept on ``incidence``, by the rank of
 each d-subset, for support certification to read simplex apexes and their
 heights.  One batched Gram-Schmidt pass ranks every facet's witnesses.
 
+Duplicates are merged by one rule, ``_first_apart``: among the normalized
+(normal, offset) rows within geom_abs, and among the feasible corners within
+VERTEX_DEDUP_ABS, both in max norm, a point within the radius of an earlier
+kept one is dropped.  A point that a sort of some coordinate shows to be
+alone is kept without a pass of its own; the others run the greedy.
+
 Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
 scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
 unless the caller raises those limits explicitly.
@@ -172,31 +178,47 @@ def _as_halfspace_data(raw) -> tuple[np.ndarray, float]:
 def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     """Scale every normal to unit length and collapse duplicate conditions.
 
-    Accepts Halfspace records or (normal, offset) pairs.  Duplicates are
+    Accepts Halfspace records or (normal, offset) pairs.  A defective input
+    raises for its first defective row, in input order.  Duplicates are
     detected after normalization: ``_first_apart`` of the (normal, offset)
     rows within geom_abs, so the first occurrence is kept; near-parallel but
     distinct facets survive.
     """
-    out: list[Halfspace] = []
+    normals: list[np.ndarray] = []
+    offsets: list[float] = []
     for raw in halfspaces:
         normal, offset = _as_halfspace_data(raw)
         if normal.ndim != 1:
             raise ValueError("normals must be vectors")
-        if not np.all(np.isfinite(normal)) or not math.isfinite(offset):
+        if not np.isfinite(normal).all() or not math.isfinite(offset):
             raise ValueError("halfspace entries must be finite")
-        if not np.any(normal):
+        if not normal.any():
             raise ZeroNormal("halfspace normal is the zero vector")
-        with np.errstate(over="ignore"):
-            square = float(np.dot(normal, normal))
-        if not sys.float_info.min <= square < math.inf:
-            # the square overflows or is not a normal float: scale by the largest entry first
-            peak = float(np.max(np.abs(normal)))
-            normal, offset = normal / peak, offset / peak
-            square = float(np.dot(normal, normal))
-        length = float(np.sqrt(square))
-        out.append(Halfspace(normal=normal / length, offset=offset / length))
-    rows = np.array([np.append(h.normal, h.offset) for h in out])  # ragged: ValueError
-    return [out[i] for i in _first_apart(rows, tol.geom_abs)]
+        normals.append(normal)
+        offsets.append(offset)
+    if not normals:
+        return []
+    normals, offsets = np.array(normals), np.array(offsets)  # ragged: ValueError
+    with np.errstate(over="ignore"):
+        squares = _squares(normals)
+    rescale = ~((sys.float_info.min <= squares) & (squares < math.inf))
+    if rescale.any():
+        # the square overflows or is not a normal float: scale by the largest entry first
+        peaks = np.max(np.abs(normals[rescale]), axis=1)
+        normals[rescale] /= peaks[:, None]
+        offsets[rescale] /= peaks
+        squares[rescale] = _squares(normals[rescale])
+    lengths = np.sqrt(squares)
+    normals /= lengths[:, None]
+    offsets /= lengths
+    offset_list = offsets.tolist()
+    return [Halfspace(normal=normals[i], offset=offset_list[i])
+            for i in _first_apart(np.column_stack((normals, offsets)), tol.geom_abs)]
+
+
+def _squares(normals: np.ndarray) -> np.ndarray:
+    """Each row's n.n, as stacked (1, d) @ (d, 1) products: ``np.dot``'s route."""
+    return np.matmul(normals[:, None, :], normals[:, :, None]).reshape(normals.shape[0])
 
 
 def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
@@ -220,15 +242,31 @@ def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
 
 def _first_apart(points: np.ndarray, radius: float) -> list[int]:
     """Indices of the points not within ``radius`` (max norm) of an earlier
-    kept one: the first point of each cluster is kept."""
-    kept: list[int] = []
-    alive = np.ones(points.shape[0], dtype=bool)
+    kept one: the first point of each cluster is kept.
+
+    A point alone in some coordinate's window [x - 2r, x + 2r] is within r
+    of no other point, since fl(x + 2r) bounds every float y with
+    fl(y - x) <= r, and fl(x - 2r) every one below: it is kept and removes
+    nothing.  One sort per coordinate finds those points; the greedy runs
+    over the rest."""
+    reach, columns = 2.0 * radius, np.arange(points.shape[1])
+    order = np.argsort(points, axis=0)
+    ranked = points[order, columns]
+    clear = np.ones(ranked.shape, dtype=bool)
+    clear[1:] = ranked[:-1] < ranked[1:] - reach
+    clear[:-1] &= ranked[1:] > ranked[:-1] + reach
+    alone = np.empty_like(clear)
+    alone[order, columns] = clear
+    kept = alone.any(axis=1)
+    crowded = np.flatnonzero(~kept)
+    rest = points[crowded]
+    alive = np.ones(crowded.size, dtype=bool)
     while alive.any():
         first = int(np.argmax(alive))
-        kept.append(first)
+        kept[crowded[first]] = True
         alive[first] = False
-        alive[np.max(np.abs(points - points[first]), axis=1) <= radius] = False
-    return kept
+        alive[np.max(np.abs(rest - rest[first]), axis=1) <= radius] = False
+    return np.flatnonzero(kept).tolist()
 
 
 def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
@@ -277,8 +315,9 @@ def _witnessed(vertices: np.ndarray, incidence: VertexIncidence, count: int,
     differences go through one Gram-Schmidt call, zero-padded to the
     longest, which keeps each basis, and stopped at d - 1 vectors."""
     on = np.zeros((len(vertices), count), dtype=bool)
-    for v, active in enumerate(incidence.active):
-        on[v, list(active)] = True
+    counts = [len(active) for active in incidence.active]
+    on[np.repeat(np.arange(len(counts)), counts),
+       np.fromiter(itertools.chain.from_iterable(incidence.active), dtype=np.intp)] = True
     sizes = np.count_nonzero(on, axis=0)
     width = int(sizes.max(initial=1))
     # each halfspace's active vertices first, in vertex order

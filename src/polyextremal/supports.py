@@ -62,6 +62,7 @@ __all__ = [
 
 SUBSET_GUARD = 2_000_000  # total facet subsets enumerate_supports will visit
 SYMMETRY_REL = 1e-12      # relative tolerance of the central-symmetry test
+_BOOL_TYPES = frozenset((bool, np.bool_))  # operator.index takes True as 1
 
 
 class NoCover(Exception):
@@ -173,10 +174,12 @@ class SupportSet:
 
 def _facet_subset(polytope: PolytopeH, subset) -> tuple[int, ...]:
     """``subset`` sorted, as Python ints; ValueError unless it holds distinct
-    facet indices of K, each an integer."""
-    indices, n = map(operator.index, subset), len(polytope.halfspaces)
+    facet indices of K, each an integer and not a bool."""
+    subset, n = tuple(subset), len(polytope.halfspaces)
     try:
-        subset = tuple(sorted(indices))
+        if not _BOOL_TYPES.isdisjoint(map(type, subset)):
+            raise TypeError("a bool is not a facet index")
+        subset = tuple(sorted(map(operator.index, subset)))
     except TypeError:
         raise ValueError("facet indices must be integers") from None
     if subset and (subset[0] < 0 or subset[-1] >= n or len(set(subset)) < len(subset)):
@@ -426,7 +429,7 @@ def support_records(support_set: SupportSet) -> list[dict]:
             "kind": support.kind,
             "facets": list(support.facet_indices),
             "cross_dim": cross.dim,
-            "apexes": [[float(c) for c in apex] for apex in cross.apexes],
-            "basis": [[float(c) for c in row] for row in basis],
+            "apexes": cross.apexes.tolist(),
+            "basis": basis.tolist(),
         })
     return records

@@ -13,7 +13,7 @@ import pytest
 from polyextremal import cli, extremal, supports
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
-                          Unbounded, ZeroNormal, enumerate_supports)
+                          Unbounded, ZeroNormal, enumerate_supports, from_json)
 from polyextremal.extremal import (eval_extremal, eval_extremal_many, eval_interval,
                                    eval_simplex_many)
 
@@ -133,6 +133,40 @@ def test_supports_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "supports", fixture_path("prism"))
     _, second, _ = run_cli(capsys, "supports", fixture_path("prism"))
     assert first == second
+
+
+def _entrywise_records(support_set):
+    """``support_records`` with one ``float`` per apex and basis entry."""
+    records = []
+    for support in support_set:
+        strip = support.kind == "strip"
+        cross = support.cross_simplex if strip else support
+        basis = support.basis if strip else np.eye(support.dim)
+        records.append({"kind": support.kind, "facets": list(support.facet_indices),
+                        "cross_dim": cross.dim,
+                        "apexes": [[float(c) for c in apex] for apex in cross.apexes],
+                        "basis": [[float(c) for c in row] for row in basis]})
+    return records
+
+
+def test_supports_stdout_matches_entrywise_records(capsys, tmp_path, monkeypatch):
+    """``polyextremal supports`` prints the bytes of records built one float
+    at a time, on the fixtures and the benchmark's members."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = __import__("inputs")
+    paths = [fixture_path(name) for name in ("cube", "prism", "quad", "quad_vertices",
+                                             "square", "triangle")]
+    for workload in inputs.WORKLOADS:
+        for seed in (1, 2, 3):
+            for member in inputs.make_inputs(workload, seed).members:
+                path = tmp_path / f"{workload}-{seed}-{member.name}.json"
+                path.write_text(json.dumps(member.document()), encoding="utf-8")
+                paths.append(str(path))
+    for path in paths:
+        code, out, _ = run_cli(capsys, "supports", path)
+        support_set = enumerate_supports(from_json(json.loads(Path(path).read_text())))
+        assert code == 0
+        assert out == json.dumps(_entrywise_records(support_set), indent=2) + "\n"
 
 
 def test_eval_single_point(capsys):

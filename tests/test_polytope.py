@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -68,15 +69,38 @@ def test_canonicalize_collapses_duplicates():
     assert result[0].offset == pytest.approx(1.0, abs=1e-14)
 
 
+def _unit_rows(halfspaces):
+    """Each condition checked and scaled to a unit normal on its own, one
+    ``np.dot`` per row: the first defective row raises."""
+    rows = []
+    for raw in halfspaces:
+        normal, offset = polytope._as_halfspace_data(raw)
+        if normal.ndim != 1:
+            raise ValueError("normals must be vectors")
+        if not np.all(np.isfinite(normal)) or not math.isfinite(offset):
+            raise ValueError("halfspace entries must be finite")
+        if not np.any(normal):
+            raise ZeroNormal("halfspace normal is the zero vector")
+        with np.errstate(over="ignore"):
+            square = float(np.dot(normal, normal))
+        if not sys.float_info.min <= square < math.inf:
+            peak = float(np.max(np.abs(normal)))
+            normal, offset = normal / peak, offset / peak
+            square = float(np.dot(normal, normal))
+        length = float(np.sqrt(square))
+        rows.append((normal / length, offset / length))
+    np.array([np.append(normal, offset) for normal, offset in rows])  # ragged: ValueError
+    return rows
+
+
 def _canonicalize_pairwise(halfspaces, tol):
     """Duplicate removal against one kept condition at a time, the first
     occurrence kept; each condition is normalized on its own."""
     kept = []
-    for raw in halfspaces:
-        [candidate] = canonicalize([raw], tol)
-        if not any(np.max(np.abs(candidate.normal - h.normal)) <= tol.geom_abs
-                   and abs(candidate.offset - h.offset) <= tol.geom_abs for h in kept):
-            kept.append(candidate)
+    for normal, offset in _unit_rows(halfspaces):
+        if not any(np.max(np.abs(normal - h.normal)) <= tol.geom_abs
+                   and abs(offset - h.offset) <= tol.geom_abs for h in kept):
+            kept.append(polytope.Halfspace(normal=normal, offset=offset))
     return kept
 
 
@@ -101,6 +125,119 @@ def test_canonicalize_matches_pairwise_reference(geom):
             (h.normal.tobytes(), h.offset) for h in expected]
         dropped += len(raw) - len(got)
     assert dropped > 60
+
+
+DEFECTIVE_ROWS = {
+    "non-vector": ([[1.0, 0.0]], 1.0),
+    "nan-normal": ([float("nan"), 1.0], 1.0),
+    "inf-normal": ([0.0, -math.inf], 1.0),
+    "inf-offset": ([1.0, 0.0], math.inf),
+    "nan-offset-zero-normal": ([0.0, 0.0], math.nan),
+    "zero-normal": ([0.0, -0.0], 1.0),
+    "empty-normal": ([], 1.0),
+    "ragged": ([1.0, 0.0, 2.0], 1.0),
+    "ragged-long": ([1.0, 0.0, 2.0, 3.0], 1.0),
+    "unreadable": (["x", 0.0], 1.0),
+    "no-offset": ([1.0, 0.0],),
+}
+
+
+def _outcome(function, halfspaces):
+    try:
+        return [(h.normal.tobytes(), h.offset) for h in function(halfspaces)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("first", DEFECTIVE_ROWS)
+@pytest.mark.parametrize("second", DEFECTIVE_ROWS)
+def test_canonicalize_raises_for_the_first_defective_row(first, second):
+    """With defects in two rows, the first in input order decides the
+    exception type and message, as when each row is checked in turn; the
+    ragged rows raise only after every row passed its own checks."""
+    good = ([0.6, 0.8], 2.0)
+    for rows in ([DEFECTIVE_ROWS[first], DEFECTIVE_ROWS[second]],
+                 [good, DEFECTIVE_ROWS[first], good, DEFECTIVE_ROWS[second], good]):
+        expected = _outcome(lambda raw: _canonicalize_pairwise(raw, Tolerances()), rows)
+        assert _outcome(canonicalize, rows) == expected
+    assert isinstance(expected, tuple)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e200, 1e300])
+def test_canonicalize_rescaled_rows_match_one_by_one(scale):
+    """Rows whose square is not a normal float, mixed with ordinary rows,
+    get bitwise the normals and offsets of their own per-row scaling."""
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3, 5):
+        normals, offsets = rng.normal(size=(9, d)), rng.normal(size=9)
+        raw = [(list(n * (scale if k % 3 else 1.0)), b * (scale if k % 3 else 1.0))
+               for k, (n, b) in enumerate(zip(normals, offsets))]
+        raw += [raw[0], raw[1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = canonicalize(raw)
+        expected = _canonicalize_pairwise(raw, Tolerances())
+        assert [(h.normal.tobytes(), h.offset) for h in got] == [
+            (h.normal.tobytes(), h.offset) for h in expected]
+        assert len(got) < len(raw)
+
+
+def _first_apart_pairwise(points, radius):
+    """Each point against every kept one, in index order."""
+    kept = []
+    for i, p in enumerate(points):
+        if not any(np.max(np.abs(p - points[k])) <= radius for k in kept):
+            kept.append(i)
+    return kept
+
+
+def _cross_polytope_corners():
+    """The feasible corners of the 4-D cross-polytope: each of its 8
+    vertices lies on 8 facets, so it is the corner of 70 d-subsets."""
+    halfspaces = canonicalize([(list(np.array(s) / 2.0), 1.0)
+                               for s in itertools.product((1.0, -1.0), repeat=4)])
+    tol = Tolerances()
+    corners, nonsingular, values = polytope._arrangement(halfspaces, 4, tol)
+    return corners[nonsingular & (np.min(values, axis=1) >= -tol.geom_abs)]
+
+
+def _first_apart_cases():
+    r = VERTEX_DEDUP_ABS
+    rng = np.random.default_rng(23)
+    angles = 2 * np.pi * np.arange(24) / 24
+    cases = {
+        "ties-at-radius": (np.array([[0.0], [r], [2 * r], [3 * r], [0.5], [0.5 + r]]), r),
+        "chained": (np.array([[1.0, 0.0], [1.0 + 0.8 * r, 0.0], [1.0 + 1.6 * r, 0.0],
+                              [1.0 + 2.4 * r, 0.0], [1.0 + 1.6 * r, 0.9 * r]]), r),
+        "mirrored": (np.column_stack([np.cos(angles), np.sin(angles)]), r),
+        "mirrored-quadrants": (np.array([[x, y] for x in (0.3, -0.3) for y in (0.7, -0.7)]
+                                        + [[0.3, 0.7 + 0.5 * r]]), r),
+        "signed-zeros": (np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, 1.0],
+                                   [0.0, 1.0 + r]]), r),
+        "all-equal": (np.full((7, 3), 0.25), r),
+        "single": (np.array([[1.0, 2.0, 3.0]]), r),
+        "none": (np.empty((0, 2)), r),
+        "cross-polytope": (_cross_polytope_corners(), r),
+    }
+    for exponent in range(-12, 13, 2):
+        lattice = rng.integers(-3, 4, size=(40, 3)) * (r / 2) + rng.normal(size=(1, 3))
+        cases[f"scale-1e{exponent}"] = (lattice * 10.0 ** exponent, r)
+        cases[f"scale-1e{exponent}-radius"] = (lattice * 10.0 ** exponent, r * 10.0 ** exponent)
+    return cases
+
+
+FIRST_APART_CASES = _first_apart_cases()
+
+
+@pytest.mark.parametrize("name", FIRST_APART_CASES)
+def test_first_apart_matches_pairwise_reference(name):
+    """The points the sorted windows leave to the greedy and the ones they
+    keep outright give the index list of comparing every point with every
+    kept one."""
+    points, radius = FIRST_APART_CASES[name]
+    assert polytope._first_apart(points, radius) == _first_apart_pairwise(points, radius)
+    mirrored = -points[::-1]
+    assert polytope._first_apart(mirrored, radius) == _first_apart_pairwise(mirrored, radius)
 
 
 def test_canonicalize_ragged_normals_raise_value_error():

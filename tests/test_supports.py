@@ -151,10 +151,11 @@ def test_try_simplex_rejects_bad_indices(quad, subset):
 
 
 @pytest.mark.parametrize("subset", [(0.5, 1, 2), (0.0, 1.0, 2.0), (np.float64(0), 1, 2),
-                                    ("0", 1, 2), (None, 1, 2)])
+                                    ("0", 1, 2), (None, 1, 2), (True, 2, 3), (0, np.True_, 2)])
 def test_facet_indices_must_be_integers(quad, square, subset):
-    """A facet index that is not an integer is a ValueError, and integer
-    types such as ``np.int64`` come back as Python ints."""
+    """A facet index that is not an integer, or is a bool although
+    ``operator.index(True)`` is 1, is a ValueError, and integer types such
+    as ``np.int64`` come back as Python ints."""
     with pytest.raises(ValueError, match="integers"):
         try_simplex(quad, subset)
     with pytest.raises(ValueError, match="integers"):
