@@ -22,8 +22,8 @@ place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
 JSON, a bad flag or point, NaN or infinite coordinates, a zero normal, an
 input beyond the size guards), 3 unbounded, 4 not full-dimensional, 5
 redundant halfspace, 6 empty, 1 any other library failure (an uncovered
-facet, a barycentric sum below the domain band) or an OS error such as an
-unwritable grid file.  Every failure prints ``error: <message>`` to stderr.
+facet, a barycentric sum below the domain band), an OS error (an unwritable
+grid file) or a MemoryError.  Every failure prints ``error: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .supports import NoCover, SupportSet, enumerate_supports, support_records
 EXIT_CODES = {
     ParseError: 2, ZeroNormal: 2, GuardExceeded: 2,
     Unbounded: 3, NotFullDimensional: 4, RedundantHalfspace: 5, Empty: 6,
-    PolytopeError: 1, NoCover: 1, DomainError: 1, OSError: 1,
+    PolytopeError: 1, NoCover: 1, DomainError: 1, OSError: 1, MemoryError: 1,
 }
 
 

@@ -23,9 +23,9 @@ VERTEX_DEDUP_ABS, both in max norm, a point within the radius of an earlier
 kept one is dropped.  A point that a sort of some coordinate shows to be
 alone is kept without a pass of its own; the others run the greedy.
 
-Scale guards: vertex enumeration visits C(N, d) subsets, acceptable at desk
-scale only.  ``validate`` refuses inputs beyond ``max_facets``/``max_dim``
-unless the caller raises those limits explicitly.
+Scale guards: ``validate`` refuses a dimension above MAX_DIM, then, once
+duplicates merge, more facet subsets of sizes 2..d+1 than SUBSET_GUARD: the
+subsets set-up visits.  The count alone does not bound d (one facet has none).
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 VERTEX_DEDUP_ABS = 1e-7  # merge radius for numerically identical corners
+MAX_DIM = 5              # the largest dimension validate accepts
+SUBSET_GUARD = 190_026   # the most facet subsets set-up may visit: n = 24 in R^5
 
 
 class PolytopeError(Exception):
@@ -102,7 +104,7 @@ class Degenerate(PolytopeError):
 
 
 class GuardExceeded(PolytopeError):
-    """Input size beyond the combinatorial guards; raise the limits to proceed."""
+    """Input beyond the size guards, MAX_DIM and SUBSET_GUARD."""
 
 
 class RedundantHalfspace(PolytopeError):
@@ -328,25 +330,27 @@ def _witnessed(vertices: np.ndarray, incidence: VertexIncidence, count: int,
     return (sizes >= dim) & (found >= dim - 1)
 
 
-def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL, *,
-             max_facets: int = 24, max_dim: int = 5) -> PolytopeH:
+def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
     """Certify and assemble a PolytopeH, or raise the specific failure.
 
-    Order of checks: canonicalize; enumerate vertices (with one orientation
-    repair attempt when none are feasible); Chebyshev ball (Empty when the
-    optimal radius is negative); recession cone (Unbounded); positive ball
-    radius (NotFullDimensional); a feasible vertex (Empty, when the
-    orientations are inconsistent); facet witnesses (RedundantHalfspace).
+    Order of checks: dimension at most MAX_DIM (GuardExceeded); canonicalize;
+    at most SUBSET_GUARD facet subsets of sizes 2..d+1, the most set-up visits
+    (GuardExceeded); enumerate vertices (with one orientation repair attempt
+    when none are feasible); Chebyshev ball (Empty when the optimal radius
+    is negative); recession cone (Unbounded); positive ball radius
+    (NotFullDimensional); a feasible vertex (Empty, when the orientations
+    are inconsistent); facet witnesses (RedundantHalfspace).
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if dim > max_dim:
-        raise GuardExceeded(f"dim {dim} above guard {max_dim}")
+    if dim > MAX_DIM:
+        raise GuardExceeded(f"dim {dim} above guard {MAX_DIM}")
     canonical = canonicalize(halfspaces, tol)
     if not canonical:
         raise Unbounded("no halfspaces: the whole space")
-    if len(canonical) > max_facets:
-        raise GuardExceeded(f"{len(canonical)} halfspaces above guard {max_facets}")
+    total = sum(math.comb(len(canonical), size) for size in range(2, dim + 2))
+    if total > SUBSET_GUARD:
+        raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
 
     vertices, incidence = enumerate_vertices(canonical, dim, tol)
     if vertices.shape[0] == 0:
@@ -445,13 +449,12 @@ def from_vertices_2d(points, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
     return validate(halfspaces, 2, tol)
 
 
-def from_json(document: dict, tol: Tolerances = DEFAULT_TOL, *,
-              max_facets: int = 24, max_dim: int = 5) -> PolytopeH:
+def from_json(document: dict, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
     """Build and validate a polytope from the documented JSON schema.
 
     Either {"dim": d, "halfspaces": [{"normal": [...], "offset": b}, ...]}
     with the convention normal.x + offset >= 0, or {"dim": 2, "vertices":
-    [[x, y], ...]}.  Exactly one of halfspaces/vertices must be present.
+    [[x, y], ...]}.  Exactly one must be present; ``validate`` guards the size.
     """
     if not isinstance(document, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -494,4 +497,4 @@ def from_json(document: dict, tol: Tolerances = DEFAULT_TOL, *,
         if normal.shape != (dim,) or not np.all(np.isfinite(normal)) or not math.isfinite(offset):
             raise ParseError(f"normals must be finite vectors of length {dim}")
         raw.append((normal, offset))
-    return validate(raw, dim, tol, max_facets=max_facets, max_dim=max_dim)
+    return validate(raw, dim, tol)

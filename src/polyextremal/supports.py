@@ -23,8 +23,8 @@ pass.  Strip normals make every d-subset containing them singular, so strips
 are looked for only inside the singular d-subsets.  One routine certifies
 strips, every candidate of a size at once, and builds the records of those
 that pass, so each strip is certified once; ``try_strip`` is that routine
-on one subset.  This certifies completeness directly; a guard refuses
-inputs whose subset count explodes.
+on one subset.  This certifies completeness directly; ``validate``'s
+guard keeps the subset count at desk scale.
 Certification of one subset never looks at another, so results merge
 deterministically: supports are sorted by facet index set.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .linalg import _orthogonalize_many, lu_solve_many
 from .linalg import orthonormal_basis, rank, solve_real  # noqa: F401  (the tracer wraps them)
-from .polytope import GuardExceeded, Halfspace, PolytopeH
+from .polytope import Halfspace, PolytopeH
 
 __all__ = [
     "SimplexSupport",
@@ -60,8 +60,7 @@ __all__ = [
     "support_records",
 ]
 
-SUBSET_GUARD = 2_000_000  # total facet subsets enumerate_supports will visit
-SYMMETRY_REL = 1e-12      # relative tolerance of the central-symmetry test
+SYMMETRY_REL = 1e-12  # relative tolerance of the central-symmetry test
 _BOOL_TYPES = frozenset((bool, np.bool_))  # operator.index takes True as 1
 
 
@@ -331,13 +330,10 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
 
     Raises NoCover when some facet of K ends up in no accepted support, which
     signals inconsistent input or numerical failure (mathematically every
-    facet is covered).  Raises GuardExceeded beyond the subset budget.
+    facet is covered).  It visits at most the subsets ``validate`` counts
+    against its SUBSET_GUARD.
     """
     n, d = len(polytope.halfspaces), polytope.dim
-    total = sum(math.comb(n, size) for size in range(2, d + 2))
-    if total > SUBSET_GUARD:
-        raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
-
     singular = list(itertools.compress(itertools.combinations(range(n), d),
                                        (~polytope.incidence.nonsingular).tolist()))
     accepted: list[SimplexSupport | StripSupport] = []

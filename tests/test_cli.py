@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyextremal import cli, extremal, supports
+from polyextremal import cli, extremal, polytope
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
                           Unbounded, ZeroNormal, enumerate_supports, from_json)
@@ -104,6 +105,24 @@ def test_validate_schema_error(capsys, tmp_path):
     )
     code, _, err = run_cli(capsys, "validate", str(doc))
     assert code == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ('[{"dim": 2}]', "top-level JSON value must be an object"),
+    ('{"dim": 2, "vertices": []}', "'vertices' must be a nonempty list"),
+    ('{"dim": 2, "vertices": [[0, 0], [1, "a"], [0, 1]]}', "vertices must be lists of numbers"),
+    ('{"dim": 2, "vertices": [[0, 0], [1e999, 0], [0, 1]]}',
+     "vertices must be finite pairs [x, y]"),
+    ('{"dim": 2, "halfspaces": []}', "'halfspaces' must be a nonempty list"),
+    ('{"dim": 2, "halfspaces": [{"normal": [1, "x"], "offset": 0}]}',
+     "halfspace entries must be numeric"),
+], ids=["list", "no-vertices", "text-vertex", "infinite-vertex", "no-halfspaces",
+        "text-normal"])
+def test_validate_off_schema_document(capsys, tmp_path, text, message):
+    """Each documented schema error exits 2 with its one ``error:`` line."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "validate", str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_supports_quad_records(capsys):
@@ -358,6 +377,20 @@ def test_eval_requires_some_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--point", "a,b,c,d", "point 'a,b,c,d': could not convert string to float: 'a'"),
+    ("--points-file", "missing.txt", "cannot read {path}: "),
+])
+def test_eval_rejects_unreadable_points(capsys, tmp_path, flag, value, message):
+    """A point that is not numbers, or a points file that cannot be read,
+    exits 2 with one ``error:`` line, which names the file."""
+    if flag == "--points-file":
+        value = str(tmp_path / value)
+    code, out, err = run_cli(capsys, "eval", fixture_path("quad"), flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message.format(path=value)}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("point", ["nan,0,0,0", "0,0,inf,0", "0,-inf,0,0"])
 def test_eval_rejects_non_finite_point(capsys, tmp_path, point):
     code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--point", point)
@@ -502,6 +535,20 @@ def test_grid_json_format(capsys, tmp_path):
     assert "generated" not in body
 
 
+def test_grid_failed_replace_leaves_no_file(capsys, tmp_path, monkeypatch):
+    """The grid is written to a ``.grid-*`` temporary file and moved into
+    place; when the move fails, the command exits 1 and leaves neither."""
+    def fail(*_):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run_cli(
+        capsys, "grid", fixture_path("quad"), "--plane", "re1,re2", "--bounds", "0,1,0,1",
+        "--resolution", "2", "--out", str(tmp_path / "grid.csv"),
+    )
+    assert (code, out, err) == (1, "", "error: rename failed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
     stamped = tmp_path / "a.csv"
     run_cli(
@@ -512,6 +559,14 @@ def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
     lines = stamped.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# generated ")
     assert lines[1] == "u,v,value,argmax"
+    stamped = tmp_path / "a.json"
+    run_cli(
+        capsys, "grid", fixture_path("triangle"),
+        "--plane", "re1,re2", "--bounds", "0,1,0,1",
+        "--resolution", "2", "--out", str(stamped), "--format", "json",
+    )
+    generated = json.loads(stamped.read_text(encoding="utf-8"))["generated"]
+    assert datetime.fromisoformat(generated).utcoffset() == timedelta(0)
 
 
 def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
@@ -605,14 +660,18 @@ def test_cli_import_leaves_the_process_pool_out():
          "--fixed", "re2=nan"],
         ["--plane", "re1,re2", "--bounds", "0,inf,0,1", "--resolution", "3"],
         ["--plane", "re1,re2", "--bounds=-1e308,1e308,0,1", "--resolution", "3"],
+        ["--plane", "re1,re2", "--bounds", "0,1,0,1", "--resolution", "3", "--fixed", "im1"],
+        ["--plane", "rex,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re1,re2", "--bounds=-1,4,x,4", "--resolution", "3"],
     ],
 )
 def test_grid_flag_validation(capsys, tmp_path, extra):
     out_path = tmp_path / "never.csv"
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "grid", fixture_path("quad"), *extra, "--out", str(out_path)
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_path.exists()
 
 
@@ -680,6 +739,7 @@ def test_extremal_tol_env_rejects_garbage(capsys, monkeypatch):
     (NoCover(2), 1),
     (DomainError("below 1"), 1),
     (OSError("disk full"), 1),
+    (MemoryError("Unable to allocate 74.5 GiB for an array"), 1),
 ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
 def test_exit_code_table(capsys, monkeypatch, failure, code):
     """Each library failure reaches the user as one ``error:`` line on stderr
@@ -700,13 +760,27 @@ def test_unlisted_exception_is_not_swallowed(capsys, monkeypatch):
 
 
 def test_subset_guard(capsys, monkeypatch):
-    """Past SUBSET_GUARD facet subsets, set-up refuses with GuardExceeded: exit 2."""
-    monkeypatch.setattr(supports, "SUBSET_GUARD", 9)  # the quad visits 6 + 4 subsets
+    """Past SUBSET_GUARD facet subsets, validation refuses with GuardExceeded: exit 2."""
+    monkeypatch.setattr(polytope, "SUBSET_GUARD", 9)  # the quad visits 6 + 4 subsets
     with pytest.raises(GuardExceeded):
-        enumerate_supports(load_fixture("quad"))
+        load_fixture("quad")
     code, out, err = run_cli(capsys, "supports", fixture_path("quad"))
     assert (code, out) == (2, "")
     assert err == "error: 10 facet subsets exceed the guard 9\n"
+
+
+def test_supports_of_a_25_gon_in_vertex_form(capsys, tmp_path):
+    """A regular 25-gon given by its vertices, more than 24 facets in the
+    plane, sets up: every facet is in some support."""
+    angles = 2.0 * np.pi * np.arange(25) / 25
+    path = tmp_path / "ngon25.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": np.column_stack(
+        [np.cos(angles), np.sin(angles)]).tolist()}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "supports", str(path))
+    assert (code, err) == (0, "")
+    records = json.loads(out)
+    assert {facet for record in records for facet in record["facets"]} == set(range(25))
+    assert {record["kind"] for record in records} == {"simplex"}
 
 
 def test_eval_translated_quad_domain_error_exits_1(tmp_path):

@@ -503,15 +503,72 @@ def test_validate_no_halfspaces_is_unbounded():
         validate([], 2)
 
 
-def test_validate_facet_guard():
-    halfspaces = [([1.0, 0.0], float(k)) for k in range(30)]
-    with pytest.raises(GuardExceeded):
-        validate(halfspaces, 2, max_facets=24)
+def regular_polygon(sides):
+    """Unit normals and offsets of the regular polygon of inradius 1, its
+    opposite normals exactly antiparallel when ``sides`` is even."""
+    angles = 2.0 * np.pi * np.arange(sides) / sides
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    if sides % 2 == 0:
+        normals[sides // 2:] = -normals[:sides // 2]
+    return normals, np.ones(sides)
+
+
+def _halfspaces(normals, offsets):
+    return list(zip(normals.tolist(), offsets.tolist()))
+
+
+def test_validate_facet_guard(monkeypatch):
+    """The regular 105-gon makes C(105, 2) + C(105, 3) = 192,920 facet
+    subsets, over the guard, and is refused before any solve."""
+    def solve(*_):
+        raise AssertionError("the guard comes before any solve")
+    monkeypatch.setattr(polytope, "_arrangement", solve)
+    monkeypatch.setattr(polytope, "interior_point", solve)
+    with pytest.raises(GuardExceeded, match="^192920 facet subsets exceed the guard 190026$"):
+        validate(_halfspaces(*regular_polygon(105)), 2)
 
 
 def test_validate_dimension_guard():
-    with pytest.raises(GuardExceeded):
-        validate([([1.0] + [0.0] * 6, 1.0)], 7, max_dim=5)
+    with pytest.raises(GuardExceeded, match="^dim 7 above guard 5$"):
+        validate([([1.0] + [0.0] * 6, 1.0)], 7)
+
+
+def test_subset_guard_edge_in_the_plane():
+    """The regular 104-gon, 187,460 subsets, validates, also with every row
+    listed twice, since duplicates merge before the count."""
+    polygon = _halfspaces(*regular_polygon(104))
+    assert len(validate(polygon, 2).vertices) == 104
+    assert len(validate(polygon + polygon, 2).halfspaces) == 104
+
+
+def test_subset_guard_edge_in_r5(monkeypatch):
+    """24 tangent normals in R^5 are the guard's own count, 190,026 subsets,
+    and validate; 25 are refused, and so is R^6 at any count."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tangent_normals = importlib.import_module("inputs").tangent_normals
+    assert polytope.SUBSET_GUARD == sum(math.comb(24, k) for k in range(2, 7))
+    edge = validate(_halfspaces(tangent_normals(5, 24, np.random.default_rng(3)), np.ones(24)), 5)
+    assert len(edge.halfspaces) == 24
+    with pytest.raises(GuardExceeded, match="^245480 facet subsets exceed the guard 190026$"):
+        validate(_halfspaces(tangent_normals(5, 25, np.random.default_rng(3)), np.ones(25)), 5)
+    with pytest.raises(GuardExceeded, match="^dim 6 above guard 5$"):
+        validate(_halfspaces(tangent_normals(6, 7, np.random.default_rng(3)), np.ones(7)), 6)
+
+
+@pytest.mark.parametrize("sides", [25, 30, 60])
+def test_admitted_polygons_pass_the_benchmark_oracles(monkeypatch, sides):
+    """Polygons of more than 24 facets get the vertices and supports
+    the benchmark's independent numpy checks find."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    checks = importlib.import_module("checks")
+    normals, offsets = regular_polygon(sides)
+    support_set = enumerate_supports(validate(_halfspaces(normals, offsets), 2))
+    simplices = [(s.facet_indices, s.apexes) for s in support_set if s.kind == "simplex"]
+    strips = [s.facet_indices for s in support_set if s.kind == "strip"]
+    assert len(strips) == (sides // 2 if sides % 2 == 0 else 0)
+    assert checks.check_vertices(normals, offsets, support_set.polytope.vertices) == []
+    assert checks.check_supports(normals, offsets, simplices, strips,
+                                 [s.facet_indices for s in support_set]) == []
 
 
 def test_validate_repairs_outward_oriented_square():
