@@ -284,12 +284,11 @@ class _UnboundedLP(LinalgError):
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Scale the pivot row, then eliminate ``col`` from every other row
-    where it is nonzero, all those rows in one update."""
+    where it is nonzero, all those rows in one masked update."""
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
+    factors = tableau[:, col, None].copy()
     factors[row] = 0.0
-    rows = np.flatnonzero(factors)
-    tableau[rows] -= factors[rows, None] * tableau[row]
+    np.subtract(tableau, factors * tableau[row], out=tableau, where=factors != 0.0)
     basis[row] = col
 
 
@@ -297,21 +296,25 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> No
     """Maximize ``cost`` over the tableau in place.  Bland's rule throughout:
     entering = lowest-index improving column, leaving = lowest basic index
     among the minimum-ratio rows.  Anti-cycling, so termination is guaranteed.
+    Rows that do not bound the entering column keep ratio inf in the one
+    buffer, and rows that do not tie are masked out of the basis' argmin
+    with an index no basic variable has.
     """
+    rhs, ratios, untied = tableau[:, -1], np.empty(len(tableau)), len(cost)
     while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        improving = np.flatnonzero(reduced > _LP_EPS)
-        if improving.size == 0:
+        improving = reduced > _LP_EPS
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return
-        entering = int(improving[0])
         column = tableau[:, entering]
-        ratios = np.divide(tableau[:, -1], column, out=np.full(len(column), np.inf),
-                           where=column > _LP_EPS)
+        ratios.fill(math.inf)
+        np.divide(rhs, column, out=ratios, where=column > _LP_EPS)
         best = float(ratios.min())
-        if not np.isfinite(best):
+        if not abs(best) < math.inf:  # inf or NaN
             raise _UnboundedLP("improving direction with no blocking constraint")
-        ties = np.flatnonzero(ratios <= best + _LP_EPS)
-        _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), entering)
+        row = int(np.where(ratios <= best + _LP_EPS, basis, untied).argmin())
+        _pivot(tableau, basis, row, entering)
 
 
 def linprog_max(c: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, float]:

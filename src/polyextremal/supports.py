@@ -212,18 +212,19 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
 
     The apex opposite facet j is the arrangement's corner of the other d,
     which is missing when their normals are dependent, and its height
-    l_j(p_j) is the value-matrix entry of facet j there, both read at the
-    face's rank.  The test is the batched screen's, ``_apexes_above``."""
-    subset, d = _facet_subset(polytope, subset), polytope.dim
+    l_j(p_j) is the value-matrix entry of facet j there, all read by
+    ``ndarray.take`` at the face's rank, the height at flat index
+    rank * n + j.  The test is the batched screen's, ``_apexes_above``."""
+    subset, d, n = _facet_subset(polytope, subset), polytope.dim, len(polytope.halfspaces)
     if len(subset) != d + 1:
         raise ValueError(f"need exactly {d + 1} facet indices")
     incidence = polytope.incidence
-    faces = np.array(_face_ranks(subset, len(polytope.halfspaces)), dtype=np.intp)
-    heights = incidence.values[faces, np.array(subset)]
+    faces = _face_ranks(subset, n)
+    heights = incidence.values.take([face * n + k for face, k in zip(faces, subset)])
     # all() of a short list: ndarray.all() costs several times more per call
-    if not all(_apexes_above(incidence.nonsingular[faces], heights, polytope.tol).tolist()):
+    if not all(_apexes_above(incidence.nonsingular.take(faces), heights, polytope.tol).tolist()):
         return None
-    return SimplexSupport(facet_indices=subset, apexes=incidence.corners[faces],
+    return SimplexSupport(facet_indices=subset, apexes=incidence.corners.take(faces, axis=0),
                           halfspaces=tuple(polytope.halfspaces[k] for k in subset), dim=d,
                           heights=heights)
 
@@ -333,11 +334,11 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     facet is covered).  It visits at most the subsets ``validate`` counts
     against its SUBSET_GUARD.
     """
-    n, d = len(polytope.halfspaces), polytope.dim
-    singular = list(itertools.compress(itertools.combinations(range(n), d),
-                                       (~polytope.incidence.nonsingular).tolist()))
+    n, d, nonsingular = len(polytope.halfspaces), polytope.dim, polytope.incidence.nonsingular
     accepted: list[SimplexSupport | StripSupport] = []
-    if singular:  # without singular d-subsets there are no strips
+    if not nonsingular.all():  # without singular d-subsets there are no strips
+        singular = list(itertools.compress(itertools.combinations(range(n), d),
+                                           (~nonsingular).tolist()))
         for size in range(2, d + 1):
             parts = sorted({sub for face in singular for sub in itertools.combinations(face, size)})
             accepted += _strips(polytope, np.array(parts, dtype=np.intp))
@@ -368,19 +369,24 @@ def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
     """The facet functions ``base`` followed by each strip's ``halfspaces``, as
     normals (R, d) and offsets (R,), and the (m, S) rows and heights of
     ``supports``, m their most facets: a simplex's rows are its facet
-    indices into ``base``, and missing slots name row R, with height 1.0."""
+    indices into ``base``, and missing slots name row R, with height 1.0.
+    A simplex has d+1 facets, more than any strip, so its column is full:
+    every simplex column is filled in one assignment, and each strip then
+    appends its rows, in support order."""
     rows = list(base)
     slots = max((len(support.heights) for support in supports), default=0)
     facets = np.full((slots, len(supports)), -1, dtype=np.intp)
     heights = np.ones((slots, len(supports)))
+    simplices = [i for i, support in enumerate(supports) if not isinstance(support, StripSupport)]
+    if simplices:
+        facets[:, simplices] = np.array([supports[i].facet_indices for i in simplices]).T
+        heights[:, simplices] = np.array([supports[i].heights for i in simplices]).T
     for i, support in enumerate(supports):
-        count = len(support.heights)
-        if support.kind == "strip":
+        if isinstance(support, StripSupport):
+            count = len(support.heights)
             facets[:count, i] = np.arange(len(rows), len(rows) + count)
             rows += support.halfspaces
-        else:
-            facets[:count, i] = support.facet_indices
-        heights[:count, i] = support.heights
+            heights[:count, i] = support.heights
     facets[facets < 0] = len(rows)
     return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
             facets, heights)

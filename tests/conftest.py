@@ -177,6 +177,21 @@ def tilted_prism(seed):
     return validate([(list(n), b) for n, b in zip(normals @ q.T, offsets)], 3)
 
 
+# Polytopes with simplices, strips, slabs and near-dependent normals, d = 2..5.
+KERNEL_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in (
+        "quad", "square", "triangle", "cube", "prism", "quad_vertices")},
+    **{f"prism-d{dim}": lambda dim=dim: prism_polytope(dim, dim) for dim in (2, 3, 4, 5)},
+    **{f"cube-d{dim}": lambda dim=dim: cube_polytope(dim) for dim in (2, 3, 4, 5)},
+    **{f"tangent-d{dim}": lambda dim=dim: validate(tangent_halfspaces(dim, dim + 6, 0), dim)
+       for dim in (2, 3, 4)},
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
+       for dim in (2, 3, 4)},
+    "ngon-24": lambda: ngon_polytope(24),
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in (1, 7)},
+}
+
+
 def lu_factor_by_columns(a, tol=DEFAULT_TOL):
     """Partial-pivot LU with numpy operations on whole columns (the first
     largest entry of a column pivots): the reference ``lu_factor`` must

@@ -34,7 +34,7 @@ from polyextremal.extremal import eval_extremal_many, eval_supports_many
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import load_fixture
+from conftest import KERNEL_CASES, load_fixture, tilted_prism
 
 MARGIN_TOL = 1e-12    # how far outside K the ellipse may reach
 RESIDUAL_TOL = 1e-10  # |f(R) - z|, times max(1, |z|_inf)
@@ -117,8 +117,13 @@ def _test_points(polytope, rng) -> np.ndarray:
 
 
 def _cases(monkeypatch, case: str) -> list:
-    """A fixture by name, or the tangent members of a benchmark workload at
-    a seed, ``workload-seed``."""
+    """A ``KERNEL_CASES`` polytope or a fixture by name, a tilted prism,
+    ``tilted-seed``, or the tangent members of a benchmark workload at a
+    seed, ``workload-seed``."""
+    if case in KERNEL_CASES:
+        return [KERNEL_CASES[case]()]
+    if case.startswith("tilted-"):
+        return [tilted_prism(int(case.removeprefix("tilted-")))]
     if "-" not in case:
         return [load_fixture(case)]
     workload, seed = case.rsplit("-", 1)
@@ -127,29 +132,38 @@ def _cases(monkeypatch, case: str) -> list:
     return [validate(member.halfspaces(), member.dim) for member in members]
 
 
-@pytest.mark.parametrize("case", ["quad", "triangle"] + [f"{workload}-{seed}" for workload in (
-    "setup-tangent", "eval-cli") for seed in range(1, 11)])
+MEMBER_CASES = ["quad", "triangle"] + [f"{workload}-{seed}" for workload in (
+    "setup-tangent", "eval-cli") for seed in range(1, 11)]
+# with strip winners, counted and skipped where a strip wins
+STRIP_CASES = [name for name in KERNEL_CASES if name not in MEMBER_CASES] + [
+    f"tilted-{seed}" for seed in range(12) if f"tilted-{seed}" not in KERNEL_CASES]
+
+
+@pytest.mark.parametrize("case", MEMBER_CASES + STRIP_CASES)
 def test_winning_simplex_ellipse_lies_in_K(monkeypatch, case):
-    """At every tested point the winner's extremal ellipse lies in K and
-    passes through z at zeta = R: the value is V_K(z) whichever supports the
-    set holds.  Strip winners and points where V = 0 are counted, not
-    checked; these polytopes have no strips, and every tested point lies
-    off K."""
+    """At every tested point where a simplex wins, its extremal ellipse lies
+    in K and passes through z at zeta = R: the value is V_K(z) whichever
+    supports the set holds.  Points where a strip wins are counted and
+    skipped; the benchmark members have no strips, and every tested point
+    lies off K, so V > 0 there."""
     for polytope in _cases(monkeypatch, case):
         support_set = enumerate_supports(polytope)
         rng = np.random.default_rng([len(support_set), polytope.dim])
-        certified, skipped = 0, 0
+        certified, strips = 0, 0
         points = _test_points(polytope, rng)
         for z in points:
-            result = ellipse_certificate(support_set, z)
-            if result is None:
-                skipped += 1
+            if support_set[_winner(support_set, z)].kind == "strip":
+                strips += 1
                 continue
-            margin, residual = result
+            margin, residual = ellipse_certificate(support_set, z)
             assert margin >= -MARGIN_TOL, (z, margin)
             assert residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(z)))), (z, residual)
             certified += 1
-        assert (certified, skipped) == (len(points), 0)
+        assert certified + strips == len(points)
+        if case in MEMBER_CASES:
+            assert strips == 0
+        # a stack of strips alone, as a centrally symmetric K has, certifies nothing
+        assert certified > 0 or all(support_set[i].kind == "strip" for i in support_set.stack)
 
 
 def test_runner_up_ellipse_leaves_K():

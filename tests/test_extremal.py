@@ -31,8 +31,8 @@ from polyextremal.extremal import (
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import (corner_cut_hexagon, cube_polytope, load_fixture, ngon_polytope,
-                      prism_polytope, quad_reference, symmetric_polytope, tangent_halfspaces,
+from conftest import (KERNEL_CASES, corner_cut_hexagon, cube_polytope, load_fixture,
+                      ngon_polytope, quad_reference, symmetric_polytope, tangent_halfspaces,
                       tilted_prism)
 
 VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
@@ -737,19 +737,6 @@ def _reference_max(support_set, points):
     values = _reference_arccosh(best)
     argmax[values == 0.0] = 0
     return values, argmax
-
-
-KERNEL_CASES = {
-    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
-    **{f"prism-d{dim}": lambda dim=dim: prism_polytope(dim, dim) for dim in (2, 3, 4, 5)},
-    **{f"cube-d{dim}": lambda dim=dim: cube_polytope(dim) for dim in (2, 3, 4, 5)},
-    **{f"tangent-d{dim}": lambda dim=dim: validate(tangent_halfspaces(dim, dim + 6, 0), dim)
-       for dim in (2, 3, 4)},
-    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
-       for dim in (2, 3, 4)},
-    "ngon-24": lambda: ngon_polytope(24),
-    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in (1, 7)},
-}
 
 
 def _mixed_points(polytope, count, rng):

@@ -243,6 +243,60 @@ def test_support_set_stacks_facets_and_heights(name):
         assert np.all(supports.heights[count:, i] == 1.0)
 
 
+def _facet_table_by_support(base, supports):
+    """The facet table one support at a time, simplices and strips alike:
+    the reference ``_facet_table`` must reproduce bit for bit."""
+    rows = list(base)
+    slots = max((len(support.heights) for support in supports), default=0)
+    facets = np.full((slots, len(supports)), -1, dtype=np.intp)
+    heights = np.ones((slots, len(supports)))
+    for i, support in enumerate(supports):
+        count = len(support.heights)
+        if support.kind == "strip":
+            facets[:count, i] = np.arange(len(rows), len(rows) + count)
+            rows += support.halfspaces
+        else:
+            facets[:count, i] = support.facet_indices
+        heights[:count, i] = support.heights
+    facets[facets < 0] = len(rows)
+    return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
+            facets, heights)
+
+
+def _table_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+FACET_TABLE_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    "ngon-24": lambda: ngon_polytope(24),
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", FACET_TABLE_CASES)
+def test_facet_table_matches_the_loop_over_supports(name):
+    """The simplex columns filled at once and the strips' rows appended in
+    order give the per-support loop's normals, offsets, facets and heights,
+    bit for bit, for the whole set and for its evaluation stack; so do a
+    list of the strips alone and an empty list."""
+    supports = enumerate_supports(FACET_TABLE_CASES[name]())
+    base = supports.polytope.halfspaces
+    whole = (supports.normals, supports.offsets, supports.facets, supports.heights)
+    assert _table_bytes(whole) == _table_bytes(_facet_table_by_support(base, supports))
+    stack = (supports.stack_normals, supports.stack_offsets, supports.stack_facets,
+             supports.stack_heights)
+    stacked = [supports[i] for i in supports.stack]
+    symmetric = supports_module._antipodal_strips(supports.polytope, supports.supports) is not None
+    reference_base = () if symmetric else base
+    assert _table_bytes(stack) == _table_bytes(_facet_table_by_support(reference_base, stacked))
+    strips = [support for support in supports if support.kind == "strip"]
+    for chosen in (strips, []):
+        for table_base in (base, ()):
+            assert _table_bytes(supports_module._facet_table(table_base, chosen)) \
+                == _table_bytes(_facet_table_by_support(table_base, chosen))
+
+
 def test_simplex_count_bound(quad_supports, quad):
     n_facets = len(quad.halfspaces)
     simplices = [s for s in quad_supports if isinstance(s, SimplexSupport)]
@@ -731,8 +785,16 @@ def test_no_strip_search_when_every_d_subset_is_nonsingular(monkeypatch, dim, co
     assert not any(singular_subsets(polytope.halfspaces, dim))
     assert not np.isnan(polytope.incidence.corners).any()
     calls = _count_screens(monkeypatch)
+    sizes, original = [], itertools.combinations
+
+    def combinations(items, size):
+        sizes.append(size)
+        return original(items, size)
+
+    monkeypatch.setattr(supports_module.itertools, "combinations", combinations)
     assert all(s.kind == "simplex" for s in enumerate_supports(polytope))
     assert calls == []
+    assert sizes == [dim + 1]  # the screen's subsets, and no list of the d-subsets
 
 
 @pytest.mark.parametrize("name", ["prism", "cube", "square", "prism-d4-1", "symmetric-d3-0",
