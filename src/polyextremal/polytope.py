@@ -14,14 +14,15 @@ solved in one batched LU pass (again only after an orientation repair), and
 every facet function is evaluated at every one of them into one value
 matrix.  Vertex feasibility, deduplication, active sets and the orientation
 repair all read that matrix.  Both are kept on ``incidence``, by the rank of
-each d-subset, for support certification to read simplex apexes and their
-heights.  One batched Gram-Schmidt pass ranks every facet's witnesses.
+each d-subset, with the pass table of the apex test, for support
+certification to read.  One batched Gram-Schmidt pass ranks every facet's
+witnesses.
 
 Duplicates are merged by one rule, ``_first_apart``: among the normalized
 (normal, offset) rows within geom_abs, and among the feasible corners within
 VERTEX_DEDUP_ABS, both in max norm, a point within the radius of an earlier
-kept one is dropped.  A point that a sort of some coordinate shows to be
-alone is kept without a pass of its own; the others run the greedy.
+kept one is dropped.  A point that one coordinate's sorted windows show to
+be near no other is kept without a pass of its own; the others run the greedy.
 
 Scale guards: ``validate`` refuses a dimension above MAX_DIM, then, once
 duplicates merge, more facet subsets of sizes 2..d+1 than SUBSET_GUARD: the
@@ -137,16 +138,18 @@ class Halfspace:
 class VertexIncidence:
     """For each vertex, the sorted indices of the halfspaces active there.
 
-    Row t of ``corners`` (C, d), ``nonsingular`` and ``values`` (C, n) is the
-    t-th d-subset of halfspaces in ``itertools.combinations`` order: the
+    Row t of ``corners`` (C, d), ``nonsingular``, ``values`` and ``above``
+    (C, n) is the t-th d-subset in ``itertools.combinations`` order: the
     point where its hyperplanes meet and every l_k there, both NaN where the
-    normals are dependent.  The vertices are the feasible corners; support
-    certification reads simplex apexes and their heights from these rows."""
+    normals are dependent, and the pass table, nonsingular & ~(l_k <=
+    pos_abs): whether that point is an apex above facet k.  The vertices are
+    the feasible corners; support certification reads these rows."""
 
     active: tuple[tuple[int, ...], ...]
     corners: np.ndarray = field(compare=False, repr=False)
     nonsingular: np.ndarray = field(compare=False, repr=False)
     values: np.ndarray = field(compare=False, repr=False)
+    above: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,21 +249,32 @@ def _first_apart(points: np.ndarray, radius: float) -> list[int]:
     """Indices of the points not within ``radius`` (max norm) of an earlier
     kept one: the first point of each cluster is kept.
 
-    A point alone in some coordinate's window [x - 2r, x + 2r] is within r
-    of no other point, since fl(x + 2r) bounds every float y with
-    fl(y - x) <= r, and fl(x - 2r) every one below: it is kept and removes
-    nothing.  One sort per coordinate finds those points; the greedy runs
-    over the rest."""
-    reach, columns = 2.0 * radius, np.arange(points.shape[1])
+    A float y >= x with fl(y - x) <= r lies in x's window [x, fl(x + 2r)],
+    so only pairs within one coordinate's windows can be within r.  One sort
+    per coordinate finds the windows holding a pair, and every pair of the
+    coordinate with the fewest is tested at once: a point within r of no
+    other is kept and removes nothing.  The greedy runs over the rest, or
+    over every point past 16 pairs a point, as where many corners meet."""
+    count, reach, columns = points.shape[0], 2.0 * radius, np.arange(points.shape[1])
     order = np.argsort(points, axis=0)
     ranked = points[order, columns]
-    clear = np.ones(ranked.shape, dtype=bool)
-    clear[1:] = ranked[:-1] < ranked[1:] - reach
-    clear[:-1] &= ranked[1:] > ranked[:-1] + reach
-    alone = np.empty_like(clear)
-    alone[order, columns] = clear
-    kept = alone.any(axis=1)
-    crowded = np.flatnonzero(~kept)
+    starts = np.count_nonzero(ranked[1:] <= ranked[:-1] + reach, axis=0)  # windows with a pair
+    best = int(np.argmin(starts))
+    if not starts[best]:  # every point is alone in that coordinate
+        return list(range(count))
+    column = ranked[:, best]
+    width = np.searchsorted(column, column + reach, side="right") - np.arange(1, count + 1)
+    near = np.ones(count, dtype=bool)
+    if width.sum() <= 16 * count:
+        # the pairs (k, k + 1..k + width[k]) of sorted positions, as point indices
+        left = np.repeat(np.arange(count), width)
+        right = np.arange(left.size) - np.repeat(np.cumsum(width) - width - 1, width) + left
+        pairs = order[np.stack((left, right)), best]
+        close = np.max(np.abs(points[pairs[0]] - points[pairs[1]]), axis=1) <= radius
+        near = np.zeros(count, dtype=bool)
+        near[pairs[:, close]] = True
+    kept = ~near
+    crowded = np.flatnonzero(near)
     rest = points[crowded]
     alive = np.ones(crowded.size, dtype=bool)
     while alive.any():
@@ -289,7 +303,8 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     on = np.abs(values[kept]) <= tol.geom_abs
     active = tuple(tuple(itertools.compress(range(len(halfspaces)), row)) for row in on.tolist())
     return corners[kept], VertexIncidence(active=active, corners=corners,
-                                          nonsingular=nonsingular, values=values)
+                                          nonsingular=nonsingular, values=values,
+                                          above=nonsingular[:, None] & ~(values <= tol.pos_abs))
 
 
 def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,

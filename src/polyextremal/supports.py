@@ -5,9 +5,9 @@ any one of the d+1 hyperplanes leaves a unique intersection point (the apex
 opposite it) and each apex lies strictly on the positive side of its own
 hyperplane.  Because every hyperplane in play already supports K, acceptance
 automatically gives K inside the simplex.  The apexes are corners of the
-hyperplane arrangement ``validate`` solved while enumerating vertices, and
-their heights entries of its value matrix, both read from
-``polytope.incidence`` by the rank of each d-subset, not computed again.
+hyperplane arrangement ``validate`` solved while enumerating vertices, with
+their heights from its value matrix and each apex test from its pass table,
+all read from ``polytope.incidence`` by the rank of each d-subset.
 Subsets of j+1 < d+1 hyperplanes whose normals span only j dimensions are
 tested the same way inside that span: project onto an orthonormal basis Q of
 the normals, certify the projection as a j-dimensional simplex, and the
@@ -16,14 +16,14 @@ strip.  The slab between two antiparallel facets is the j = 1 case; its
 cross-section is an interval.
 
 Enumeration is exhaustive over facet subsets of size d+1, screened all at
-once: the height of apex j of a subset is the value-matrix entry of facet j
-at the corner of the other d, so a few gathers test every subset, and
-``try_simplex``, the same test on one subset, runs only on the subsets that
-pass.  Strip normals make every d-subset containing them singular, so strips
-are looked for only inside the singular d-subsets.  One routine certifies
-strips, every candidate of a size at once, and builds the records of those
-that pass, so each strip is certified once; ``try_strip`` is that routine
-on one subset.  This certifies completeness directly; ``validate``'s
+once: apex j of a subset passes where the pass table holds at facet j and
+the rank of the other d, so d+1 gathers test every subset, and
+``try_simplex``, the same reads for one subset, runs only on the subsets
+that pass.  Strip normals make every d-subset containing them singular, so
+strips are looked for only inside the singular d-subsets.  One routine
+certifies strips, every candidate of a size at once, and builds the records
+of those that pass, so each strip is certified once; ``try_strip`` is that
+routine on one subset.  This certifies completeness directly; ``validate``'s
 guard keeps the subset count at desk scale.
 Certification of one subset never looks at another, so results merge
 deterministically: supports are sorted by facet index set.
@@ -186,12 +186,6 @@ def _facet_subset(polytope: PolytopeH, subset) -> tuple[int, ...]:
     return subset
 
 
-def _apexes_above(nonsingular: np.ndarray, heights: np.ndarray, tol) -> np.ndarray:
-    """Whether each apex exists, its face ``nonsingular``, and lies above its
-    own facet by more than pos_abs: the test of every simplex apex."""
-    return nonsingular & ~(heights <= tol.pos_abs)
-
-
 def _face_ranks(columns, n: int, comb=math.comb) -> list:
     """The rank in ``itertools.combinations(range(n), d)`` order of each face
     of the sorted (d+1)-subset c, face j dropping c_j: C(n, d) - 1 minus
@@ -214,19 +208,20 @@ def try_simplex(polytope: PolytopeH, subset) -> SimplexSupport | None:
     which is missing when their normals are dependent, and its height
     l_j(p_j) is the value-matrix entry of facet j there, all read by
     ``ndarray.take`` at the face's rank, the height at flat index
-    rank * n + j.  The test is the batched screen's, ``_apexes_above``."""
+    rank * n + j.  The test is the batched screen's: the entries of
+    ``incidence.above``, the pass table, at those flat indices."""
     subset, d, n = _facet_subset(polytope, subset), polytope.dim, len(polytope.halfspaces)
     if len(subset) != d + 1:
         raise ValueError(f"need exactly {d + 1} facet indices")
     incidence = polytope.incidence
     faces = _face_ranks(subset, n)
-    heights = incidence.values.take([face * n + k for face, k in zip(faces, subset)])
+    flat = [face * n + k for face, k in zip(faces, subset)]
     # all() of a short list: ndarray.all() costs several times more per call
-    if not all(_apexes_above(incidence.nonsingular.take(faces), heights, polytope.tol).tolist()):
+    if not all(incidence.above.take(flat).tolist()):
         return None
     return SimplexSupport(facet_indices=subset, apexes=incidence.corners.take(faces, axis=0),
-                          halfspaces=tuple(polytope.halfspaces[k] for k in subset), dim=d,
-                          heights=heights)
+                          halfspaces=operator.itemgetter(*subset)(polytope.halfspaces), dim=d,
+                          heights=incidence.values.take(flat))
 
 
 def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
@@ -241,8 +236,8 @@ def try_strip(polytope: PolytopeH, subset) -> StripSupport | None:
 
 def _simplex_candidates(polytope: PolytopeH) -> list[tuple[int, ...]]:
     """The (d+1)-subsets that pass ``try_simplex``'s test, screened at once:
-    the apex opposite facet j is the corner of the face without j, read with
-    its height at the face's rank, and all d+1 must be ``_apexes_above``."""
+    the apex opposite facet j is the corner of the face without j, and the
+    pass table's entry of facet j at the face's rank must hold for all d+1."""
     n, d, incidence = len(polytope.halfspaces), polytope.dim, polytope.incidence
     subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d + 1)),
                           dtype=np.intp, count=math.comb(n, d + 1) * (d + 1)).reshape(-1, d + 1)
@@ -250,8 +245,7 @@ def _simplex_candidates(polytope: PolytopeH) -> list[tuple[int, ...]]:
     faces = _face_ranks(list(subsets.T), n, lambda m, k: table[k][m])
     passed = np.ones(len(subsets), dtype=bool)
     for face, column in zip(faces, subsets.T):
-        passed &= _apexes_above(incidence.nonsingular[face], incidence.values[face, column],
-                                polytope.tol)
+        passed &= incidence.above[face, column]
     return [tuple(subset) for subset in subsets[passed].tolist()]
 
 

@@ -144,11 +144,17 @@ def symmetric_polytope(dim, pairs, seed):
     return validate([(list(sign * n), 1.0) for n in normals for sign in (1, -1)], dim)
 
 
+def ngon_halfspaces(sides):
+    """The rows of ``ngon_polytope``: each shares a coordinate with its
+    mirror image across either axis."""
+    half = [[math.cos(a), math.sin(a)] for a in np.arange(sides // 2) * (2 * np.pi / sides)]
+    return [(n, 1.0) for n in half] + [([-x for x in n], 1.0) for n in half]
+
+
 def ngon_polytope(sides):
     """The regular polygon (sides even) of inradius 1 whose opposite normals
     are exactly antiparallel, so each pair bounds a strip."""
-    half = [[math.cos(a), math.sin(a)] for a in np.arange(sides // 2) * (2 * np.pi / sides)]
-    return validate([(n, 1.0) for n in half] + [([-x for x in n], 1.0) for n in half], 2)
+    return validate(ngon_halfspaces(sides), 2)
 
 
 def corner_cut_hexagon(cuts, shift=(0.0, 0.0)):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,8 +37,8 @@ from polyextremal.polytope import (
 from polyextremal.supports import enumerate_supports
 
 from conftest import (cube_polytope, gram_schmidt, load_fixture, lu_solve_by_columns,
-                      match_point_sets, ngon_polytope, singular_subsets, tangent_halfspaces,
-                      tilted_prism)
+                      match_point_sets, ngon_halfspaces, ngon_polytope, singular_subsets,
+                      tangent_halfspaces, tilted_prism)
 
 QUAD_RAW = [
     ([1.0, 0.0], 0.0),
@@ -191,20 +192,34 @@ def _first_apart_pairwise(points, radius):
     return kept
 
 
+def _feasible_corners(halfspaces, dim):
+    """The corners ``enumerate_vertices`` merges: the feasible points of the
+    arrangement of the canonical ``halfspaces``."""
+    tol = Tolerances()
+    corners, nonsingular, values = polytope._arrangement(canonicalize(halfspaces), dim, tol)
+    return corners[nonsingular & (np.min(values, axis=1) >= -tol.geom_abs)]
+
+
 def _cross_polytope_corners():
     """The feasible corners of the 4-D cross-polytope: each of its 8
     vertices lies on 8 facets, so it is the corner of 70 d-subsets."""
-    halfspaces = canonicalize([(list(np.array(s) / 2.0), 1.0)
-                               for s in itertools.product((1.0, -1.0), repeat=4)])
-    tol = Tolerances()
-    corners, nonsingular, values = polytope._arrangement(halfspaces, 4, tol)
-    return corners[nonsingular & (np.min(values, axis=1) >= -tol.geom_abs)]
+    return _feasible_corners([(list(np.array(s) / 2.0), 1.0)
+                              for s in itertools.product((1.0, -1.0), repeat=4)], 4)
 
 
 def _first_apart_cases():
     r = VERTEX_DEDUP_ABS
     rng = np.random.default_rng(23)
     angles = 2 * np.pi * np.arange(24) / 24
+    ngon = _feasible_corners(ngon_halfspaces(24), 2)
+    moved = ngon.copy()
+    moved[5] = moved[17] + [0.5 * r, -0.75 * r]
+    ngon_104 = ngon_polytope(104)
+    # a dyadic radius q: pairs exactly q and exactly 2q apart in the first
+    # coordinate, the one whose windows hold the fewest pairs, with the
+    # second one equal, or with odd rows 3q apart from even ones
+    q = 2.0 ** -20
+    window = [0.0, q, 0.25, 0.25 + q, 0.25 + 2 * q, 0.5, 0.5 + 2 * q, 0.75 + 2 * q, 0.75]
     cases = {
         "ties-at-radius": (np.array([[0.0], [r], [2 * r], [3 * r], [0.5], [0.5 + r]]), r),
         "chained": (np.array([[1.0, 0.0], [1.0 + 0.8 * r, 0.0], [1.0 + 1.6 * r, 0.0],
@@ -218,6 +233,12 @@ def _first_apart_cases():
         "single": (np.array([[1.0, 2.0, 3.0]]), r),
         "none": (np.empty((0, 2)), r),
         "cross-polytope": (_cross_polytope_corners(), r),
+        "ngon-24-moved": (moved, r),
+        "ngon-104-rows": (np.column_stack((ngon_104.normals, ngon_104.offsets)),
+                          ngon_104.tol.geom_abs),
+        "ngon-104-corners": (_feasible_corners(ngon_halfspaces(104), 2), r),
+        "window-r-and-2r": (np.column_stack([window, np.full(9, 0.125)]), q),
+        "window-r-and-2r-apart": (np.column_stack([window, 3 * q * (np.arange(9) % 2)]), q),
     }
     for exponent in range(-12, 13, 2):
         lattice = rng.integers(-3, 4, size=(40, 3)) * (r / 2) + rng.normal(size=(1, 3))
@@ -238,6 +259,56 @@ def test_first_apart_matches_pairwise_reference(name):
     assert polytope._first_apart(points, radius) == _first_apart_pairwise(points, radius)
     mirrored = -points[::-1]
     assert polytope._first_apart(mirrored, radius) == _first_apart_pairwise(mirrored, radius)
+
+
+def test_first_apart_stays_small_where_many_corners_meet():
+    """The apex of a pyramid over a 23-gon is the corner of 1,771 d-subsets,
+    so the windows of each coordinate hold about 1.6 million pairs.  Past
+    16 pairs a point the greedy runs instead, and merging the 1,794 corners
+    allocates well under the 100 MB that testing those pairs would take."""
+    angles = 2 * np.pi * np.arange(23) / 23
+    corners = _feasible_corners([([-math.cos(a), -math.sin(a), -1.0], 1.0) for a in angles]
+                                + [([0.0, 0.0, 1.0], 0.0)], 3)
+    assert len(corners) == 1794
+    tracemalloc.start()
+    try:
+        kept = polytope._first_apart(corners, VERTEX_DEDUP_ABS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert kept == _first_apart_pairwise(corners, VERTEX_DEDUP_ABS) and len(kept) == 24
+
+
+class _CountingNumpy:
+    """numpy, with a count of ``argmax`` calls: ``_first_apart``'s greedy
+    makes one per pass, and nothing else there calls it."""
+
+    def __init__(self):
+        self.argmax_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argmax(self, *args, **kwargs):
+        self.argmax_calls += 1
+        return np.argmax(*args, **kwargs)
+
+
+@pytest.mark.parametrize("sides", [24, 104])
+def test_mirrored_ngon_makes_no_greedy_pass(monkeypatch, sides):
+    """Every row and every corner of the regular 24-gon and 104-gon shares a
+    coordinate with its mirror image, yet none is near another, so merging
+    their duplicates in ``validate`` runs no greedy pass; a corner moved
+    next to another runs exactly one."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(polytope, "np", counting)
+    assert len(validate(ngon_halfspaces(sides), 2).vertices) == sides
+    assert counting.argmax_calls == 0
+    points = _feasible_corners(ngon_halfspaces(sides), 2)
+    points[5] = points[17] + [0.5 * VERTEX_DEDUP_ABS, -0.75 * VERTEX_DEDUP_ABS]
+    assert polytope._first_apart(points, VERTEX_DEDUP_ABS) == [k for k in range(sides) if k != 17]
+    assert counting.argmax_calls == 1
 
 
 def test_canonicalize_ragged_normals_raise_value_error():

@@ -1,7 +1,9 @@
 """Tests for supporting-simplex and strip certification and enumeration."""
 
+import importlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from polyextremal import linalg as linalg_module
 from polyextremal import polytope as polytope_module
 from polyextremal import supports as supports_module
 from polyextremal.extremal import eval_supports_many
-from polyextremal.linalg import Singular, lu_solve_many
+from polyextremal.linalg import DEFAULT_TOL, Singular, lu_solve_many
 from polyextremal.polytope import Halfspace, enumerate_vertices, from_vertices_2d, validate
 from polyextremal.supports import (
     SimplexSupport,
@@ -666,7 +668,50 @@ SCREEN_CASES = {
     **{f"tangent-d{dim}": lambda dim=dim, count=count: validate(
         tangent_halfspaces(dim, count, 1), dim) for dim, count in ((2, 8), (5, 12))},
     "ngon-24": lambda: ngon_polytope(24),
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
 }
+
+
+def _apexes_above(nonsingular, heights, tol):
+    """The apex test of one subset: each apex exists, its face
+    ``nonsingular``, and lies above its own facet by more than pos_abs."""
+    return nonsingular & ~(heights <= tol.pos_abs)
+
+
+@pytest.mark.parametrize("name", [*SCREEN_CASES, "tangent-d5-n24"])
+def test_pass_table_is_the_apex_test_of_every_d_subset(monkeypatch, name):
+    """Row t of ``incidence.above`` is the apex test of the t-th d-subset's
+    corner against every facet, its NaN rows in the tilted prisms and the
+    42,504 rows of the R^5 guard edge included."""
+    if name in SCREEN_CASES:
+        polytope = SCREEN_CASES[name]()
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        normals = importlib.import_module("inputs").tangent_normals(5, 24, np.random.default_rng(3))
+        polytope = validate([(list(normal), 1.0) for normal in normals], 5)
+    incidence = polytope.incidence
+    assert incidence.above.dtype == bool and incidence.above.shape == incidence.values.shape
+    for row, flag, heights in zip(incidence.above, incidence.nonsingular, incidence.values):
+        assert row.tolist() == _apexes_above(flag, heights, polytope.tol).tolist()
+
+
+def test_pass_table_on_non_finite_heights(monkeypatch):
+    """In a nonsingular row a NaN or +inf height passes and -inf fails, as
+    ~(l <= pos_abs) says; pos_abs itself fails and the next float up passes;
+    a singular row fails throughout."""
+    pos_abs = DEFAULT_TOL.pos_abs
+    values = np.array([[np.nan, np.inf, -np.inf, 0.0],
+                       [1.0, pos_abs, np.nextafter(pos_abs, np.inf), -0.0],
+                       [np.nan] * 4])
+    nonsingular = np.array([True, True, False])
+    corners = np.array([[0.5], [0.25], [np.nan]])
+    monkeypatch.setattr(polytope_module, "_arrangement",
+                        lambda halfspaces, dim, tol: (corners, nonsingular, values))
+    _, incidence = enumerate_vertices([Halfspace(np.array([1.0]), 0.0)] * 4, 1)
+    assert incidence.above.tolist() == [[True, True, False, False],
+                                        [True, False, True, False], [False] * 4]
+    assert incidence.above.tolist() == [_apexes_above(flag, row, DEFAULT_TOL).tolist()
+                                        for flag, row in zip(nonsingular, values)]
 
 
 @pytest.mark.parametrize("name", SCREEN_CASES)
