@@ -130,13 +130,10 @@ class Halfspace:
             return float(np.dot(self.normal, x) + self.offset)
         return x @ self.normal + self.offset
 
-    def flipped(self) -> "Halfspace":
-        return Halfspace(normal=-self.normal, offset=-self.offset)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexIncidence:
-    """For each vertex, the sorted indices of the halfspaces active there.
+    """Row v of ``active`` (V, n) holds |l_k| <= geom_abs at vertex v.
 
     Row t of ``corners`` (C, d), ``nonsingular``, ``values`` and ``above``
     (C, n) is the t-th d-subset in ``itertools.combinations`` order: the
@@ -145,17 +142,18 @@ class VertexIncidence:
     pos_abs): whether that point is an apex above facet k.  The vertices are
     the feasible corners; support certification reads these rows."""
 
-    active: tuple[tuple[int, ...], ...]
-    corners: np.ndarray = field(compare=False, repr=False)
-    nonsingular: np.ndarray = field(compare=False, repr=False)
-    values: np.ndarray = field(compare=False, repr=False)
-    above: np.ndarray = field(compare=False, repr=False)
+    active: np.ndarray
+    corners: np.ndarray = field(repr=False)
+    nonsingular: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    above: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
 class PolytopeH:
     """A validated bounded full-dimensional polytope in halfspace form; its
-    facet functions are stacked in read-only ``normals`` (n, d) and ``offsets``."""
+    facet functions are the read-only ``normals`` (n, d) and ``offsets``,
+    and ``halfspaces[k]`` holds row k of each, its normal a view."""
 
     dim: int
     halfspaces: tuple[Halfspace, ...]
@@ -180,14 +178,15 @@ def _as_halfspace_data(raw) -> tuple[np.ndarray, float]:
     return np.asarray(normal, dtype=float), float(offset)
 
 
-def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
+def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Scale every normal to unit length and collapse duplicate conditions.
 
-    Accepts Halfspace records or (normal, offset) pairs.  A defective input
-    raises for its first defective row, in input order.  Duplicates are
-    detected after normalization: ``_first_apart`` of the (normal, offset)
-    rows within geom_abs, so the first occurrence is kept; near-parallel but
-    distinct facets survive.
+    Accepts Halfspace records or (normal, offset) pairs; returns the kept
+    rows as normals (n, d) and offsets (n,), or (0, 0) and (0,) for none.
+    A defective input raises for its first defective row, in input order.
+    Duplicates are detected after normalization: ``_first_apart`` of the
+    (normal, offset) rows within geom_abs, so the first occurrence is kept;
+    near-parallel but distinct facets survive.
     """
     normals: list[np.ndarray] = []
     offsets: list[float] = []
@@ -202,7 +201,7 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
         normals.append(normal)
         offsets.append(offset)
     if not normals:
-        return []
+        return np.empty((0, 0)), np.empty(0)
     normals, offsets = np.array(normals), np.array(offsets)  # ragged: ValueError
     with np.errstate(over="ignore"):
         squares = _squares(normals)
@@ -216,9 +215,8 @@ def canonicalize(halfspaces, tol: Tolerances = DEFAULT_TOL) -> list[Halfspace]:
     lengths = np.sqrt(squares)
     normals /= lengths[:, None]
     offsets /= lengths
-    offset_list = offsets.tolist()
-    return [Halfspace(normal=normals[i], offset=offset_list[i])
-            for i in _first_apart(np.column_stack((normals, offsets)), tol.geom_abs)]
+    kept = _first_apart(np.column_stack((normals, offsets)), tol.geom_abs)
+    return normals[kept], offsets[kept]
 
 
 def _squares(normals: np.ndarray) -> np.ndarray:
@@ -226,23 +224,28 @@ def _squares(normals: np.ndarray) -> np.ndarray:
     return np.matmul(normals[:, None, :], normals[:, :, None]).reshape(normals.shape[0])
 
 
-def _arrangement(halfspaces: list[Halfspace], dim: int, tol: Tolerances
+def _values(points: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every l_k at every point, (m, n), as stacked (1, d) @ (d, 1) products:
+    ``np.dot``'s route, so each value is bitwise ``Halfspace.value``."""
+    products = np.matmul(points[:, None, None, :], normals[None, :, :, None])
+    return products.reshape(len(points), len(normals)) + offsets
+
+
+def _combinations(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n), one sorted row each, in
+    ``itertools.combinations`` order: row t is the subset of rank t."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                       dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
+
+
+def _arrangement(normals: np.ndarray, offsets: np.ndarray, tol: Tolerances
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The point where each d-subset of the hyperplanes meets, from one
     batched solve, whether it is nonsingular, and every l_k there: row t of
-    each belongs to the t-th subset in combinations order, NaN if singular.
-
-    A stacked (1, d) @ (d, 1) product takes ``np.dot``'s route, so each value
-    is bitwise ``Halfspace.value`` at that point."""
-    n, count = len(halfspaces), math.comb(len(halfspaces), dim)
-    normals = np.vstack([h.normal for h in halfspaces])
-    offsets = np.array([h.offset for h in halfspaces])
-    index = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), dim)),
-                        dtype=np.intp, count=count * dim).reshape(count, dim)
+    each belongs to the t-th subset in combinations order, NaN if singular."""
+    index = _combinations(*normals.shape)
     corners, nonsingular = lu_solve_many(normals[index], -offsets[index], tol)
-    values = np.matmul(corners[:, None, None, :], normals[None, :, :, None]).reshape(count, n)
-    values += offsets
-    return corners, nonsingular, values
+    return corners, nonsingular, _values(corners, normals, offsets)
 
 
 def _first_apart(points: np.ndarray, radius: float) -> list[int]:
@@ -285,9 +288,10 @@ def _first_apart(points: np.ndarray, radius: float) -> list[int]:
     return np.flatnonzero(kept).tolist()
 
 
-def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
+def enumerate_vertices(normals: np.ndarray, offsets: np.ndarray,
                        tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, VertexIncidence]:
-    """Vertices of the intersection plus the active halfspaces at each.
+    """Vertices of the intersection of the rows normals (n, d), offsets (n,),
+    plus the halfspaces active at each, as the (V, n) matrix ``active``.
 
     Every d-subset of hyperplanes with independent normals contributes its
     intersection point, kept in the returned incidence's ``corners``; points
@@ -297,48 +301,43 @@ def enumerate_vertices(halfspaces: list[Halfspace], dim: int,
     subset enumeration order (deterministic); as a point set the result does
     not depend on halfspace order.
     """
-    corners, nonsingular, values = _arrangement(halfspaces, dim, tol)
+    corners, nonsingular, values = _arrangement(normals, offsets, tol)
     feasible = np.flatnonzero(nonsingular & (np.min(values, axis=1) >= -tol.geom_abs))
     kept = feasible[_first_apart(corners[feasible], VERTEX_DEDUP_ABS)]
-    on = np.abs(values[kept]) <= tol.geom_abs
-    active = tuple(tuple(itertools.compress(range(len(halfspaces)), row)) for row in on.tolist())
-    return corners[kept], VertexIncidence(active=active, corners=corners,
-                                          nonsingular=nonsingular, values=values,
+    return corners[kept], VertexIncidence(active=np.abs(values[kept]) <= tol.geom_abs,
+                                          corners=corners, nonsingular=nonsingular,
+                                          values=values,
                                           above=nonsingular[:, None] & ~(values <= tol.pos_abs))
 
 
-def _repair_orientation(halfspaces: list[Halfspace], values: np.ndarray,
-                        tol: Tolerances) -> list[Halfspace] | None:
-    """Flip halfspaces that are nonpositive at every hyperplane-arrangement point.
+def _repair_orientation(normals: np.ndarray, offsets: np.ndarray, values: np.ndarray,
+                        tol: Tolerances) -> tuple[np.ndarray, np.ndarray] | None:
+    """Negate the rows at most geom_abs at every nonsingular corner and
+    below -geom_abs at one, or None when there are none.
 
-    Only called when no feasible vertex exists at all.  A halfspace evaluating
-    <= 0 at every candidate corner is certainly mis-oriented (the intersection,
-    if any, lives among those corners); mixed strict signs mean flipping could
-    not be justified, so the caller reports the inconsistency instead.
-    ``values`` is the arrangement's value matrix, one row per nonsingular corner.
-    """
+    Only called when no feasible vertex exists at all.  So an input pointing
+    wholly outward is repaired only when every corner of its arrangement
+    lies in the polytope, as for a triangle or a square; the outward quad
+    and regular hexagon keep some rows and are refused.  ``values`` is the
+    arrangement's value matrix, one row per nonsingular corner."""
     wrong = ((values.max(axis=0, initial=-math.inf) <= tol.geom_abs)
              & (values.min(axis=0, initial=math.inf) < -tol.geom_abs))
     if not wrong.any():
         return None
-    return [h.flipped() if flip else h for h, flip in zip(halfspaces, wrong.tolist())]
+    return np.where(wrong[:, None], -normals, normals), np.where(wrong, -offsets, offsets)
 
 
-def _witnessed(vertices: np.ndarray, incidence: VertexIncidence, count: int,
-               dim: int, tol: Tolerances) -> np.ndarray:
-    """Which of the ``count`` halfspaces are active on at least d vertices
-    spanning a facet: the differences of a halfspace's active vertices from
-    the first, in vertex order, must reach rank d - 1.  Every halfspace's
-    differences go through one Gram-Schmidt call, zero-padded to the
-    longest, which keeps each basis, and stopped at d - 1 vectors."""
-    on = np.zeros((len(vertices), count), dtype=bool)
-    counts = [len(active) for active in incidence.active]
-    on[np.repeat(np.arange(len(counts)), counts),
-       np.fromiter(itertools.chain.from_iterable(incidence.active), dtype=np.intp)] = True
-    sizes = np.count_nonzero(on, axis=0)
+def _witnessed(vertices: np.ndarray, incidence: VertexIncidence, dim: int,
+               tol: Tolerances) -> np.ndarray:
+    """Which halfspaces are active on at least d vertices spanning a facet:
+    the differences of a halfspace's active vertices from the first, in
+    vertex order, must reach rank d - 1.  Every halfspace's differences go
+    through one Gram-Schmidt call, zero-padded to the longest, which keeps
+    each basis, and stopped at d - 1 vectors."""
+    sizes = np.count_nonzero(incidence.active, axis=0)
     width = int(sizes.max(initial=1))
     # each halfspace's active vertices first, in vertex order
-    members = np.argsort(~on, axis=0, kind="stable").T[:, :width]
+    members = np.argsort(~incidence.active, axis=0, kind="stable").T[:, :width]
     differences = vertices[members[:, 1:]] - vertices[members[:, :1]]
     differences[np.arange(1, width) >= sizes[:, None]] = 0.0
     found = np.count_nonzero(_orthogonalize_many(differences, tol, dim - 1)[1], axis=1)
@@ -360,23 +359,24 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
         raise ValueError("dimension must be at least 1")
     if dim > MAX_DIM:
         raise GuardExceeded(f"dim {dim} above guard {MAX_DIM}")
-    canonical = canonicalize(halfspaces, tol)
-    if not canonical:
+    normals, offsets = canonicalize(halfspaces, tol)
+    if not offsets.size:
         raise Unbounded("no halfspaces: the whole space")
-    total = sum(math.comb(len(canonical), size) for size in range(2, dim + 2))
+    if normals.shape[1] != dim:
+        raise ValueError(f"normals must have length {dim}, not {normals.shape[1]}")
+    total = sum(math.comb(offsets.size, size) for size in range(2, dim + 2))
     if total > SUBSET_GUARD:
         raise GuardExceeded(f"{total} facet subsets exceed the guard {SUBSET_GUARD}")
 
-    vertices, incidence = enumerate_vertices(canonical, dim, tol)
+    vertices, incidence = enumerate_vertices(normals, offsets, tol)
     if vertices.shape[0] == 0:
-        repaired = _repair_orientation(canonical, incidence.values[incidence.nonsingular], tol)
+        repaired = _repair_orientation(normals, offsets,
+                                       incidence.values[incidence.nonsingular], tol)
         if repaired is not None:
-            canonical = repaired
+            normals, offsets = repaired
             # solved again: a negated row with a zero offset turns +0.0 into -0.0
-            vertices, incidence = enumerate_vertices(canonical, dim, tol)
+            vertices, incidence = enumerate_vertices(normals, offsets, tol)
 
-    normals = np.vstack([h.normal for h in canonical])
-    offsets = np.array([h.offset for h in canonical])
     normals.flags.writeable = offsets.flags.writeable = False
     try:
         center, radius = interior_point(normals, offsets, tol)
@@ -392,12 +392,12 @@ def validate(halfspaces, dim: int, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
     if vertices.shape[0] == 0:
         raise Empty("no feasible vertex; halfspace orientations are inconsistent")
 
-    unwitnessed = np.flatnonzero(~_witnessed(vertices, incidence, len(canonical), dim, tol))
+    unwitnessed = np.flatnonzero(~_witnessed(vertices, incidence, dim, tol))
     if unwitnessed.size:
         raise RedundantHalfspace(int(unwitnessed[0]))
 
-    return PolytopeH(dim=dim, halfspaces=tuple(canonical), vertices=vertices,
-                     incidence=incidence, interior=center, radius=radius,
+    return PolytopeH(dim=dim, halfspaces=tuple(map(Halfspace, normals, offsets.tolist())),
+                     vertices=vertices, incidence=incidence, interior=center, radius=radius,
                      normals=normals, offsets=offsets, tol=tol)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .linalg import _orthogonalize_many, lu_solve_many
 from .linalg import orthonormal_basis, rank, solve_real  # noqa: F401  (the tracer wraps them)
-from .polytope import Halfspace, PolytopeH
+from .polytope import Halfspace, PolytopeH, _combinations, _values
 
 __all__ = [
     "SimplexSupport",
@@ -239,8 +239,7 @@ def _simplex_candidates(polytope: PolytopeH) -> list[tuple[int, ...]]:
     the apex opposite facet j is the corner of the face without j, and the
     pass table's entry of facet j at the face's rank must hold for all d+1."""
     n, d, incidence = len(polytope.halfspaces), polytope.dim, polytope.incidence
-    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d + 1)),
-                          dtype=np.intp, count=math.comb(n, d + 1) * (d + 1)).reshape(-1, d + 1)
+    subsets = _combinations(n, d + 1)
     table = [np.array([math.comb(m, k) for m in range(n)]) for k in range(d + 2)]
     faces = _face_ranks(list(subsets.T), n, lambda m, k: table[k][m])
     passed = np.ones(len(subsets), dtype=bool)
@@ -331,8 +330,7 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     n, d, nonsingular = len(polytope.halfspaces), polytope.dim, polytope.incidence.nonsingular
     accepted: list[SimplexSupport | StripSupport] = []
     if not nonsingular.all():  # without singular d-subsets there are no strips
-        singular = list(itertools.compress(itertools.combinations(range(n), d),
-                                           (~nonsingular).tolist()))
+        singular = _combinations(n, d)[~nonsingular].tolist()
         for size in range(2, d + 1):
             parts = sorted({sub for face in singular for sub in itertools.combinations(face, size)})
             accepted += _strips(polytope, np.array(parts, dtype=np.intp))
@@ -392,7 +390,9 @@ def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,
 
     Exact at the vertex level: a linear functional attains its minimum over
     the translated polytope at a translated vertex, so shift+K leaves the
-    simplex iff some vertex violates some defining halfspace strictly.
+    simplex iff some vertex violates some defining halfspace strictly.  The
+    simplex's halfspaces are K's rows ``facet_indices``, all tested at every
+    moved vertex in one pass.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (polytope.dim,):
@@ -401,12 +401,9 @@ def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,
         raise ValueError("shift must be finite")
     if not np.any(shift):
         raise ValueError("shift must be nonzero")
-    for vertex in polytope.vertices:
-        moved = vertex + shift
-        for h in simplex.halfspaces:
-            if h.value(moved) < 0.0:
-                return True
-    return False
+    facets = list(simplex.facet_indices)
+    values = _values(polytope.vertices + shift, polytope.normals[facets], polytope.offsets[facets])
+    return bool((values < 0.0).any())
 
 
 def support_records(support_set: SupportSet) -> list[dict]:

@@ -108,7 +108,7 @@ def _test_points(polytope, rng) -> np.ndarray:
     facets = np.empty((20, d), dtype=complex)
     for i in range(20):
         k = i % len(polytope.halfspaces)
-        on = [v for v, active in zip(vertices, polytope.incidence.active) if k in active]
+        on = vertices[polytope.incidence.active[:, k]]
         facets[i] = rng.dirichlet(np.ones(len(on))) @ np.array(on) \
             + 1j * 10.0 ** rng.uniform(-9, -5) * rng.standard_normal(d)
     return np.vstack([1.5 * rng.standard_normal((40, d)) + 0.6j * rng.standard_normal((40, d)),

@@ -966,7 +966,7 @@ def test_argmax_value_gap_is_bounded_near_the_boundary(name):
     rng = np.random.default_rng(83)
     points = []
     for k, halfspace in enumerate(polytope.halfspaces):
-        corners = polytope.vertices[[k in active for active in polytope.incidence.active]]
+        corners = polytope.vertices[polytope.incidence.active[:, k]]
         weights = rng.dirichlet(np.ones(len(corners)), 20)
         steps = 10.0 ** rng.uniform(-12, -3, (20, 1))
         points.append(weights @ corners - steps * halfspace.normal

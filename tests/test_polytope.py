@@ -57,17 +57,33 @@ TRIANGLE_RAW = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([-1.0, -1.0], 1.0)]
 
 
 def test_canonicalize_scales_to_unit_normal():
-    result = canonicalize([([3.0, 0.0], 9.0)])
-    assert len(result) == 1
-    assert np.allclose(result[0].normal, [1.0, 0.0], atol=1e-14)
-    assert result[0].offset == pytest.approx(3.0, abs=1e-14)
+    normals, offsets = canonicalize([([3.0, 0.0], 9.0)])
+    assert normals.shape == (1, 2) and offsets.shape == (1,)
+    assert np.allclose(normals[0], [1.0, 0.0], atol=1e-14)
+    assert offsets[0] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_canonicalize_collapses_duplicates():
-    result = canonicalize([([1.0, 0.0], 1.0), ([2.0, 0.0], 2.0)])
-    assert len(result) == 1
-    assert np.allclose(result[0].normal, [1.0, 0.0], atol=1e-14)
-    assert result[0].offset == pytest.approx(1.0, abs=1e-14)
+    normals, offsets = canonicalize([([1.0, 0.0], 1.0), ([2.0, 0.0], 2.0)])
+    assert normals.shape == (1, 2) and offsets.shape == (1,)
+    assert np.allclose(normals[0], [1.0, 0.0], atol=1e-14)
+    assert offsets[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_canonicalize_of_no_rows_is_empty():
+    normals, offsets = canonicalize([])
+    assert normals.shape == (0, 0) and offsets.shape == (0,)
+
+
+def _rows(canonical):
+    """Each row of ``canonicalize``'s arrays as (normal bytes, offset)."""
+    normals, offsets = canonical
+    return [(normal.tobytes(), offset) for normal, offset in zip(normals, offsets.tolist())]
+
+
+def _record_rows(halfspaces):
+    """Each ``Halfspace`` record as (normal bytes, offset)."""
+    return [(h.normal.tobytes(), h.offset) for h in halfspaces]
 
 
 def _unit_rows(halfspaces):
@@ -121,10 +137,8 @@ def test_canonicalize_matches_pairwise_reference(geom):
             scale, nudge = rng.uniform(0.1, 10.0), float(rng.choice([0.0, 1e-10, 1e-8, 1e-7]))
             raw.append((normals[k] * scale + nudge, offsets[k] * scale + nudge))
         got = canonicalize(raw, tol)
-        expected = _canonicalize_pairwise(raw, tol)
-        assert [(h.normal.tobytes(), h.offset) for h in got] == [
-            (h.normal.tobytes(), h.offset) for h in expected]
-        dropped += len(raw) - len(got)
+        assert _rows(got) == _record_rows(_canonicalize_pairwise(raw, tol))
+        dropped += len(raw) - len(got[1])
     assert dropped > 60
 
 
@@ -145,7 +159,7 @@ DEFECTIVE_ROWS = {
 
 def _outcome(function, halfspaces):
     try:
-        return [(h.normal.tobytes(), h.offset) for h in function(halfspaces)]
+        return function(halfspaces)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -159,8 +173,9 @@ def test_canonicalize_raises_for_the_first_defective_row(first, second):
     good = ([0.6, 0.8], 2.0)
     for rows in ([DEFECTIVE_ROWS[first], DEFECTIVE_ROWS[second]],
                  [good, DEFECTIVE_ROWS[first], good, DEFECTIVE_ROWS[second], good]):
-        expected = _outcome(lambda raw: _canonicalize_pairwise(raw, Tolerances()), rows)
-        assert _outcome(canonicalize, rows) == expected
+        expected = _outcome(
+            lambda raw: _record_rows(_canonicalize_pairwise(raw, Tolerances())), rows)
+        assert _outcome(lambda raw: _rows(canonicalize(raw)), rows) == expected
     assert isinstance(expected, tuple)
 
 
@@ -177,10 +192,8 @@ def test_canonicalize_rescaled_rows_match_one_by_one(scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = canonicalize(raw)
-        expected = _canonicalize_pairwise(raw, Tolerances())
-        assert [(h.normal.tobytes(), h.offset) for h in got] == [
-            (h.normal.tobytes(), h.offset) for h in expected]
-        assert len(got) < len(raw)
+        assert _rows(got) == _record_rows(_canonicalize_pairwise(raw, Tolerances()))
+        assert len(got[1]) < len(raw)
 
 
 def _first_apart_pairwise(points, radius):
@@ -192,11 +205,11 @@ def _first_apart_pairwise(points, radius):
     return kept
 
 
-def _feasible_corners(halfspaces, dim):
+def _feasible_corners(halfspaces):
     """The corners ``enumerate_vertices`` merges: the feasible points of the
     arrangement of the canonical ``halfspaces``."""
     tol = Tolerances()
-    corners, nonsingular, values = polytope._arrangement(canonicalize(halfspaces), dim, tol)
+    corners, nonsingular, values = polytope._arrangement(*canonicalize(halfspaces), tol)
     return corners[nonsingular & (np.min(values, axis=1) >= -tol.geom_abs)]
 
 
@@ -204,14 +217,14 @@ def _cross_polytope_corners():
     """The feasible corners of the 4-D cross-polytope: each of its 8
     vertices lies on 8 facets, so it is the corner of 70 d-subsets."""
     return _feasible_corners([(list(np.array(s) / 2.0), 1.0)
-                              for s in itertools.product((1.0, -1.0), repeat=4)], 4)
+                              for s in itertools.product((1.0, -1.0), repeat=4)])
 
 
 def _first_apart_cases():
     r = VERTEX_DEDUP_ABS
     rng = np.random.default_rng(23)
     angles = 2 * np.pi * np.arange(24) / 24
-    ngon = _feasible_corners(ngon_halfspaces(24), 2)
+    ngon = _feasible_corners(ngon_halfspaces(24))
     moved = ngon.copy()
     moved[5] = moved[17] + [0.5 * r, -0.75 * r]
     ngon_104 = ngon_polytope(104)
@@ -236,7 +249,7 @@ def _first_apart_cases():
         "ngon-24-moved": (moved, r),
         "ngon-104-rows": (np.column_stack((ngon_104.normals, ngon_104.offsets)),
                           ngon_104.tol.geom_abs),
-        "ngon-104-corners": (_feasible_corners(ngon_halfspaces(104), 2), r),
+        "ngon-104-corners": (_feasible_corners(ngon_halfspaces(104)), r),
         "window-r-and-2r": (np.column_stack([window, np.full(9, 0.125)]), q),
         "window-r-and-2r-apart": (np.column_stack([window, 3 * q * (np.arange(9) % 2)]), q),
     }
@@ -268,7 +281,7 @@ def test_first_apart_stays_small_where_many_corners_meet():
     allocates well under the 100 MB that testing those pairs would take."""
     angles = 2 * np.pi * np.arange(23) / 23
     corners = _feasible_corners([([-math.cos(a), -math.sin(a), -1.0], 1.0) for a in angles]
-                                + [([0.0, 0.0, 1.0], 0.0)], 3)
+                                + [([0.0, 0.0, 1.0], 0.0)])
     assert len(corners) == 1794
     tracemalloc.start()
     try:
@@ -305,7 +318,7 @@ def test_mirrored_ngon_makes_no_greedy_pass(monkeypatch, sides):
     monkeypatch.setattr(polytope, "np", counting)
     assert len(validate(ngon_halfspaces(sides), 2).vertices) == sides
     assert counting.argmax_calls == 0
-    points = _feasible_corners(ngon_halfspaces(sides), 2)
+    points = _feasible_corners(ngon_halfspaces(sides))
     points[5] = points[17] + [0.5 * VERTEX_DEDUP_ABS, -0.75 * VERTEX_DEDUP_ABS]
     assert polytope._first_apart(points, VERTEX_DEDUP_ABS) == [k for k in range(sides) if k != 17]
     assert counting.argmax_calls == 1
@@ -329,6 +342,46 @@ def test_polytope_arrays_are_stacked_once_and_read_only():
         normals[0, 0] = 0.0
 
 
+def _polytope_cases(monkeypatch):
+    """The valid fixtures, the benchmark's members at seeds 1-3, the tilted
+    prisms and the guard edges: tangent normals at d = 5, n = 24 and
+    d = 3, n = 46, and the regular 104-gon."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tangent_normals = importlib.import_module("inputs").tangent_normals
+    cases = [load_fixture(name) for name in ("cube", "prism", "quad", "quad_vertices",
+                                             "square", "triangle")]
+    cases += _workload_members(monkeypatch)
+    cases += [tilted_prism(seed) for seed in range(12)]
+    cases += [validate(_halfspaces(tangent_normals(d, n, np.random.default_rng(3)), np.ones(n)), d)
+              for d, n in ((5, 24), (3, 46))]
+    return cases + [validate(_halfspaces(*regular_polygon(104)), 2)]
+
+
+def test_halfspace_records_are_read_only_rows_of_the_arrays(monkeypatch):
+    """``halfspaces[k]`` holds row k of ``normals`` and ``offsets`` bit for
+    bit, its normal a read-only view of the one array."""
+    for case in _polytope_cases(monkeypatch):
+        assert len(case.halfspaces) == len(case.offsets) == len(case.normals)
+        for k, h in enumerate(case.halfspaces):
+            assert h.normal.tobytes() == case.normals[k].tobytes()
+            assert type(h.offset) is float
+            assert np.float64(h.offset).tobytes() == case.offsets[k].tobytes()
+            assert np.shares_memory(h.normal, case.normals) and not h.normal.flags.writeable
+    with pytest.raises(ValueError):
+        case.halfspaces[0].normal[0] = 0.0
+
+
+@pytest.mark.parametrize("dim,length", [(2, 3), (3, 2), (1, 2)])
+def test_validate_refuses_normals_of_the_wrong_length(dim, length):
+    """Normals of one length other than ``dim`` raise one ValueError naming
+    the expected length; ``from_json`` keeps its own ParseError."""
+    rows = [(list(row), 1.0) for row in np.vstack([np.eye(length), -np.ones(length)])]
+    with pytest.raises(ValueError, match=f"^normals must have length {dim}, not {length}$"):
+        validate(rows, dim)
+    with pytest.raises(ParseError, match=f"length {dim}"):
+        from_json({"dim": dim, "halfspaces": [{"normal": n, "offset": b} for n, b in rows]})
+
+
 def test_canonicalize_rejects_zero_normal():
     with pytest.raises(ZeroNormal):
         canonicalize([([0.0, 0.0], 1.0)])
@@ -342,15 +395,15 @@ def test_canonicalize_tiny_normal_is_not_zero(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         polytope = validate(scaled, 2)
-        [h] = canonicalize([([3 * scale, 4 * scale], 5 * scale)])
+        (normal,), (offset,) = canonicalize([([3 * scale, 4 * scale], 5 * scale)])
     assert np.array_equal(polytope.vertices, validate(TRIANGLE_RAW, 2).vertices)
-    assert np.allclose(h.normal, [0.6, 0.8], atol=1e-15)
-    assert h.offset == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(normal, [0.6, 0.8], atol=1e-15)
+    assert offset == pytest.approx(1.0, abs=1e-15)
 
 
 def test_canonicalize_keeps_antiparallel_pairs():
-    result = canonicalize([([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)])
-    assert len(result) == 2
+    normals, offsets = canonicalize([([1.0, 0.0], 1.0), ([-1.0, 0.0], 1.0)])
+    assert normals.shape == (2, 2) and offsets.shape == (2,)
 
 
 def test_canonicalize_huge_normal_does_not_overflow():
@@ -359,10 +412,10 @@ def test_canonicalize_huge_normal_does_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         polytope = validate(scaled, 2)
-        [h] = canonicalize([([3e200, 4e200], 5e200)])
+        (normal,), (offset,) = canonicalize([([3e200, 4e200], 5e200)])
     assert np.array_equal(polytope.vertices, validate(TRIANGLE_RAW, 2).vertices)
-    assert np.allclose(h.normal, [0.6, 0.8], atol=1e-15)
-    assert h.offset == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(normal, [0.6, 0.8], atol=1e-15)
+    assert offset == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])
@@ -378,30 +431,29 @@ def test_huge_square_validates_to_two_strips(scale):
 
 
 def test_enumerate_vertices_quad():
-    vertices, incidence = enumerate_vertices(canonicalize(QUAD_RAW), 2)
+    vertices, incidence = enumerate_vertices(*canonicalize(QUAD_RAW))
     assert match_point_sets(vertices, QUAD_VERTICES)
-    assert len(incidence.active) == 4
+    assert incidence.active.shape == (4, 4) and incidence.active.dtype == bool
 
 
 def test_enumerate_vertices_square():
-    vertices, _ = enumerate_vertices(canonicalize(SQUARE_RAW), 2)
+    vertices, _ = enumerate_vertices(*canonicalize(SQUARE_RAW))
     expected = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
     assert match_point_sets(vertices, expected)
 
 
 def test_enumerate_vertices_triangle():
-    vertices, _ = enumerate_vertices(canonicalize(TRIANGLE_RAW), 2)
+    vertices, _ = enumerate_vertices(*canonicalize(TRIANGLE_RAW))
     assert match_point_sets(vertices, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
 def test_enumerate_vertices_incidence_rank():
-    halfspaces = canonicalize(QUAD_RAW)
-    vertices, incidence = enumerate_vertices(halfspaces, 2)
+    normals, offsets = canonicalize(QUAD_RAW)
+    vertices, incidence = enumerate_vertices(normals, offsets)
     for k in range(len(vertices)):
         active = incidence.active[k]
-        assert len(active) >= 2
-        normals = np.array([halfspaces[i].normal for i in active])
-        assert rank(normals) == 2
+        assert np.count_nonzero(active) >= 2
+        assert rank(normals[active]) == 2
 
 
 @pytest.mark.parametrize("name", ["quad", "square", "triangle", "cube", "prism"])
@@ -447,14 +499,19 @@ def _pyramid():
 
 
 VERTEX_CASES = {
-    **{name: lambda name=name: load_fixture(name).halfspaces
+    **{name: lambda name=name: (load_fixture(name).normals, load_fixture(name).offsets)
        for name in ("quad", "square", "triangle", "cube", "prism")},
     "octahedron": lambda: canonicalize(_octahedron()),
     "pyramid": lambda: canonicalize(_pyramid()),
-    "ngon-24": lambda: ngon_polytope(24).halfspaces,
+    "ngon-24": lambda: (ngon_polytope(24).normals, ngon_polytope(24).offsets),
     "tangent-d4": lambda: canonicalize(tangent_halfspaces(4, 11, 1)),
     "outward-square": lambda: canonicalize([([-n for n in normal], -b) for normal, b in SQUARE_RAW]),
 }
+
+
+def _records(normals, offsets):
+    """One ``Halfspace`` per row: the record form every per-row reference reads."""
+    return [polytope.Halfspace(normal=n, offset=b) for n, b in zip(normals, offsets.tolist())]
 
 
 @pytest.mark.parametrize("name", VERTEX_CASES)
@@ -464,9 +521,9 @@ def test_enumerate_vertices_matches_per_corner_loop(name):
     corners, the first of each cluster within VERTEX_DEDUP_ABS kept.  The
     loop skips the subsets where the scalar reference LU raises Singular,
     whose rows are NaN."""
-    halfspaces = list(VERTEX_CASES[name]())
-    dim = halfspaces[0].normal.shape[0]
-    vertices, incidence = enumerate_vertices(halfspaces, dim)
+    normals, offsets = VERTEX_CASES[name]()
+    halfspaces, dim = _records(normals, offsets), normals.shape[1]
+    vertices, incidence = enumerate_vertices(normals, offsets)
     geom = Tolerances().geom_abs
     singular = singular_subsets(halfspaces, dim)
     assert incidence.nonsingular.tolist() == [not flag for flag in singular]
@@ -479,17 +536,39 @@ def test_enumerate_vertices_matches_per_corner_loop(name):
             kept.append(p)
     assert vertices.shape == (len(kept), dim)
     assert vertices.tobytes() == np.array(kept).reshape(-1, dim).tobytes()
-    assert incidence.active == tuple(
-        tuple(k for k, h in enumerate(halfspaces) if abs(h.value(v)) <= geom) for v in kept)
+    assert incidence.active.shape == (len(kept), len(halfspaces))
+    assert incidence.active.tolist() == [[abs(h.value(v)) <= geom for h in halfspaces]
+                                         for v in kept]
+
+
+def test_active_rows_match_the_index_tuples(monkeypatch):
+    """Each row of the (V, n) ``active`` matrix names the halfspaces that
+    the record path found active at that vertex: the index tuple of
+    |``Halfspace.value``| <= geom_abs, as ``itertools.compress`` built it."""
+    for case in _polytope_cases(monkeypatch):
+        active = case.incidence.active
+        assert active.dtype == bool and active.shape == (len(case.vertices), len(case.halfspaces))
+        expected = [tuple(itertools.compress(range(len(case.halfspaces)), [
+            abs(h.value(v)) <= case.tol.geom_abs for h in case.halfspaces]))
+            for v in case.vertices]
+        assert [tuple(np.flatnonzero(row).tolist()) for row in active] == expected
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_combinations_rows_are_in_combinations_order(n):
+    for k in range(1, n + 2):
+        rows = polytope._combinations(n, k)
+        assert rows.dtype == np.intp and rows.shape == (math.comb(n, k), k)
+        assert list(map(tuple, rows.tolist())) == list(itertools.combinations(range(n), k))
 
 
 def test_enumerate_vertices_invariant_under_permutation():
-    base, _ = enumerate_vertices(canonicalize(QUAD_RAW), 2)
+    base, _ = enumerate_vertices(*canonicalize(QUAD_RAW))
     rng = np.random.default_rng(321)
     for _ in range(6):
         order = rng.permutation(4)
         permuted = [QUAD_RAW[i] for i in order]
-        got, _ = enumerate_vertices(canonicalize(permuted), 2)
+        got, _ = enumerate_vertices(*canonicalize(permuted))
         assert match_point_sets(got, base)
 
 
@@ -504,7 +583,7 @@ def test_validate_quad():
 
 
 def test_validate_accepts_halfspace_objects():
-    polytope = validate(canonicalize(QUAD_RAW), 2)
+    polytope = validate(validate(QUAD_RAW, 2).halfspaces, 2)
     assert len(polytope.halfspaces) == 4
 
 
@@ -657,6 +736,83 @@ def test_validate_repairs_outward_oriented_triangle():
     assert match_point_sets(polytope.vertices, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
+def _repair_by_records(halfspaces, values, tol):
+    """The record path: ``Halfspace(-n, -b)`` for each row that is at most
+    geom_abs at every corner and below -geom_abs at one."""
+    wrong = ((values.max(axis=0, initial=-math.inf) <= tol.geom_abs)
+             & (values.min(axis=0, initial=math.inf) < -tol.geom_abs))
+    if not wrong.any():
+        return None
+    return [polytope.Halfspace(-h.normal, -h.offset) if flip else h
+            for h, flip in zip(halfspaces, wrong.tolist())]
+
+
+def _outward_cases():
+    """Inputs whose arrangement has no feasible corner: the square, the
+    triangle (with +0.0 and -0.0 offsets), the quad and the regular hexagon
+    pointing outward, and a tiny quad moved far from the origin."""
+    def outward(raw, zero=-0.0):
+        return [([-x for x in normal], -b if b else zero) for normal, b in raw]
+
+    hexagon = regular_polygon(6)
+    shift = np.array([923699275.28, 383118322.24])
+    return {
+        "square": outward(SQUARE_RAW),
+        "triangle": outward(TRIANGLE_RAW),
+        "triangle-positive-zero": outward(TRIANGLE_RAW, 0.0),
+        "quad": outward(QUAD_RAW, 0.0),
+        "hexagon": _halfspaces(-hexagon[0], -hexagon[1]),
+        "moved-tiny-quad": [(n, 1e-8 * b - float(np.dot(n, shift))) for n, b in QUAD_RAW],
+    }
+
+
+@pytest.mark.parametrize("name", list(_outward_cases()))
+def test_repair_negates_rows_as_the_records_did(name):
+    """The repair's negated arrays are the rows of the record path's
+    ``Halfspace(-n, -b)`` bit for bit, a +0.0 offset turned into -0.0."""
+    tol = Tolerances()
+    normals, offsets = canonicalize(_outward_cases()[name])
+    vertices, incidence = enumerate_vertices(normals, offsets)
+    assert not len(vertices)
+    values = incidence.values[incidence.nonsingular]
+    repaired = polytope._repair_orientation(normals, offsets, values, tol)
+    expected = _repair_by_records(_records(normals, offsets), values, tol)
+    # every row of the outward hexagon has a corner on its inner side
+    assert (repaired is None) == (expected is None) == (name == "hexagon")
+    if repaired is None:
+        return
+    assert [(n.tobytes(), b.tobytes()) for n, b in zip(*repaired)] == [
+        (h.normal.tobytes(), np.float64(h.offset).tobytes()) for h in expected]
+    if name == "triangle-positive-zero":
+        assert repaired[1][:2].tobytes() == np.array([-0.0, -0.0]).tobytes()
+
+
+def test_repair_of_outward_input_refuses_quad_and_hexagon():
+    """Only an outward input whose every arrangement corner lies in the
+    polytope is repaired; the quad and the hexagon keep some rows and are
+    refused, and the moved tiny quad, whose right answer is Empty, is not."""
+    cases = _outward_cases()
+    with pytest.raises(Unbounded):
+        validate(cases["quad"], 2)
+    with pytest.raises(Empty):
+        validate(cases["hexagon"], 2)
+    assert validate(cases["moved-tiny-quad"], 2).radius < 1e-7
+
+
+@pytest.mark.parametrize("raw", [SQUARE_RAW, TRIANGLE_RAW], ids=["square", "triangle"])
+def test_repaired_outward_input_is_the_inward_one(raw):
+    """Validating the negated rows gives, bit for bit, what validating the
+    input itself gives."""
+    inward = validate(raw, 2)
+    repaired = validate([(list(-np.asarray(n)), -b) for n, b in raw], 2)
+    for name in ("vertices", "interior", "normals", "offsets"):
+        assert getattr(repaired, name).tobytes() == getattr(inward, name).tobytes()
+    assert repaired.radius == inward.radius
+    for name in ("active", "corners", "nonsingular", "values", "above"):
+        assert (getattr(repaired.incidence, name).tobytes()
+                == getattr(inward.incidence, name).tobytes())
+
+
 def test_contains_quad_inside_and_outside():
     polytope = validate(QUAD_RAW, 2)
     assert contains(polytope, np.array([0.375, 0.375]))
@@ -692,7 +848,7 @@ def _witnesses_one_by_one(vertices, incidence, count, dim, tol):
     vertex order, reach rank d - 1."""
     out = []
     for k in range(count):
-        active = [v for v, on in zip(vertices, incidence.active) if k in on]
+        active = vertices[incidence.active[:, k]]
         out.append(len(active) >= dim and (dim == 1 or len(gram_schmidt(
             np.vstack([v - active[0] for v in active[1:]]), tol, dim - 1)) >= dim - 1))
     return out
@@ -718,12 +874,11 @@ def test_batched_witnesses_match_one_by_one(monkeypatch):
     cases += [cube_polytope(dim) for dim in (2, 3, 4, 5)]
     for case in cases:
         count = len(case.halfspaces)
-        witnessed = polytope._witnessed(case.vertices, case.incidence, count, case.dim, case.tol)
+        witnessed = polytope._witnessed(case.vertices, case.incidence, case.dim, case.tol)
         assert witnessed.tolist() == _witnesses_one_by_one(
             case.vertices, case.incidence, count, case.dim, case.tol) == [True] * count
     cube = cube_polytope(4)
-    first = [[v for v, on in zip(cube.vertices, cube.incidence.active) if k in on][:4]
-             for k in range(8)]
+    first = [cube.vertices[cube.incidence.active[:, k]][:4] for k in range(8)]
     assert any(len(gram_schmidt(np.array(f[1:]) - f[0])) < 3 for f in first)
 
 
@@ -737,9 +892,9 @@ def test_batched_witnesses_match_one_by_one(monkeypatch):
     (tangent_halfspaces(3, 9, 4) + [([0.0, 0.0, 1.0], 5.0)], 3, 9),
 ])
 def test_redundant_halfspace_index_matches_one_by_one(raw, dim, redundant):
-    halfspaces = canonicalize(raw)
-    vertices, incidence = enumerate_vertices(halfspaces, dim)
-    expected = _witnesses_one_by_one(vertices, incidence, len(halfspaces), dim, Tolerances())
+    normals, offsets = canonicalize(raw)
+    vertices, incidence = enumerate_vertices(normals, offsets)
+    expected = _witnesses_one_by_one(vertices, incidence, len(offsets), dim, Tolerances())
     assert expected.index(False) == redundant
     with pytest.raises(RedundantHalfspace) as exc:
         validate(raw, dim)

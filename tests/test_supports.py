@@ -349,7 +349,7 @@ def test_supports_reconstruct_vertex_set():
                     pooled.append(((h.normal @ q).tolist(), h.offset))
         from polyextremal.polytope import canonicalize
 
-        vertices, _ = enumerate_vertices(canonicalize(pooled), polytope.dim)
+        vertices, _ = enumerate_vertices(*canonicalize(pooled))
         assert match_point_sets(
             np.array(sorted(map(tuple, vertices.round(12)))),
             np.array(sorted(map(tuple, polytope.vertices.round(12)))),
@@ -412,6 +412,50 @@ def test_check_minimality_random_translations(quad, quad_supports):
             b = rng.normal(size=2)
             b *= 1e-3 / np.linalg.norm(b)
             assert check_minimality(quad, support, b)
+
+
+def _poked_by_records(polytope, simplex, shift):
+    """The record loop: every moved vertex against each of the simplex's
+    ``halfspaces`` in turn, by ``Halfspace.value``."""
+    for vertex in polytope.vertices:
+        moved = vertex + shift
+        for h in simplex.halfspaces:
+            if h.value(moved) < 0.0:
+                return True
+    return False
+
+
+def test_check_minimality_matches_the_record_loop():
+    """One array pass over K's rows of the simplex's facets decides as the
+    loop over every vertex and halfspace did, its values bitwise
+    ``Halfspace.value``, on every simplex of the fixtures and the tilted
+    prisms: at random shifts of 1e-3 down to 5e-324, and at shifts inside one
+    of the simplex's facet planes, along the axes its normal is 0 on, where
+    the moved vertices on that facet sit at exactly 0."""
+    rng = np.random.default_rng(4242)
+    cases = [load_fixture(name) for name in VALID_FIXTURES]
+    outcomes, zeros = set(), 0
+    for polytope in cases + [tilted_prism(seed) for seed in range(12)]:
+        d = polytope.dim
+        for simplex in (s for s in enumerate_supports(polytope) if s.kind == "simplex"):
+            facets = list(simplex.facet_indices)
+            shifts = [scale * rng.normal(size=d) for scale in (1e-3, 1e-9, 1e-300, 5e-324)]
+            for k in facets:
+                normal = polytope.normals[k]
+                shifts += [t * np.eye(d)[i] for i in np.flatnonzero(normal == 0.0)
+                           for t in (1e-3, -1e-3)]
+                shifts.append(1e-3 * (np.eye(d)[0] - normal[0] * normal))
+            for shift in (shift for shift in shifts if shift.any()):
+                poked = check_minimality(polytope, simplex, shift)
+                assert poked == _poked_by_records(polytope, simplex, shift)
+                outcomes.add(poked)
+                moved = polytope.vertices + shift
+                values = polytope_module._values(moved, polytope.normals[facets],
+                                                 polytope.offsets[facets])
+                expected = np.array([[h.value(v) for h in simplex.halfspaces] for v in moved])
+                assert values.tobytes() == expected.tobytes()
+                zeros += int(np.count_nonzero(values == 0.0))
+    assert outcomes == {True, False} and zeros > 0
 
 
 def test_strip_translation_keeps_vertices_inside(square, square_supports):
@@ -706,8 +750,8 @@ def test_pass_table_on_non_finite_heights(monkeypatch):
     nonsingular = np.array([True, True, False])
     corners = np.array([[0.5], [0.25], [np.nan]])
     monkeypatch.setattr(polytope_module, "_arrangement",
-                        lambda halfspaces, dim, tol: (corners, nonsingular, values))
-    _, incidence = enumerate_vertices([Halfspace(np.array([1.0]), 0.0)] * 4, 1)
+                        lambda normals, offsets, tol: (corners, nonsingular, values))
+    _, incidence = enumerate_vertices(np.ones((4, 1)), np.zeros(4))
     assert incidence.above.tolist() == [[True, True, False, False],
                                         [True, False, True, False], [False] * 4]
     assert incidence.above.tolist() == [_apexes_above(flag, row, DEFAULT_TOL).tolist()
