@@ -12,10 +12,10 @@ Every evaluation is one ``eval_extremal_many`` call over all of a command's
 points, or for ``eval --diagnostics`` one ``extremal._diagnose`` call, which
 forms every support's sums and reads value and argmax off the stack's rows
 of those same sums, so each line's first two fields are the plain bytes.
-``grid --jobs K`` splits the points into one contiguous chunk per worker,
-with at most min(K, points, os.cpu_count()) workers, in a process pool
-imported only then; the kernel is elementwise per point, so the bytes are
-the same at any --jobs level.
+``grid --jobs K`` sends one contiguous chunk of the points and the stack's
+table to each of at most min(K, points, os.cpu_count()) workers, in a
+process pool imported only then; the kernel is elementwise per point, so
+the bytes are the same at any --jobs level.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -38,7 +38,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import DomainError, _diagnose, eval_extremal_many
+from .extremal import DomainError, _diagnose, _eval_stack, _stack_table, eval_extremal_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -163,17 +163,17 @@ def cmd_eval(args, tol: Tolerances) -> int:
 
 
 def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
-    """``eval_extremal_many`` over the points, one contiguous chunk per
-    worker process when more than one is worth starting.  The pool is
-    imported here: ``concurrent.futures.process`` and ``multiprocessing``
-    cost every other command start-up time for nothing."""
+    """``eval_extremal_many`` over the points, one contiguous chunk and the
+    stack's table, not the support set, per worker process when more than
+    one is worth starting.  The pool is imported here: ``multiprocessing``
+    and its kin cost every other command start-up time for nothing."""
     workers = min(jobs, points.shape[0], os.cpu_count() or 1)
     if workers <= 1:
         return eval_extremal_many(supports, points)
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(eval_extremal_many, [supports] * workers,
-                              np.array_split(points, workers)))
+        parts = list(pool.map(_eval_stack, [_stack_table(supports)] * workers,
+                              [supports.polytope.dim] * workers, np.array_split(points, workers)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -29,6 +29,12 @@ support order, and 0 where V = 0.  The band makes mathematical ties,
 which rounding would otherwise break either way, go to the lowest index.
 Only per-support values take arccosh of every sum.
 
+A symmetric K's slabs have cross-section normals +-1 exactly, so the
+second lifted normal of each is its first negated, and the stack's table
+ends in these M mirrored rows: each is b - t from its mirror's sum t of
+products, formed once.  No bit moves: negation commutes with rounding, so
+-t is the row's own sum but for a zero's sign, which the modulus drops.
+
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
 noise lands on either side of 1, and arccosh has a square-root cliff there
@@ -178,16 +184,22 @@ def _one_point(z: np.ndarray) -> np.ndarray:
     return point
 
 
-def _facet_values(normals, offsets, points, work) -> np.ndarray:
+def _facet_values(normals, offsets, points, work, mirrored) -> np.ndarray:
     """|l_r(z)| = |n_r.z + b_r| of R facet functions at checked points,
     (R+1, m), in the first of the ``work`` arrays: the products n_rc z_c
     added in c order, elementwise, then b_r, then the modulus.  Row R is
-    the padding's and stays exactly 0."""
+    the padding's and stays exactly 0.  The last M = ``mirrored`` rows
+    negate the first M's normals: row R-M+i is b - t, t row i's sum of
+    products, its own sum but for a zero's sign, which the modulus drops."""
     magnitudes, values, term = work[:3]
-    np.multiply(normals[:, :1], points[:, 0], out=values)
+    lead = values[:-mirrored] if mirrored else values
+    count = len(lead)
+    np.multiply(normals[:count, :1], points[:, 0], out=lead)
     for c in range(1, normals.shape[1]):
-        values += np.multiply(normals[:, c:c + 1], points[:, c], out=term)
-    values += offsets[:, None]
+        lead += np.multiply(normals[:count, c:c + 1], points[:, c], out=term)
+    if mirrored:
+        np.subtract(offsets[count:, None], lead[:mirrored], out=values[count:])
+    lead += offsets[:count, None]
     np.abs(values, out=magnitudes[:-1])
     return magnitudes
 
@@ -212,11 +224,12 @@ def _chunk_points(rows: int, width: int) -> int:
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
-def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray):
+def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray, mirrored=0):
     """(chunk slice, its (S, points) sums, the work arrays) per pass over
     checked points against S supports given by ``facets`` and ``heights``
-    into the facet functions ``normals`` and ``offsets``, ``_chunk_points``
-    points a pass, each sum checked against the domain band.  The sums sit
+    into the facet functions ``normals`` and ``offsets``, ``mirrored`` rows
+    of them mirrored, ``_chunk_points`` points a pass, each sum checked
+    against the domain band.  The sums sit
     in work arrays the next pass overwrites, cut from three buffers
     allocated once: fresh ones per chunk had their pages faulted anew."""
     rows, width = normals.shape[0], facets.shape[1]
@@ -225,14 +238,14 @@ def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray):
     floats, complexes = np.zeros((rows + 2 + 2 * width, size)), np.empty((2 * rows, size), complex)
     # magnitudes (row ``rows`` the padding's 0), facet values and a term, sums
     # and a term, each point's largest sum, the max rule's flags
-    work = (floats[:rows + 1], complexes[:rows], complexes[rows:],
+    work = (floats[:rows + 1], complexes[:rows], complexes[rows:2 * rows - mirrored],
             floats[rows + 1:rows + 1 + width], floats[rows + 1 + width:-1], floats[-1],
             np.empty((width, size), bool))
     for start in range(0, points.shape[0], step):
         chunk = points[start:start + step]
         if chunk.shape[0] < size:
             work = tuple(array[..., :chunk.shape[0]] for array in work)
-        sums = _sums(facets, heights, _facet_values(normals, offsets, chunk, work), work)
+        sums = _sums(facets, heights, _facet_values(normals, offsets, chunk, work, mirrored), work)
         _check_domain(sums)
         yield slice(start, start + step), sums, work
 
@@ -254,17 +267,19 @@ def _stack_max(stack, sums, work, values, argmax) -> None:
     argmax[_inv_joukowski_log_many(best, values)] = 0
 
 
-def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
+def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None,
+              mirrored=0) -> None:
     """The evaluators' one chunk loop: over ``points`` against the supports of
-    ``table`` = (normals, offsets, facets, heights), V and argmax over
-    ``stack`` into ``values`` and ``argmax``, and every value into ``matrix``.
+    ``table`` = (normals, offsets, facets, heights), ``mirrored`` rows of it
+    mirrored, V and argmax over ``stack`` into ``values`` and ``argmax``, and
+    every value into ``matrix``.
     Only ``far`` points can overflow a sum, and they run without numpy's
     overflow warnings; a pass where a sum overflowed is done again point by
     point by ``_far_point``."""
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _evaluate(table, points, False, stack, values, argmax, matrix)
-    for chunk, sums, work in _chunked_sums(*table, points):
+            return _evaluate(table, points, False, stack, values, argmax, matrix, mirrored)
+    for chunk, sums, work in _chunked_sums(*table, points, mirrored):
         try:
             if values is not None:
                 _stack_max(stack, sums, work, values[chunk], argmax[chunk])
@@ -272,18 +287,18 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
                 _inv_joukowski_log_many(sums, matrix[chunk].T)
         except _Overflow:
             for j in range(chunk.start, chunk.start + sums.shape[1]):
-                _far_point(table, points[j], stack, *[
+                _far_point(table, mirrored, points[j], stack, *[
                     None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
 
 
-def _far_point(table, z, stack, values, argmax, matrix) -> None:
+def _far_point(table, mirrored, z, stack, values, argmax, matrix) -> None:
     """``_evaluate`` at one finite point z, bit for bit but where a sum
     overflows.  Then z = 2^k w with w's largest part in [2^511, 2^512), the
     sum is 2^k s(w) but for the offsets' negligible share, and its arccosh
     is arccosh s(w) + k log 2."""
     k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
-    direct, work = next(_chunked_sums(*table, z[None, :]))[1:]
-    scaled = next(_chunked_sums(*table, z[None, :] * math.ldexp(1.0, -k)))[1]
+    direct, work = next(_chunked_sums(*table, z[None, :], mirrored))[1:]
+    scaled = next(_chunked_sums(*table, z[None, :] * math.ldexp(1.0, -k), mirrored))[1]
     if values is not None:
         try:
             _stack_max(stack, direct, work, values, argmax)
@@ -364,18 +379,28 @@ class EvalResult:
     per_support: tuple[float, ...] | None = None
 
 
+def _stack_table(support_set: SupportSet) -> tuple:
+    """The stack's (normals, offsets, facets, heights), M, and the stack."""
+    return ((support_set.stack_normals, support_set.stack_offsets, support_set.stack_facets,
+             support_set.stack_heights), support_set.stack_mirrored, support_set.stack)
+
+
+def _eval_stack(table, dim: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_K and argmax at points of C^dim from a ``_stack_table``: the work of
+    ``eval_extremal_many`` and of each ``grid --jobs`` worker."""
+    (arrays, mirrored, stack), (points, far) = table, _as_points(points, dim)
+    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
+    _evaluate(arrays, points, far, stack, values, argmax, mirrored=mirrored)
+    return values, argmax
+
+
 def eval_extremal_many(support_set: SupportSet,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V_K and argmax at each point, as ``EvalResult`` defines them: only the
     evaluation stack's sums are formed, chunk by chunk."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
-    points, far = _as_points(points, support_set.polytope.dim)
-    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
-    _evaluate((support_set.stack_normals, support_set.stack_offsets, support_set.stack_facets,
-               support_set.stack_heights), points, far, support_set.stack,
-              values=values, argmax=argmax)
-    return values, argmax
+    return _eval_stack(_stack_table(support_set), support_set.polytope.dim, points)
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,

@@ -147,6 +147,10 @@ class SupportSet:
     table and columns for the stack alone: the whole set's arrays when the
     stack is every support, and for the slabs only the slabs' own facet
     functions in 2 slots: evaluating V_K reads no row it does not need.
+    The slabs' rows are every first one in stack order, then every second:
+    ``stack_facets`` is [[0..S-1], [S..2S-1]].  ``stack_mirrored`` = M says
+    that row R-M+i has normal -normals[i], bit for bit but for a zero's
+    sign, for i < M: S when set-up finds this of every slab, else 0.
     """
 
     polytope: PolytopeH
@@ -160,6 +164,7 @@ class SupportSet:
     stack_offsets: np.ndarray = field(repr=False)
     stack_facets: np.ndarray = field(repr=False)
     stack_heights: np.ndarray = field(repr=False)
+    stack_mirrored: int
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -346,25 +351,25 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     normals, offsets, facets, heights = _facet_table(polytope.halfspaces, ordered)
     strips = _antipodal_strips(polytope, ordered)
     if strips is None:
-        stack = np.arange(len(ordered), dtype=np.intp)
+        stack, mirrored = np.arange(len(ordered), dtype=np.intp), 0
         stack_table = (normals, offsets, facets, heights)
     else:
         stack = np.array(strips, dtype=np.intp)
         stack_table = _facet_table((), [ordered[i] for i in strips])
-    return SupportSet(polytope=polytope, supports=ordered, normals=normals, offsets=offsets,
-                      facets=facets, heights=heights, stack=stack,
-                      stack_normals=stack_table[0], stack_offsets=stack_table[1],
-                      stack_facets=stack_table[2], stack_heights=stack_table[3])
+        first, second = np.split(stack_table[0], 2)
+        mirrored = len(strips) if np.array_equal(second, -first) else 0
+    return SupportSet(polytope, ordered, normals, offsets, facets, heights, stack,
+                      *stack_table, mirrored)
 
 
 def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
-    """The facet functions ``base`` followed by each strip's ``halfspaces``, as
+    """The facet functions ``base`` followed by the strips' ``halfspaces``, as
     normals (R, d) and offsets (R,), and the (m, S) rows and heights of
     ``supports``, m their most facets: a simplex's rows are its facet
     indices into ``base``, and missing slots name row R, with height 1.0.
     A simplex has d+1 facets, more than any strip, so its column is full:
-    every simplex column is filled in one assignment, and each strip then
-    appends its rows, in support order."""
+    every simplex column is filled in one assignment.  The strips' rows are
+    appended slot by slot, each slot's in support order."""
     rows = list(base)
     slots = max((len(support.heights) for support in supports), default=0)
     facets = np.full((slots, len(supports)), -1, dtype=np.intp)
@@ -373,12 +378,12 @@ def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
     if simplices:
         facets[:, simplices] = np.array([supports[i].facet_indices for i in simplices]).T
         heights[:, simplices] = np.array([supports[i].heights for i in simplices]).T
-    for i, support in enumerate(supports):
-        if isinstance(support, StripSupport):
-            count = len(support.heights)
-            facets[:count, i] = np.arange(len(rows), len(rows) + count)
-            rows += support.halfspaces
-            heights[:count, i] = support.heights
+    strips = [i for i, support in enumerate(supports) if isinstance(support, StripSupport)]
+    for slot in range(slots):
+        owners = [i for i in strips if len(supports[i].heights) > slot]
+        facets[slot, owners] = np.arange(len(rows), len(rows) + len(owners))
+        heights[slot, owners] = [supports[i].heights[slot] for i in owners]
+        rows += [supports[i].halfspaces[slot] for i in owners]
     facets[facets < 0] = len(rows)
     return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
             facets, heights)

@@ -14,7 +14,7 @@ import pytest
 from polyextremal import cli, extremal, polytope
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
-                          Unbounded, ZeroNormal, enumerate_supports, from_json)
+                          SupportSet, Unbounded, ZeroNormal, enumerate_supports, from_json)
 from polyextremal.extremal import (eval_extremal, eval_extremal_many, eval_interval,
                                    eval_simplex_many)
 
@@ -571,26 +571,31 @@ def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
 
 def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
     """Any --jobs gives the bytes of --jobs 1: 3 does not divide the rows,
-    and 5 asks for more workers than a resolution-2 grid has points."""
-    for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
-        outputs = []
-        for jobs in jobs_values:
-            out_path = tmp_path / f"res{resolution}-jobs{jobs}.csv"
-            code, _, _ = run_cli(
-                capsys, "grid", fixture_path("quad"),
-                "--plane", "re1,re2", "--bounds=-1,4,-1,4",
-                "--resolution", resolution, "--out", str(out_path),
-                "--jobs", jobs, "--reproducible",
-            )
-            assert code == 0
-            outputs.append(out_path.read_bytes())
-        assert all(output == outputs[0] for output in outputs)
+    and 5 asks for more workers than a resolution-2 grid has points.  The
+    square's and the cube's stacks have mirrored rows, which reach the
+    workers in their table."""
+    for name in ("quad", "square", "cube"):
+        for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
+            outputs = []
+            for jobs in jobs_values:
+                out_path = tmp_path / f"{name}-res{resolution}-jobs{jobs}.csv"
+                code, _, _ = run_cli(
+                    capsys, "grid", fixture_path(name),
+                    "--plane", "re1,re2", "--bounds=-1,4,-1,4",
+                    "--resolution", resolution, "--out", str(out_path),
+                    "--jobs", jobs, "--reproducible",
+                )
+                assert code == 0
+                outputs.append(out_path.read_bytes())
+            assert all(output == outputs[0] for output in outputs)
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the
+    function and arguments of every task, and maps in process."""
 
     created: list = []
+    tasks: list = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -602,7 +607,36 @@ class _SerialPool:
         return False
 
     def map(self, function, *iterables):
-        return map(function, *iterables)
+        tasks = [(function, *arguments) for arguments in zip(*iterables)]
+        self.tasks.extend(tasks)
+        return [function(*arguments) for _, *arguments in tasks]
+
+
+def _leaves(value):
+    """The objects inside tuples and lists, recursively."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
+    """A worker is sent the evaluation stack's arrays and counts, never the
+    support set or its polytope, which pickle to a hundred times the bytes."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "tasks", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for name in ("quad", "cube"):
+        code, _, _ = run_cli(
+            capsys, "grid", fixture_path(name), "--plane", "re1,re2", "--bounds=-1,4,-1,4",
+            "--resolution", "5", "--out", str(tmp_path / f"{name}.csv"), "--jobs", "2",
+        )
+        assert code == 0
+    assert len(_SerialPool.tasks) == 4
+    leaves = _leaves(_SerialPool.tasks)
+    assert not any(isinstance(leaf, (SupportSet, polytope.PolytopeH, polytope.Halfspace))
+                   for leaf in leaves)
+    assert all(isinstance(leaf, (np.ndarray, int)) or leaf is extremal._eval_stack
+               for leaf in leaves)
 
 
 @pytest.mark.parametrize("cpus,expected", [(3, 3), (None, None), (64, 25)])

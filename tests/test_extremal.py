@@ -1290,3 +1290,43 @@ def test_slot_count_keeps_every_output(name, tmp_path, capsys):
     assert capsys.readouterr().out == "".join(
         " ".join(map(repr, [v, i, *row])) + "\n"
         for v, i, row in zip(values.tolist(), argmax.tolist(), matrix.tolist()))
+
+
+MIRRORED_CASES = {
+    "square": lambda: load_fixture("square"),
+    "cube": lambda: load_fixture("cube"),
+    "ngon-24": lambda: ngon_polytope(24),
+    "centred-hexagon": lambda: corner_cut_hexagon((1.0, 1.5, 0.5), (3.0, -2.0)),
+    "symmetric-d3": lambda: symmetric_polytope(3, 6, 1),
+}
+
+
+@pytest.mark.parametrize("name", MIRRORED_CASES)
+def test_mirrored_rows_move_no_bit(name, monkeypatch):
+    """The stack's table read with its mirrored rows, whose products are not
+    formed, and read with none gives the same V and argmax bit for bit: on
+    grid points, on them scaled by 1e200, and at 1.7e308 (1 + i), where sums
+    overflow and ``_far_point`` takes the value."""
+    supports = enumerate_supports(MIRRORED_CASES[name]())
+    arrays, mirrored, stack = extremal._stack_table(supports)
+    assert mirrored == len(stack) > 0
+    dim = supports.polytope.dim
+    axis = np.linspace(-3.0, 3.0, 9)
+    grid = np.zeros((axis.size ** 2, dim), dtype=complex)
+    grid[:, 0] = np.repeat(axis, axis.size) + 0.25j
+    grid[:, 1] = 1j * np.tile(axis, axis.size) - 0.5
+    far = np.full((dim + 1, dim), 0.25 - 0.5j)
+    far[np.arange(dim), np.arange(dim)] = 1.7e308 * (1 + 1j)
+    far[dim] = 1.7e308 * (1 + 1j)
+    far_calls = []
+    far_point = extremal._far_point
+    monkeypatch.setattr(extremal, "_far_point",
+                        lambda *args: far_calls.append(args[1]) or far_point(*args))
+    for points in (grid, grid * 1e200, far):
+        plain = extremal._eval_stack((arrays, 0, stack), dim, points)
+        both = [extremal._eval_stack((arrays, mirrored, stack), dim, points),
+                eval_extremal_many(supports, points)]
+        for values, argmax in both:
+            assert values.tobytes() == plain[0].tobytes()
+            assert argmax.tobytes() == plain[1].tobytes()
+    assert far_calls == [0] * (dim + 1) + [mirrored] * (2 * dim + 2)

@@ -246,20 +246,24 @@ def test_support_set_stacks_facets_and_heights(name):
 
 
 def _facet_table_by_support(base, supports):
-    """The facet table one support at a time, simplices and strips alike:
-    the reference ``_facet_table`` must reproduce bit for bit."""
+    """The facet table one support and one slot at a time, simplices and
+    strips alike, each strip's row of slot k appended after every strip's
+    row of slot k - 1: the reference ``_facet_table`` must reproduce bit
+    for bit."""
     rows = list(base)
     slots = max((len(support.heights) for support in supports), default=0)
     facets = np.full((slots, len(supports)), -1, dtype=np.intp)
     heights = np.ones((slots, len(supports)))
-    for i, support in enumerate(supports):
-        count = len(support.heights)
-        if support.kind == "strip":
-            facets[:count, i] = np.arange(len(rows), len(rows) + count)
-            rows += support.halfspaces
-        else:
-            facets[:count, i] = support.facet_indices
-        heights[:count, i] = support.heights
+    for slot in range(slots):
+        for i, support in enumerate(supports):
+            if slot >= len(support.heights):
+                continue
+            if support.kind == "strip":
+                facets[slot, i] = len(rows)
+                rows.append(support.halfspaces[slot])
+            else:
+                facets[slot, i] = support.facet_indices[slot]
+            heights[slot, i] = support.heights[slot]
     facets[facets < 0] = len(rows)
     return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
             facets, heights)
@@ -278,8 +282,8 @@ FACET_TABLE_CASES = {
 
 @pytest.mark.parametrize("name", FACET_TABLE_CASES)
 def test_facet_table_matches_the_loop_over_supports(name):
-    """The simplex columns filled at once and the strips' rows appended in
-    order give the per-support loop's normals, offsets, facets and heights,
+    """The simplex columns filled at once and the strips' rows appended slot
+    by slot give the per-support loop's normals, offsets, facets and heights,
     bit for bit, for the whole set and for its evaluation stack; so do a
     list of the strips alone and an empty list."""
     supports = enumerate_supports(FACET_TABLE_CASES[name]())
@@ -963,10 +967,10 @@ def test_centred_hexagon_is_pruned_to_its_slabs(cuts, shift):
     assert _antipodal_pairs(supports) == [(0, 3), (1, 4), (2, 5)]
     # the stack's own table holds the three slabs' rows alone, those of the
     # set, in two slots: the set has a third for its simplices, which the
-    # slabs pad
+    # slabs pad; every slab's first row comes before every second row
     own, full = supports.stack_facets, supports.facets[:, supports.stack]
     assert own.shape == supports.stack_heights.shape == (2, 3) and full.shape == (3, 3)
-    assert own.T.tolist() == [[0, 1], [2, 3], [4, 5]]
+    assert own.tolist() == [[0, 1, 2], [3, 4, 5]]
     assert supports.stack_heights.tobytes() == supports.heights[:2, supports.stack].tobytes()
     assert np.all(full[2] == len(supports.offsets))
     assert np.all(supports.heights[2, supports.stack] == 1.0)
@@ -984,6 +988,62 @@ def test_scaled_and_translated_symmetric_polytope_is_pruned(dim, seed):
     expected = _antipodal_pairs(enumerate_supports(base))
     assert len(expected) == dim + 3
     assert _antipodal_pairs(enumerate_supports(moved)) == expected
+
+
+def _moved_symmetric_polytope(dim, seed):
+    """1e3 K + (1e3, -1e3, ...), as in the test above."""
+    base = symmetric_polytope(dim, dim + 3, seed)
+    shift = 1e3 * np.array([(-1.0) ** i for i in range(dim)])
+    return validate([(h.normal, 1e3 * h.offset - float(h.normal @ shift))
+                     for h in base.halfspaces], dim)
+
+
+MIRROR_CASES = {
+    **{name: lambda name=name: load_fixture(name) for name in VALID_FIXTURES},
+    **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in range(12)},
+    "ngon-24": lambda: ngon_polytope(24),
+    "centred-hexagon": lambda: corner_cut_hexagon((1.0, 1.5, 0.5), (3.0, -2.0)),
+    "paired-hexagon": lambda: corner_cut_hexagon((1.2, 1.5, 1.8)),
+    **{f"symmetric-d{dim}": lambda dim=dim: symmetric_polytope(dim, dim + 3, dim)
+       for dim in (2, 3, 4, 5)},
+    **{f"symmetric-d{dim}-moved": lambda dim=dim: _moved_symmetric_polytope(dim, dim - 2)
+       for dim in (2, 3, 4)},
+    **{f"tangent-d{dim}": lambda dim=dim: validate(tangent_halfspaces(dim, dim + 6, 0), dim)
+       for dim in (2, 3, 4)},
+}
+
+
+def _zeros_unsigned(array):
+    """The bytes of ``array`` with -0.0 read as +0.0."""
+    return (array + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("name", MIRROR_CASES)
+def test_slab_rows_mirror_each_other(name):
+    """A slab's cross-section normals are +-1 exactly, so its two lifted
+    normals are negations of each other, bit for bit but for the sign of a
+    zero.  A symmetric K's stack table holds every slab's first row, then
+    every second, and ``stack_mirrored`` is the stack's width; every other
+    K has ``stack_mirrored`` 0."""
+    supports = enumerate_supports(MIRROR_CASES[name]())
+    for support in supports:
+        if support.kind == "strip" and support.cross_dim == 1:
+            assert support.cross_simplex.halfspaces[0].normal.tolist() in ([1.0], [-1.0])
+            first, second = (h.normal for h in support.halfspaces)
+            assert _zeros_unsigned(second) == _zeros_unsigned(-first)
+    width = len(supports.stack)
+    if supports_module._antipodal_strips(supports.polytope, supports.supports) is None:
+        assert supports.stack_mirrored == 0
+        assert name.startswith(("quad", "prism", "triangle", "tilted", "paired", "tangent"))
+        return
+    assert supports.stack_mirrored == width > 0
+    assert supports.stack_facets.tolist() == [list(range(width)), list(range(width, 2 * width))]
+    normals = supports.stack_normals
+    assert normals.shape[0] == 2 * width
+    assert _zeros_unsigned(normals[width:]) == _zeros_unsigned(-normals[:width])
+    for column, i in enumerate(supports.stack.tolist()):
+        rows = [h.normal for h in supports[i].halfspaces]
+        assert normals[[column, width + column]].tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-11])
