@@ -2,9 +2,10 @@
 
 The grid subcommand sweeps a 2-D real slice of C^d.  Real coordinates are
 named re1, im1, ..., reD, imD; two of them vary over the grid (--plane) and
-the rest sit at fixed values (--fixed, default 0).  Output is a CSV with
-header ``u,v,value,argmax`` (or the JSON equivalent), written atomically:
-rows appear row-major with u varying fastest, floats serialized with repr
+the rest sit at fixed values (--fixed, default 0); names are compared by the
+coordinate they name, so re01 is re1.  Output is a CSV with header
+``u,v,value,argmax`` (or the JSON equivalent), written atomically: rows
+appear row-major with u varying fastest, floats serialized with repr
 (shortest round-trip), and a run with --reproducible omits the timestamp
 comment so identical inputs give byte-identical files.
 
@@ -12,10 +13,10 @@ Every evaluation is one ``eval_extremal_many`` call over all of a command's
 points, or for ``eval --diagnostics`` one ``extremal._diagnose`` call, which
 forms every support's sums and reads value and argmax off the stack's rows
 of those same sums, so each line's first two fields are the plain bytes.
-``grid --jobs K`` sends one contiguous chunk of the points and the stack's
-table to each of at most min(K, points, os.cpu_count()) workers, in a
-process pool imported only then; the kernel is elementwise per point, so
-the bytes are the same at any --jobs level.
+``grid --jobs K`` sends one contiguous chunk of the points, the stack's
+``FacetTable`` and the stack to each of at most min(K, points,
+os.cpu_count()) workers, in a process pool imported only then; the kernel is
+elementwise per point, so the bytes are the same at any --jobs level.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -38,7 +39,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import DomainError, _diagnose, _eval_stack, _stack_table, eval_extremal_many
+from .extremal import DomainError, _diagnose, _eval_stack, eval_extremal_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -163,17 +164,18 @@ def cmd_eval(args, tol: Tolerances) -> int:
 
 
 def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
-    """``eval_extremal_many`` over the points, one contiguous chunk and the
-    stack's table, not the support set, per worker process when more than
-    one is worth starting.  The pool is imported here: ``multiprocessing``
-    and its kin cost every other command start-up time for nothing."""
+    """``eval_extremal_many`` over the points, one contiguous chunk, the
+    ``stack_table`` and the ``stack``, not the support set, per worker
+    process when more than one is worth starting.  The pool is imported
+    here: ``multiprocessing`` and its kin cost every other command start-up
+    time for nothing."""
     workers = min(jobs, points.shape[0], os.cpu_count() or 1)
     if workers <= 1:
         return eval_extremal_many(supports, points)
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_eval_stack, [_stack_table(supports)] * workers,
-                              [supports.polytope.dim] * workers, np.array_split(points, workers)))
+        parts = list(pool.map(_eval_stack, [supports.stack_table] * workers,
+                              [supports.stack] * workers, np.array_split(points, workers)))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -181,9 +183,11 @@ def cmd_grid(args, tol: Tolerances) -> int:
     polytope = _load_polytope(args.file, tol)
     dim = polytope.dim
     plane = [p.strip() for p in args.plane.split(",")]
-    if len(plane) != 2 or plane[0] == plane[1]:
-        raise ParseError("--plane needs two distinct coordinate names")
+    axes = [_coordinate_index(name, dim) for name in plane]
+    if len(axes) != 2 or axes[0] == axes[1]:
+        raise ParseError("--plane needs two distinct coordinates")
     fixed: dict[str, float] = {}
+    taken = dict.fromkeys(axes, "a plane axis")  # what each coordinate already is
     fixed_re, fixed_im = np.zeros(dim), np.zeros(dim)
     if args.fixed:
         for item in args.fixed.split(","):
@@ -193,9 +197,10 @@ def cmd_grid(args, tol: Tolerances) -> int:
             name = name.strip()
             if not _:
                 raise ParseError(f"--fixed entry {item!r} is not name=value")
-            if name in plane:
-                raise ParseError(f"--fixed coordinate {name!r} is a plane axis")
-            index, imaginary = _coordinate_index(name, dim)
+            index, imaginary = key = _coordinate_index(name, dim)
+            if key in taken:
+                raise ParseError(f"--fixed coordinate {name!r} is {taken[key]}")
+            taken[key] = "fixed twice"
             fixed[name] = _parse_real(value, f"--fixed entry {item!r}")
             (fixed_im if imaginary else fixed_re)[index] = fixed[name]
     bounds = tuple(_parse_real(b, "--bounds") for b in args.bounds.split(","))
@@ -209,7 +214,6 @@ def cmd_grid(args, tol: Tolerances) -> int:
         raise ParseError("--resolution must be at least 2")
     if args.jobs < 1:
         raise ParseError("--jobs must be at least 1")
-    axes = [_coordinate_index(name, dim) for name in plane]
     supports = enumerate_supports(polytope)
 
     # All resolution^2 points, row-major with u varying fastest.

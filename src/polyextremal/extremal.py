@@ -7,12 +7,12 @@ S's facets are facet hyperplanes l_k(x) = n_k.x + b_k of K, and l_k vanishes
 at every apex but p_k, so lambda_k(z) = l_k(z) / l_k(p_k): a support is its
 facet functions and their apex heights l_k(p_k).  A strip's are its
 cross-section's facets lifted back to R^d, l(z) = m.Qz + c, over the
-cross-section's heights.  The set holds one table of facet functions, K's
-facets and then the strips' lifted ones, which every support indexes, and
-no linear system is solved on the way.  The polytope value is the maximum
-over the set's evaluation stack: every certified support, or for a centrally
-symmetric K only the slabs between antipodal facets, which by Lundin's
-formula attain it.
+cross-section's heights.  The set's ``FacetTable`` holds these facet
+functions, K's facets and then the strips' lifted ones, which every support
+indexes, and no linear system is solved on the way.  The polytope value is
+the maximum over the set's evaluation stack: every certified support, or for
+a centrally symmetric K only the slabs between antipodal facets, which by
+Lundin's formula attain it.
 
 The kernel evaluates a chunk of points against a set's stacked supports at
 once.  It forms |l_r(z)| once per facet function the supports read and
@@ -34,6 +34,7 @@ second lifted normal of each is its first negated, and the stack's table
 ends in these M mirrored rows: each is b - t from its mirror's sum t of
 products, formed once.  No bit moves: negation commutes with rounding, so
 -t is the row's own sum but for a zero's sign, which the modulus drops.
+A pass of one point reads M = 0: there the extra calls only cost time.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, lu_factor
-from .supports import SimplexSupport, SupportSet
+from .supports import FacetTable, SimplexSupport, SupportSet
 
 __all__ = [
     "DomainError",
@@ -184,14 +185,14 @@ def _one_point(z: np.ndarray) -> np.ndarray:
     return point
 
 
-def _facet_values(normals, offsets, points, work, mirrored) -> np.ndarray:
-    """|l_r(z)| = |n_r.z + b_r| of R facet functions at checked points,
-    (R+1, m), in the first of the ``work`` arrays: the products n_rc z_c
-    added in c order, elementwise, then b_r, then the modulus.  Row R is
-    the padding's and stays exactly 0.  The last M = ``mirrored`` rows
+def _facet_values(table, points, work) -> np.ndarray:
+    """|l_r(z)| = |n_r.z + b_r| of the ``table``'s R facet functions at
+    checked points, (R+1, m), in the first of the ``work`` arrays: the
+    products n_rc z_c added in c order, elementwise, then b_r, then the
+    modulus.  Row R is the padding's and stays exactly 0.  The last M rows
     negate the first M's normals: row R-M+i is b - t, t row i's sum of
     products, its own sum but for a zero's sign, which the modulus drops."""
-    magnitudes, values, term = work[:3]
+    (normals, offsets, _, _, mirrored), (magnitudes, values, term) = table, work[:3]
     lead = values[:-mirrored] if mirrored else values
     count = len(lead)
     np.multiply(normals[:count, :1], points[:, 0], out=lead)
@@ -204,10 +205,11 @@ def _facet_values(normals, offsets, points, work, mirrored) -> np.ndarray:
     return magnitudes
 
 
-def _sums(facets, heights, magnitudes, work) -> np.ndarray:
-    """(S, m) barycentric magnitude sums of S supports, in the ``work`` array
-    for them: |l_r| / heights[j] with r = facets[j], added in j order."""
-    total, term = work[3:5]
+def _sums(table, magnitudes, work) -> np.ndarray:
+    """(S, m) barycentric magnitude sums of the ``table``'s S supports, in the
+    ``work`` array for them: |l_r| / heights[j] with r = facets[j], added in
+    j order."""
+    (_, _, facets, heights, _), (total, term) = table, work[3:5]
     np.divide(magnitudes.take(facets[0], axis=0, out=total, mode="clip"),
               heights[0][:, None], out=total)
     for j in range(1, facets.shape[0]):
@@ -224,28 +226,29 @@ def _chunk_points(rows: int, width: int) -> int:
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
-def _chunked_sums(normals, offsets, facets, heights, points: np.ndarray, mirrored=0):
+def _chunked_sums(table, points: np.ndarray):
     """(chunk slice, its (S, points) sums, the work arrays) per pass over
-    checked points against S supports given by ``facets`` and ``heights``
-    into the facet functions ``normals`` and ``offsets``, ``mirrored`` rows
-    of them mirrored, ``_chunk_points`` points a pass, each sum checked
-    against the domain band.  The sums sit
-    in work arrays the next pass overwrites, cut from three buffers
-    allocated once: fresh ones per chunk had their pages faulted anew."""
-    rows, width = normals.shape[0], facets.shape[1]
+    checked points against the S supports of ``table``, ``_chunk_points``
+    points a pass, a pass of one with M = 0, each sum checked against the
+    domain band.  The sums sit in work arrays the next pass overwrites, cut
+    from three buffers allocated once: fresh ones per chunk had their pages
+    faulted anew."""
+    rows, width = table.normals.shape[0], table.facets.shape[1]
     step = _chunk_points(rows, width)
     size = min(step, points.shape[0])
+    if size == 1 and table.mirrored:
+        table = FacetTable(*table[:4])
     floats, complexes = np.zeros((rows + 2 + 2 * width, size)), np.empty((2 * rows, size), complex)
     # magnitudes (row ``rows`` the padding's 0), facet values and a term, sums
     # and a term, each point's largest sum, the max rule's flags
-    work = (floats[:rows + 1], complexes[:rows], complexes[rows:2 * rows - mirrored],
+    work = (floats[:rows + 1], complexes[:rows], complexes[rows:2 * rows - table.mirrored],
             floats[rows + 1:rows + 1 + width], floats[rows + 1 + width:-1], floats[-1],
             np.empty((width, size), bool))
     for start in range(0, points.shape[0], step):
         chunk = points[start:start + step]
         if chunk.shape[0] < size:
             work = tuple(array[..., :chunk.shape[0]] for array in work)
-        sums = _sums(facets, heights, _facet_values(normals, offsets, chunk, work, mirrored), work)
+        sums = _sums(table, _facet_values(table, chunk, work), work)
         _check_domain(sums)
         yield slice(start, start + step), sums, work
 
@@ -267,19 +270,16 @@ def _stack_max(stack, sums, work, values, argmax) -> None:
     argmax[_inv_joukowski_log_many(best, values)] = 0
 
 
-def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None,
-              mirrored=0) -> None:
+def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
     """The evaluators' one chunk loop: over ``points`` against the supports of
-    ``table`` = (normals, offsets, facets, heights), ``mirrored`` rows of it
-    mirrored, V and argmax over ``stack`` into ``values`` and ``argmax``, and
-    every value into ``matrix``.
-    Only ``far`` points can overflow a sum, and they run without numpy's
-    overflow warnings; a pass where a sum overflowed is done again point by
-    point by ``_far_point``."""
+    the ``FacetTable`` ``table``, V and argmax over ``stack`` into ``values``
+    and ``argmax``, and every value into ``matrix``.  Only ``far`` points can
+    overflow a sum, and they run without numpy's overflow warnings; a pass
+    where a sum overflowed is done again point by point by ``_far_point``."""
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _evaluate(table, points, False, stack, values, argmax, matrix, mirrored)
-    for chunk, sums, work in _chunked_sums(*table, points, mirrored):
+            return _evaluate(table, points, False, stack, values, argmax, matrix)
+    for chunk, sums, work in _chunked_sums(table, points):
         try:
             if values is not None:
                 _stack_max(stack, sums, work, values[chunk], argmax[chunk])
@@ -287,18 +287,18 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
                 _inv_joukowski_log_many(sums, matrix[chunk].T)
         except _Overflow:
             for j in range(chunk.start, chunk.start + sums.shape[1]):
-                _far_point(table, mirrored, points[j], stack, *[
+                _far_point(table, points[j], stack, *[
                     None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
 
 
-def _far_point(table, mirrored, z, stack, values, argmax, matrix) -> None:
+def _far_point(table, z, stack, values, argmax, matrix) -> None:
     """``_evaluate`` at one finite point z, bit for bit but where a sum
     overflows.  Then z = 2^k w with w's largest part in [2^511, 2^512), the
     sum is 2^k s(w) but for the offsets' negligible share, and its arccosh
     is arccosh s(w) + k log 2."""
     k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
-    direct, work = next(_chunked_sums(*table, z[None, :], mirrored))[1:]
-    scaled = next(_chunked_sums(*table, z[None, :] * math.ldexp(1.0, -k), mirrored))[1]
+    direct, work = next(_chunked_sums(table, z[None, :]))[1:]
+    scaled = next(_chunked_sums(table, z[None, :] * math.ldexp(1.0, -k)))[1]
     if values is not None:
         try:
             _stack_max(stack, direct, work, values, argmax)
@@ -318,12 +318,13 @@ def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
     the kernel's sums over the support's own ``halfspaces``, the rows the
     set's facet functions hold for it, so each value is bitwise the one
     ``eval_supports_many`` gives it."""
-    normals = np.array([h.normal for h in support.halfspaces])
-    offsets = np.array([h.offset for h in support.halfspaces])
-    points, far = _as_points(points, normals.shape[1])
-    facets, values = np.arange(len(offsets), dtype=np.intp)[:, None], np.empty(points.shape[0])
-    _evaluate((normals, offsets, facets, support.heights[:, None]), points, far,
-              matrix=values[:, None])
+    table = FacetTable(np.array([h.normal for h in support.halfspaces]),
+                       np.array([h.offset for h in support.halfspaces]),
+                       np.arange(len(support.heights), dtype=np.intp)[:, None],
+                       support.heights[:, None])
+    points, far = _as_points(points, table.normals.shape[1])
+    values = np.empty(points.shape[0])
+    _evaluate(table, points, far, matrix=values[:, None])
     return values
 
 
@@ -337,8 +338,7 @@ def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarra
     each support's own sum."""
     points, far = _as_points(points, support_set.polytope.dim)
     matrix = np.empty((points.shape[0], len(support_set)))
-    _evaluate((support_set.normals, support_set.offsets, support_set.facets,
-               support_set.heights), points, far, matrix=matrix)
+    _evaluate(support_set.table, points, far, matrix=matrix)
     return matrix
 
 
@@ -349,8 +349,7 @@ def _diagnose(support_set: SupportSet, points: np.ndarray):
     points, far = _as_points(points, support_set.polytope.dim)
     values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
     matrix = np.empty((points.shape[0], len(support_set)))
-    _evaluate((support_set.normals, support_set.offsets, support_set.facets,
-               support_set.heights), points, far, support_set.stack, values, argmax, matrix)
+    _evaluate(support_set.table, points, far, support_set.stack, values, argmax, matrix)
     return values, argmax, matrix
 
 
@@ -379,18 +378,12 @@ class EvalResult:
     per_support: tuple[float, ...] | None = None
 
 
-def _stack_table(support_set: SupportSet) -> tuple:
-    """The stack's (normals, offsets, facets, heights), M, and the stack."""
-    return ((support_set.stack_normals, support_set.stack_offsets, support_set.stack_facets,
-             support_set.stack_heights), support_set.stack_mirrored, support_set.stack)
-
-
-def _eval_stack(table, dim: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_K and argmax at points of C^dim from a ``_stack_table``: the work of
-    ``eval_extremal_many`` and of each ``grid --jobs`` worker."""
-    (arrays, mirrored, stack), (points, far) = table, _as_points(points, dim)
+def _eval_stack(table, stack, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V_K and argmax at points from a set's ``stack_table`` and ``stack``:
+    the work of ``eval_extremal_many`` and of each ``grid --jobs`` worker."""
+    points, far = _as_points(points, table.normals.shape[1])
     values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
-    _evaluate(arrays, points, far, stack, values, argmax, mirrored=mirrored)
+    _evaluate(table, points, far, stack, values, argmax)
     return values, argmax
 
 
@@ -400,7 +393,7 @@ def eval_extremal_many(support_set: SupportSet,
     evaluation stack's sums are formed, chunk by chunk."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
-    return _eval_stack(_stack_table(support_set), support_set.polytope.dim, points)
+    return _eval_stack(support_set.stack_table, support_set.stack, points)
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray,

@@ -28,10 +28,12 @@ guard keeps the subset count at desk scale.
 Certification of one subset never looks at another, so results merge
 deterministically: supports are sorted by facet index set.
 
-The set also fixes the evaluation stack, the supports V_K is maximized over.
-For a centrally symmetric K, Lundin's formula (Baran's, for polytopes) says
-the slabs between antipodal facets attain the maximum, so they alone are
-evaluated; the certified set stays whole for listing and checking.
+The set holds its supports as a ``FacetTable``, the evaluators' one input,
+and fixes the evaluation stack, the supports V_K is maximized over.  For a
+centrally symmetric K, Lundin's formula (Baran's, for polytopes) says the
+slabs between antipodal facets attain the maximum, so they alone are
+evaluated, from a table of their own; the certified set stays whole for
+listing and checking.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "SimplexSupport",
     "StripSupport",
     "SupportSet",
+    "FacetTable",
     "NoCover",
     "try_simplex",
     "try_strip",
@@ -124,47 +128,45 @@ class StripSupport:
         return "strip"
 
 
+class FacetTable(NamedTuple):
+    """The kernel's input: supports as facet functions over apex heights.
+
+    Row r of ``normals`` (R, d) and ``offsets`` (R,) is l_r(z) = n_r.z + b_r.
+    Column i of ``facets`` and ``heights`` (m, W) is support i: its lambda_j
+    is l_r(z) / heights[j, i] with r = facets[j, i].  Unused slots name the
+    padding row R, a facet value of exactly 0, with height 1.0: they add
+    0 / 1.0 = +0.0, and t + 0.0 == t.  For i < M = ``mirrored``, row R-M+i
+    has normal -normals[i], bit for bit but for a zero's sign.
+    """
+
+    normals: np.ndarray
+    offsets: np.ndarray
+    facets: np.ndarray
+    heights: np.ndarray
+    mirrored: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class SupportSet:
     """All certified supports of one polytope, sorted by facet index set,
     and the evaluation stack V_K is maximized over.
 
-    ``normals`` (R, d) and ``offsets`` (R,) are the facet functions every
-    support reads, l_r(z) = normals[r].z + offsets[r]: K's n facets, then
-    each strip's ``halfspaces`` in support order.  ``facets`` (m, S) and
-    ``heights`` (m, S) hold support i's rows of them and its ``heights``
-    in column i, so lambda_j of support i is l_r(z) / heights[j, i] with
-    r = facets[j, i], and m <= d+1 is the most facets a support has.  A
-    strip's j+1 < m entries are padded with row R, which stands for a facet
-    value of exactly 0, and height 1.0: the padding adds 0 / 1.0 = +0.0,
-    and t + 0.0 == t.
-
-    ``stack`` holds the increasing support indices the maximum runs over.
-    For a centrally symmetric K these are the slabs between antipodal
-    facets, whose maximum is V_K by Lundin's formula as Baran extended it to
-    polytopes; otherwise every support, ``arange(S)``.  ``stack_normals``,
-    ``stack_offsets``, ``stack_facets`` and ``stack_heights`` are the same
-    table and columns for the stack alone: the whole set's arrays when the
-    stack is every support, and for the slabs only the slabs' own facet
-    functions in 2 slots: evaluating V_K reads no row it does not need.
-    The slabs' rows are every first one in stack order, then every second:
-    ``stack_facets`` is [[0..S-1], [S..2S-1]].  ``stack_mirrored`` = M says
-    that row R-M+i has normal -normals[i], bit for bit but for a zero's
-    sign, for i < M: S when set-up finds this of every slab, else 0.
+    ``table`` holds every support: K's n facets, then each strip's
+    ``halfspaces`` in support order.  ``stack`` holds the increasing support
+    indices the maximum runs over: for a centrally symmetric K the slabs
+    between antipodal facets, whose maximum is V_K by Lundin's formula as
+    Baran extended it to polytopes, otherwise every support, ``arange(S)``.
+    ``stack_table`` is then ``table`` itself, and for the slabs only their
+    own facet functions, every first row in stack order and then every
+    second, so ``facets`` = [[0..S-1], [S..2S-1]] and ``mirrored`` is S
+    when every slab's second normal is its first negated, else 0.
     """
 
     polytope: PolytopeH
     supports: tuple[SimplexSupport | StripSupport, ...]
-    normals: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-    facets: np.ndarray = field(repr=False)
-    heights: np.ndarray = field(repr=False)
+    table: FacetTable = field(repr=False)
     stack: np.ndarray = field(repr=False)
-    stack_normals: np.ndarray = field(repr=False)
-    stack_offsets: np.ndarray = field(repr=False)
-    stack_facets: np.ndarray = field(repr=False)
-    stack_heights: np.ndarray = field(repr=False)
-    stack_mirrored: int
+    stack_table: FacetTable = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -348,26 +350,21 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
         if facet not in covered:
             raise NoCover(facet)
     ordered = tuple(sorted(accepted, key=lambda s: s.facet_indices))
-    normals, offsets, facets, heights = _facet_table(polytope.halfspaces, ordered)
+    table = _facet_table(polytope.halfspaces, ordered)
     strips = _antipodal_strips(polytope, ordered)
     if strips is None:
-        stack, mirrored = np.arange(len(ordered), dtype=np.intp), 0
-        stack_table = (normals, offsets, facets, heights)
-    else:
-        stack = np.array(strips, dtype=np.intp)
-        stack_table = _facet_table((), [ordered[i] for i in strips])
-        first, second = np.split(stack_table[0], 2)
-        mirrored = len(strips) if np.array_equal(second, -first) else 0
-    return SupportSet(polytope, ordered, normals, offsets, facets, heights, stack,
-                      *stack_table, mirrored)
+        return SupportSet(polytope, ordered, table, np.arange(len(ordered), dtype=np.intp), table)
+    stack_table = _facet_table((), [ordered[i] for i in strips])
+    first, second = np.split(stack_table.normals, 2)
+    if np.array_equal(second, -first):
+        stack_table = stack_table._replace(mirrored=len(strips))
+    return SupportSet(polytope, ordered, table, np.array(strips, dtype=np.intp), stack_table)
 
 
-def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
-    """The facet functions ``base`` followed by the strips' ``halfspaces``, as
-    normals (R, d) and offsets (R,), and the (m, S) rows and heights of
-    ``supports``, m their most facets: a simplex's rows are its facet
-    indices into ``base``, and missing slots name row R, with height 1.0.
-    A simplex has d+1 facets, more than any strip, so its column is full:
+def _facet_table(base, supports) -> FacetTable:
+    """The ``FacetTable`` of ``supports``: the facet functions ``base``, into
+    which a simplex's facet indices are its rows, then the strips' rows.  A
+    simplex has d+1 facets, more than any strip, so its column is full:
     every simplex column is filled in one assignment.  The strips' rows are
     appended slot by slot, each slot's in support order."""
     rows = list(base)
@@ -385,8 +382,8 @@ def _facet_table(base, supports) -> tuple[np.ndarray, ...]:
         heights[slot, owners] = [supports[i].heights[slot] for i in owners]
         rows += [supports[i].halfspaces[slot] for i in owners]
     facets[facets < 0] = len(rows)
-    return (np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
-            facets, heights)
+    return FacetTable(np.array([h.normal for h in rows]), np.array([h.offset for h in rows]),
+                      facets, heights)
 
 
 def check_minimality(polytope: PolytopeH, simplex: SimplexSupport,

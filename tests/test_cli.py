@@ -697,6 +697,11 @@ def test_cli_import_leaves_the_process_pool_out():
         ["--plane", "re1,re2", "--bounds", "0,1,0,1", "--resolution", "3", "--fixed", "im1"],
         ["--plane", "rex,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
         ["--plane", "re1,re2", "--bounds=-1,4,x,4", "--resolution", "3"],
+        # coordinates are compared by the coordinate they name, not the spelling
+        ["--plane", "re1,re01", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re1,re2", "--bounds", "0,1,0,1", "--resolution", "3", "--fixed", "re01=9"],
+        ["--plane", "re1,im1", "--bounds", "0,1,0,1", "--resolution", "3",
+         "--fixed", "re2=1,re2=5"],
     ],
 )
 def test_grid_flag_validation(capsys, tmp_path, extra):

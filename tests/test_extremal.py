@@ -4,6 +4,7 @@ import cmath
 import decimal
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -248,16 +249,14 @@ def _kernel_coordinates(support_set, points):
     """lambda_j = l_r(z) / heights[j] of every support, r = facets[j], from
     the set's facet functions and its stacked facets and heights, with the
     padding row's value 0: a (d+1, points, supports) array."""
-    values = np.hstack([points @ support_set.normals.T + support_set.offsets,
-                        np.zeros((points.shape[0], 1))])
-    return values[:, support_set.facets].transpose(1, 0, 2) / support_set.heights[:, None, :]
+    table = support_set.table
+    values = np.hstack([points @ table.normals.T + table.offsets, np.zeros((points.shape[0], 1))])
+    return values[:, table.facets].transpose(1, 0, 2) / table.heights[:, None, :]
 
 
 def _kernel_sums(support_set, points):
     """The kernel's (supports, points) magnitude sums, chunk by chunk."""
-    return np.hstack([sums.copy() for _, sums, _ in _chunked_sums(
-        support_set.normals, support_set.offsets, support_set.facets, support_set.heights,
-        points)])
+    return np.hstack([sums.copy() for _, sums, _ in _chunked_sums(support_set.table, points)])
 
 
 def test_kernel_coordinates_match_barycentric_oracle():
@@ -760,7 +759,7 @@ def test_stacked_kernel_matches_per_support_oracle(name):
     facet functions and its width, which for the symmetric cases are their
     slabs' alone."""
     supports = enumerate_supports(KERNEL_CASES[name]())
-    step = extremal._chunk_points(len(supports.stack_offsets), len(supports.stack))
+    step = extremal._chunk_points(len(supports.stack_table.offsets), len(supports.stack))
     rng = np.random.default_rng(len(supports))
     for count in sorted({1, step - 1, step, step + 1} - {0}):
         points = _mixed_points(supports.polytope, count, rng)
@@ -807,7 +806,7 @@ def test_support_matrix_matches_per_support_oracle(name):
     per-support loop's values bit for bit across the chunk boundaries."""
     supports = enumerate_supports(KERNEL_CASES[name]())
     polytope = supports.polytope
-    step = extremal._chunk_points(len(supports.offsets), len(supports))
+    step = extremal._chunk_points(len(supports.table.offsets), len(supports))
     rng = np.random.default_rng(len(supports) + 1)
     for count in sorted({1, step, step + 1, 2 * step + 3} - {0}):
         points = _mixed_points(polytope, count, rng)
@@ -1055,10 +1054,11 @@ def _decimal_values(support_set, points):
     d, D = polytope.dim, decimal.Decimal
     with decimal.localcontext() as context:
         context.prec = 40
-        normals = [[D(float(c)) for c in row] for row in support_set.stack_normals]
-        offsets = [D(float(b)) for b in support_set.stack_offsets]
-        facets = support_set.stack_facets.T.tolist()
-        heights = [[D(float(h)) for h in column] for column in support_set.stack_heights.T]
+        table = support_set.stack_table
+        normals = [[D(float(c)) for c in row] for row in table.normals]
+        offsets = [D(float(b)) for b in table.offsets]
+        facets = table.facets.T.tolist()
+        heights = [[D(float(h)) for h in column] for column in table.heights.T]
         exact, bounds = [], []
         for z in points:
             x, y = [D(float(c.real)) for c in z], [D(float(c.imag)) for c in z]
@@ -1265,12 +1265,13 @@ def test_slot_count_keeps_every_output(name, tmp_path, capsys):
     path = tmp_path / "polytope.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     supports = enumerate_supports(from_json(document))
-    dim, rows = supports.polytope.dim, len(supports.offsets)
-    assert supports.facets.shape[0] == max(len(s.heights) for s in supports) <= dim + 1
+    table = supports.table
+    dim, rows = supports.polytope.dim, len(table.offsets)
+    assert table.facets.shape[0] == max(len(s.heights) for s in supports) <= dim + 1
     points = _mixed_points(supports.polytope, 40, np.random.default_rng(len(supports)))
-    facets, heights = _padded(supports.facets, supports.heights, rows, dim + 1)
+    facets, heights = _padded(table.facets, table.heights, rows, dim + 1)
     sums = np.hstack([chunk.copy() for _, chunk, _ in _chunked_sums(
-        supports.normals, supports.offsets, facets, heights, points)])
+        table._replace(facets=facets, heights=heights), points)])
     stack = sums[supports.stack]
     best = stack.max(axis=0)
     argmax = supports.stack[np.argmax(stack >= best * (1.0 - 1e-12), axis=0)]
@@ -1308,7 +1309,8 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
     grid points, on them scaled by 1e200, and at 1.7e308 (1 + i), where sums
     overflow and ``_far_point`` takes the value."""
     supports = enumerate_supports(MIRRORED_CASES[name]())
-    arrays, mirrored, stack = extremal._stack_table(supports)
+    table, stack = supports.stack_table, supports.stack
+    mirrored = table.mirrored
     assert mirrored == len(stack) > 0
     dim = supports.polytope.dim
     axis = np.linspace(-3.0, 3.0, 9)
@@ -1321,12 +1323,53 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
     far_calls = []
     far_point = extremal._far_point
     monkeypatch.setattr(extremal, "_far_point",
-                        lambda *args: far_calls.append(args[1]) or far_point(*args))
+                        lambda *args: far_calls.append(args[0].mirrored) or far_point(*args))
     for points in (grid, grid * 1e200, far):
-        plain = extremal._eval_stack((arrays, 0, stack), dim, points)
-        both = [extremal._eval_stack((arrays, mirrored, stack), dim, points),
+        plain = extremal._eval_stack(table._replace(mirrored=0), stack, points)
+        both = [extremal._eval_stack(table, stack, points),
                 eval_extremal_many(supports, points)]
         for values, argmax in both:
             assert values.tobytes() == plain[0].tobytes()
             assert argmax.tobytes() == plain[1].tobytes()
     assert far_calls == [0] * (dim + 1) + [mirrored] * (2 * dim + 2)
+
+
+def test_one_point_forms_no_mirrored_row(monkeypatch):
+    """A pass of one point reads the stack's table with M = 0: a single
+    ``eval_extremal`` on the 24-gon makes the calls of the unmirrored route,
+    where a pass of two points reads its 12 slabs' mirrored rows."""
+    supports = enumerate_supports(ngon_polytope(24))
+    assert supports.stack_table.mirrored == len(supports.stack) == 12
+    seen = []
+    facet_values = extremal._facet_values
+    monkeypatch.setattr(extremal, "_facet_values", lambda table, points, work: seen.append(
+        (table.mirrored, points.shape[0])) or facet_values(table, points, work))
+    z = np.array([1.5 + 0.5j, -0.25 + 2j])
+    eval_extremal(supports, z)
+    eval_extremal_many(supports, z)
+    assert seen == [(0, 1), (0, 1)]
+    eval_extremal_many(supports, np.stack([z, 2 * z]))
+    assert seen[2:] == [(12, 2)]
+
+
+PICKLE_CASES = {
+    **MIRRORED_CASES,
+    "quad": lambda: load_fixture("quad"),
+    "prism": lambda: load_fixture("prism"),
+    "tilted-3": lambda: tilted_prism(3),
+}
+
+
+@pytest.mark.parametrize("name", PICKLE_CASES)
+def test_pickled_stack_table_gives_the_same_bytes(name):
+    """A ``grid --jobs`` worker gets the stack's table and the stack through
+    pickle: the reloaded table, mirrored count included, gives the same V
+    and argmax bytes as the set's own."""
+    supports = enumerate_supports(PICKLE_CASES[name]())
+    table = pickle.loads(pickle.dumps(supports.stack_table))
+    assert type(table) is type(supports.stack_table)
+    assert table.mirrored == supports.stack_table.mirrored
+    points = _mixed_points(supports.polytope, 50, np.random.default_rng(7))
+    for got, expected in zip(extremal._eval_stack(table, supports.stack, points),
+                             eval_extremal_many(supports, points)):
+        assert got.tobytes() == expected.tobytes()

@@ -220,29 +220,29 @@ def test_support_set_stacks_facets_and_heights(name):
     1.0.  The arrays have as many slots as the support with the most facets,
     so the last slot holds a facet of some support."""
     supports = enumerate_supports(load_fixture(name))
-    polytope = supports.polytope
-    d, n, rows = polytope.dim, len(polytope.halfspaces), len(supports.offsets)
+    polytope, table = supports.polytope, supports.table
+    d, n, rows = polytope.dim, len(polytope.halfspaces), len(table.offsets)
     strips = [h for support in supports if support.kind == "strip" for h in support.halfspaces]
-    assert rows == n + len(strips) and supports.normals.shape == (rows, d)
-    assert supports.normals[:n].tobytes() == polytope.normals.tobytes()
-    assert supports.offsets[:n].tobytes() == polytope.offsets.tobytes()
+    assert rows == n + len(strips) and table.normals.shape == (rows, d)
+    assert table.normals[:n].tobytes() == polytope.normals.tobytes()
+    assert table.offsets[:n].tobytes() == polytope.offsets.tobytes()
     slots = max(len(support.heights) for support in supports)
     assert slots == {"square": 2, "cube": 2, "prism": 3}.get(name, d + 1)
-    assert supports.facets.shape == supports.heights.shape == (slots, len(supports))
-    assert np.any(supports.facets[-1] < rows)
-    assert supports.facets.dtype == np.intp
+    assert table.facets.shape == table.heights.shape == (slots, len(supports))
+    assert np.any(table.facets[-1] < rows)
+    assert table.facets.dtype == np.intp
     for i, support in enumerate(supports):
         count = len(support.heights)
-        facets = supports.facets[:count, i]
+        facets = table.facets[:count, i]
         if support.kind == "simplex":
             assert facets.tolist() == list(support.facet_indices)
         assert np.all(facets < rows)
-        assert supports.normals[facets].tobytes() == np.array(
+        assert table.normals[facets].tobytes() == np.array(
             [h.normal for h in support.halfspaces]).tobytes()
-        assert supports.offsets[facets].tolist() == [h.offset for h in support.halfspaces]
-        assert supports.heights[:count, i].tobytes() == support.heights.tobytes()
-        assert np.all(supports.facets[count:, i] == rows)
-        assert np.all(supports.heights[count:, i] == 1.0)
+        assert table.offsets[facets].tolist() == [h.offset for h in support.halfspaces]
+        assert table.heights[:count, i].tobytes() == support.heights.tobytes()
+        assert np.all(table.facets[count:, i] == rows)
+        assert np.all(table.heights[count:, i] == 1.0)
 
 
 def _facet_table_by_support(base, supports):
@@ -269,8 +269,9 @@ def _facet_table_by_support(base, supports):
             facets, heights)
 
 
-def _table_bytes(arrays):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+def _table_bytes(table):
+    """The bytes of a table's normals, offsets, facets and heights."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in table[:4]]
 
 
 FACET_TABLE_CASES = {
@@ -288,14 +289,12 @@ def test_facet_table_matches_the_loop_over_supports(name):
     list of the strips alone and an empty list."""
     supports = enumerate_supports(FACET_TABLE_CASES[name]())
     base = supports.polytope.halfspaces
-    whole = (supports.normals, supports.offsets, supports.facets, supports.heights)
-    assert _table_bytes(whole) == _table_bytes(_facet_table_by_support(base, supports))
-    stack = (supports.stack_normals, supports.stack_offsets, supports.stack_facets,
-             supports.stack_heights)
+    assert _table_bytes(supports.table) == _table_bytes(_facet_table_by_support(base, supports))
     stacked = [supports[i] for i in supports.stack]
     symmetric = supports_module._antipodal_strips(supports.polytope, supports.supports) is not None
     reference_base = () if symmetric else base
-    assert _table_bytes(stack) == _table_bytes(_facet_table_by_support(reference_base, stacked))
+    assert _table_bytes(supports.stack_table) == _table_bytes(
+        _facet_table_by_support(reference_base, stacked))
     strips = [support for support in supports if support.kind == "strip"]
     for chosen in (strips, []):
         for table_base in (base, ()):
@@ -934,13 +933,12 @@ def _assert_full_stack(supports):
     table is the set's own unless every support is a slab, as for the square
     and the cube, when it holds the slabs' rows alone."""
     assert supports.stack.tolist() == list(range(len(supports)))
-    assert supports.stack_heights.tobytes() == supports.heights.tobytes()
-    assert _read_rows(supports.stack_normals, supports.stack_offsets,
-                      supports.stack_facets).tobytes() == _read_rows(
-        supports.normals, supports.offsets, supports.facets).tobytes()
+    table, stack_table = supports.table, supports.stack_table
+    assert stack_table.heights.tobytes() == table.heights.tobytes()
+    assert _read_rows(*stack_table[:3]).tobytes() == _read_rows(*table[:3]).tobytes()
     if any(support.kind == "simplex" for support in supports):
-        assert supports.stack_facets.tobytes() == supports.facets.tobytes()
-        assert supports.stack_normals.tobytes() == supports.normals.tobytes()
+        assert stack_table.facets.tobytes() == table.facets.tobytes()
+        assert stack_table.normals.tobytes() == table.normals.tobytes()
 
 
 @pytest.mark.parametrize("cuts", [(1.5, 1.5, 1.5), (1.2, 1.5, 1.8)])
@@ -968,14 +966,15 @@ def test_centred_hexagon_is_pruned_to_its_slabs(cuts, shift):
     # the stack's own table holds the three slabs' rows alone, those of the
     # set, in two slots: the set has a third for its simplices, which the
     # slabs pad; every slab's first row comes before every second row
-    own, full = supports.stack_facets, supports.facets[:, supports.stack]
-    assert own.shape == supports.stack_heights.shape == (2, 3) and full.shape == (3, 3)
+    table, stack_table = supports.table, supports.stack_table
+    own, full = stack_table.facets, table.facets[:, supports.stack]
+    assert own.shape == stack_table.heights.shape == (2, 3) and full.shape == (3, 3)
     assert own.tolist() == [[0, 1, 2], [3, 4, 5]]
-    assert supports.stack_heights.tobytes() == supports.heights[:2, supports.stack].tobytes()
-    assert np.all(full[2] == len(supports.offsets))
-    assert np.all(supports.heights[2, supports.stack] == 1.0)
-    assert supports.stack_normals[own[:2]].tobytes() == supports.normals[full[:2]].tobytes()
-    assert supports.stack_offsets[own[:2]].tobytes() == supports.offsets[full[:2]].tobytes()
+    assert stack_table.heights.tobytes() == table.heights[:2, supports.stack].tobytes()
+    assert np.all(full[2] == len(table.offsets))
+    assert np.all(table.heights[2, supports.stack] == 1.0)
+    assert stack_table.normals[own[:2]].tobytes() == table.normals[full[:2]].tobytes()
+    assert stack_table.offsets[own[:2]].tobytes() == table.offsets[full[:2]].tobytes()
 
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (3, 1), (4, 2)])
@@ -1023,8 +1022,8 @@ def test_slab_rows_mirror_each_other(name):
     """A slab's cross-section normals are +-1 exactly, so its two lifted
     normals are negations of each other, bit for bit but for the sign of a
     zero.  A symmetric K's stack table holds every slab's first row, then
-    every second, and ``stack_mirrored`` is the stack's width; every other
-    K has ``stack_mirrored`` 0."""
+    every second, and its ``mirrored`` is the stack's width; every other K's
+    stack table is the set's own ``table`` object, with ``mirrored`` 0."""
     supports = enumerate_supports(MIRROR_CASES[name]())
     for support in supports:
         if support.kind == "strip" and support.cross_dim == 1:
@@ -1033,12 +1032,15 @@ def test_slab_rows_mirror_each_other(name):
             assert _zeros_unsigned(second) == _zeros_unsigned(-first)
     width = len(supports.stack)
     if supports_module._antipodal_strips(supports.polytope, supports.supports) is None:
-        assert supports.stack_mirrored == 0
+        assert supports.stack_table is supports.table
+        assert supports.stack_table.mirrored == 0
         assert name.startswith(("quad", "prism", "triangle", "tilted", "paired", "tangent"))
         return
-    assert supports.stack_mirrored == width > 0
-    assert supports.stack_facets.tolist() == [list(range(width)), list(range(width, 2 * width))]
-    normals = supports.stack_normals
+    assert supports.stack_table is not supports.table
+    assert supports.stack_table.mirrored == width > 0
+    assert supports.stack_table.facets.tolist() == [list(range(width)),
+                                                    list(range(width, 2 * width))]
+    normals = supports.stack_table.normals
     assert normals.shape[0] == 2 * width
     assert _zeros_unsigned(normals[width:]) == _zeros_unsigned(-normals[:width])
     for column, i in enumerate(supports.stack.tolist()):
