@@ -18,9 +18,9 @@ The kernel evaluates a chunk of points against a set's stacked supports at
 once.  It forms |l_r(z)| once per facet function the supports read and
 per point, the products n_rc z_c added in c order, then adds
 |l_r(z)| / l_r(p_r) over each support's facets in facet order: elementwise
-numpy calls, a few per facet slot however many supports, and no BLAS, so a
-point's values never depend on its chunk.  Each is a ufunc or an ndarray
-method, not a Python wrapper, which costs more cold.  Every sum is checked
+numpy calls, a few per facet slot however many supports, so a point's
+values never depend on its chunk.  Each is a ufunc or an ndarray method,
+not a Python wrapper, which costs more cold.  Every sum is checked
 against the domain band as it is formed.  The max rule (``_stack_max``)
 works on these sums: V is arccosh of each point's largest sum, taken once
 per point, and ``argmax`` names the first stack entry whose sum is within
@@ -28,6 +28,20 @@ the relative band 1e-12 of the largest, by its index in the sorted
 support order, and 0 where V = 0.  The band makes mathematical ties,
 which rounding would otherwise break either way, go to the lowest index.
 Only per-support values take arccosh of every sum.
+
+BLAS picks candidates, never values.  A call for V and argmax alone over
+a wide stack, S > 4 (R + 1) supports whose weights W, fl(1 / height) at
+their rows, fit _CHUNK, and more than one pass of points (``_screens``)
+bounds every sum of a pass by one product t = W |l|.  A sum s and its t
+are within a factor 1 + g(d+1) and 1 + g(R+3) of one real sum,
+g(k) = ku / (1 - ku), u = 2^-53 (d+1 quotients and d additions; a
+reciprocal, a product and R additions in any order, blocking or FMA), so
+delta = 4 (R + d + 8) u covers s / t, both ways, twice, and the tests'
+roundings.  A pass whose least t is not finite or below
+(1 - 1e-9)(1 + delta) takes the exact route.  Otherwise V = argmax = 0
+where the largest t, T, has T (1 + delta) <= 1 + 1e-12; the supports with
+t >= (1 - 1e-12)(1 - delta) T hold all the band flags: the exact sum of
+that one, or if several all of them, are formed.
 
 A symmetric K's slabs have cross-section normals +-1 exactly, so the
 second lifted normal of each is its first negated, and the stack's table
@@ -86,6 +100,7 @@ _ZERO_BAND = 1e-12   # sums within this of 1 (above) collapse to value 0
 _DOMAIN_BAND = 1e-9  # sums below 1 by more than this signal an internal bug
 _CHUNK = 786_432     # bytes of work arrays per kernel pass; fastest on the benchmark
 _FAR = 1.3407807929942596e154  # the largest u with (u + 2) u finite, found by bisection
+_WIDE = 4            # S > _WIDE (R + 1) is a wide stack; 2 lost up to 30 % in a sweep
 
 
 class DomainError(Exception):
@@ -226,14 +241,18 @@ def _chunk_points(rows: int, width: int) -> int:
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
-def _chunked_sums(table, points: np.ndarray):
+def _chunked_sums(table, points: np.ndarray, screen: bool = False):
     """(chunk slice, its (S, points) sums, the work arrays) per pass over
     checked points against the S supports of ``table``, ``_chunk_points``
     points a pass, a pass of one with M = 0, each sum checked against the
-    domain band.  The sums sit in work arrays the next pass overwrites, cut
-    from three buffers allocated once: fresh ones per chunk had their pages
-    faulted anew."""
+    domain band, or if ``screen``, the bounds W @ |l| unchecked.  The sums
+    sit in work arrays the next pass overwrites, cut from three buffers
+    allocated once: fresh ones per chunk had their pages faulted anew."""
     rows, width = table.normals.shape[0], table.facets.shape[1]
+    if screen:  # W: fl(1 / height) at each support's rows, 0 in the padding column
+        weights = np.zeros((width, rows + 1))
+        weights[np.arange(width), table.facets] = np.divide(1.0, table.heights)
+        weights[:, rows] = 0.0
     step = _chunk_points(rows, width)
     size = min(step, points.shape[0])
     if size == 1 and table.mirrored:
@@ -248,8 +267,11 @@ def _chunked_sums(table, points: np.ndarray):
         chunk = points[start:start + step]
         if chunk.shape[0] < size:
             work = tuple(array[..., :chunk.shape[0]] for array in work)
-        sums = _sums(table, _facet_values(table, chunk, work), work)
-        _check_domain(sums)
+        magnitudes = _facet_values(table, chunk, work)
+        sums = np.matmul(weights, magnitudes, out=work[3]) if screen else _sums(
+            table, magnitudes, work)
+        if not screen:
+            _check_domain(sums)
         yield slice(start, start + step), sums, work
 
 
@@ -270,6 +292,49 @@ def _stack_max(stack, sums, work, values, argmax) -> None:
     argmax[_inv_joukowski_log_many(best, values)] = 0
 
 
+def _screens(table, count: int) -> bool:
+    """The module docstring's route rule; a slab stack, S = R/2, is never wide."""
+    rows, width = table.normals.shape[0], table.facets.shape[1]
+    return (count > _chunk_points(rows, width) and width > _WIDE * (rows + 1)
+            and 8 * width * (rows + 1) <= _CHUNK)
+
+
+def _screened_max(table, stack, bounds, work, values, argmax) -> None:
+    """``_stack_max`` of a pass, bit for bit, from its ``bounds`` W @ |l|,
+    one row per stack entry, by the module docstring's rule; ``slack`` is
+    its delta."""
+    slack = 4 * (sum(table.normals.shape) + 8) * 2.0 ** -53  # R + d + 8
+    magnitudes, top = work[0], np.maximum.reduce(bounds, axis=0, out=work[5])
+    if not (np.minimum.reduce(bounds, axis=None) >= (1.0 - _DOMAIN_BAND) * (1.0 + slack)
+            and top.max() < math.inf):
+        sums = _sums(table, magnitudes, work)
+        _check_domain(sums)
+        return _stack_max(stack, sums, work, values, argmax)
+    flags = np.greater_equal(bounds, np.multiply(top, (1.0 - _ZERO_BAND) * (1.0 - slack),
+                                                 out=values), out=work[6])
+    best, columns = flags.argmax(axis=0), np.arange(bounds.shape[1])
+    flags[best, columns] = False
+    several = np.logical_or.reduce(flags, axis=0)
+    zero = np.less_equal(np.multiply(top, 1.0 + slack, out=values), 1.0 + _ZERO_BAND)
+    values[zero], argmax[zero] = 0.0, 0
+    one = (~(several | zero)).nonzero()[0]
+    several = (several & ~zero).nonzero()[0]
+    if several.size:
+        part = tuple(array[..., :several.size] for array in work)
+        sums = _sums(table, magnitudes[:, several], part)
+        out, index = np.empty(several.size), np.empty(several.size, dtype=np.intp)
+        _stack_max(stack, sums, part, out, index)
+        values[several], argmax[several] = out, index
+    if one.size:
+        best = best[one]
+        facets, heights, out = table.facets[:, best], table.heights[:, best], np.empty(one.size)
+        sums = np.divide(magnitudes[facets[0], one], heights[0])
+        for j in range(1, facets.shape[0]):
+            sums += np.divide(magnitudes[facets[j], one], heights[j])
+        clamped = _inv_joukowski_log_many(sums, out)
+        values[one], argmax[one] = out, np.where(clamped, 0, stack[best])
+
+
 def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
     """The evaluators' one chunk loop: over ``points`` against the supports of
     the ``FacetTable`` ``table``, V and argmax over ``stack`` into ``values``
@@ -279,9 +344,12 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
             return _evaluate(table, points, False, stack, values, argmax, matrix)
-    for chunk, sums, work in _chunked_sums(table, points):
+    screen = matrix is None and _screens(table, points.shape[0])
+    for chunk, sums, work in _chunked_sums(table, points, screen):
         try:
-            if values is not None:
+            if screen:
+                _screened_max(table, stack, sums, work, values[chunk], argmax[chunk])
+            elif values is not None:
                 _stack_max(stack, sums, work, values[chunk], argmax[chunk])
             if matrix is not None:
                 _inv_joukowski_log_many(sums, matrix[chunk].T)

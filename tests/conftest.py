@@ -2,6 +2,7 @@
 formulas, among them a scalar LU and a scalar Gram-Schmidt that the batched
 ones in ``linalg`` must reproduce bit for bit."""
 
+import importlib
 import itertools
 import json
 import math
@@ -196,6 +197,22 @@ KERNEL_CASES = {
     "ngon-24": lambda: ngon_polytope(24),
     **{f"tilted-{seed}": lambda seed=seed: tilted_prism(seed) for seed in (1, 7)},
 }
+
+
+def case_polytopes(monkeypatch, case: str) -> list:
+    """A ``KERNEL_CASES`` polytope or a fixture by name, a tilted prism,
+    ``tilted-seed``, or the members of a benchmark workload at a seed,
+    ``workload-seed``."""
+    if case in KERNEL_CASES:
+        return [KERNEL_CASES[case]()]
+    if case.startswith("tilted-"):
+        return [tilted_prism(int(case.removeprefix("tilted-")))]
+    if "-" not in case:
+        return [load_fixture(case)]
+    workload, seed = case.rsplit("-", 1)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    members = importlib.import_module("inputs").make_inputs(workload, int(seed)).members
+    return [validate(member.halfspaces(), member.dim) for member in members]
 
 
 def lu_factor_by_columns(a, tol=DEFAULT_TOL):

@@ -318,6 +318,29 @@ def test_diagnostics_run_the_kernel_once_per_chunk(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_eval_diagnostics_keep_the_value_and_argmax_of_a_screened_stack(
+        capsys, tmp_path, monkeypatch):
+    """On tangent d=3 n=14, whose 190 supports make a wide stack, a plain
+    ``eval`` of 1,200 points, six passes, takes the screened route and
+    ``--diagnostics`` the exact one; each line's first two fields agree."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = __import__("inputs")
+    member = inputs.make_inputs("setup-tangent", 3).members[0]
+    assert member.name == "tangent-d3-n14"
+    path, points_file = tmp_path / "tangent.json", tmp_path / "points.txt"
+    path.write_text(json.dumps(member.document()), encoding="utf-8")
+    points_file.write_text("\n".join(inputs.format_point(z) for z in member.batch_points) + "\n",
+                           encoding="utf-8")
+    table = enumerate_supports(from_json(member.document())).stack_table
+    assert extremal._screens(table, len(member.batch_points))
+    code, plain, _ = run_cli(capsys, "eval", str(path), "--points-file", str(points_file))
+    assert code == 0
+    code, diagnosed, _ = run_cli(capsys, "eval", str(path), "--points-file", str(points_file),
+                                 "--diagnostics")
+    assert code == 0
+    assert plain.splitlines() == [" ".join(line.split()[:2]) for line in diagnosed.splitlines()]
+
+
 def test_eval_diagnostics_keep_the_value_and_argmax_of_a_pruned_set(capsys, tmp_path):
     """On the 24-gon, which is maximized over its 12 slabs, ``--diagnostics``
     appends all 452 support values and leaves each line's first two fields
@@ -569,11 +592,12 @@ def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
     assert datetime.fromisoformat(generated).utcoffset() == timedelta(0)
 
 
-def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
+def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
     """Any --jobs gives the bytes of --jobs 1: 3 does not divide the rows,
     and 5 asks for more workers than a resolution-2 grid has points.  The
     square's and the cube's stacks have mirrored rows, which reach the
-    workers in their table."""
+    workers in their table.  One sum a worker starts the pool here."""
+    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
     for name in ("quad", "square", "cube"):
         for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
             outputs = []
@@ -625,6 +649,7 @@ def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "tasks", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
     for name in ("quad", "cube"):
         code, _, _ = run_cli(
             capsys, "grid", fixture_path(name), "--plane", "re1,re2", "--bounds=-1,4,-1,4",
@@ -642,9 +667,11 @@ def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("cpus,expected", [(3, 3), (None, None), (64, 25)])
 def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected):
     """--jobs 100000 starts at most min(points, os.cpu_count()) workers, and
-    none at all when only one is worth it; the bytes stay those of --jobs 1."""
+    none at all when only one is worth it; the bytes stay those of --jobs 1.
+    One sum a worker lifts the bound on sums."""
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     outputs = []
     for jobs in ("1", "100000"):
@@ -659,6 +686,36 @@ def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected)
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert _SerialPool.created == ([] if expected is None else [expected])
+
+
+def test_grid_starts_the_pool_only_for_enough_sums(capsys, tmp_path, monkeypatch):
+    """--jobs 2 maps no task for the 24-gon's 12 slabs on a 41x41 grid,
+    20,172 sums, and two workers' tasks for the 21,901 supports of 46
+    tangent facets in R^3 there, 36.8 million; the bytes are those of
+    --jobs 1 both times."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.setattr(_SerialPool, "tasks", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = __import__("inputs")
+    normals = {"ngon": inputs.ngon_normals(24),
+               "wide": inputs.tangent_normals(3, 46, np.random.default_rng(3))}
+    for name, rows in normals.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": rows.shape[1], "halfspaces": [
+            {"normal": row.tolist(), "offset": 1.0} for row in rows]}))
+        outputs = []
+        for jobs in ("1", "2"):
+            out_path = tmp_path / f"{name}-{jobs}.csv"
+            code, _, _ = run_cli(
+                capsys, "grid", str(path), "--plane", "re1,im2", "--bounds=-2,2,-2,2",
+                "--resolution", "41", "--out", str(out_path), "--jobs", jobs, "--reproducible")
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert _SerialPool.created == ([] if name == "ngon" else [2])
+        assert len(_SerialPool.tasks) == (0 if name == "ngon" else 2)
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -702,6 +759,14 @@ def test_cli_import_leaves_the_process_pool_out():
         ["--plane", "re1,re2", "--bounds", "0,1,0,1", "--resolution", "3", "--fixed", "re01=9"],
         ["--plane", "re1,im1", "--bounds", "0,1,0,1", "--resolution", "3",
          "--fixed", "re2=1,re2=5"],
+        # a name is re or im and ASCII digits, nothing else int() would read
+        ["--plane", "re+1,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re١,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re 1,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re1_0,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re,re2", "--bounds", "0,1,0,1", "--resolution", "3"],
+        ["--plane", "re1,im1", "--bounds", "0,1,0,1", "--resolution", "3",
+         "--fixed", "im+2=1"],
     ],
 )
 def test_grid_flag_validation(capsys, tmp_path, extra):

@@ -23,18 +23,15 @@ other as (Im lambda)^2 over it; u is the sum of the former, and
 R - 1 = u + sqrt(u(u + 2)), B = (R - 1) / sqrt(R).
 """
 
-import importlib
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyextremal.extremal import eval_extremal_many, eval_supports_many
-from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import KERNEL_CASES, load_fixture, tilted_prism
+from conftest import KERNEL_CASES, case_polytopes, load_fixture
 
 MARGIN_TOL = 1e-12    # how far outside K the ellipse may reach
 RESIDUAL_TOL = 1e-10  # |f(R) - z|, times max(1, |z|_inf)
@@ -116,22 +113,6 @@ def _test_points(polytope, rng) -> np.ndarray:
                       far, near, facets])
 
 
-def _cases(monkeypatch, case: str) -> list:
-    """A ``KERNEL_CASES`` polytope or a fixture by name, a tilted prism,
-    ``tilted-seed``, or the tangent members of a benchmark workload at a
-    seed, ``workload-seed``."""
-    if case in KERNEL_CASES:
-        return [KERNEL_CASES[case]()]
-    if case.startswith("tilted-"):
-        return [tilted_prism(int(case.removeprefix("tilted-")))]
-    if "-" not in case:
-        return [load_fixture(case)]
-    workload, seed = case.rsplit("-", 1)
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    members = importlib.import_module("inputs").make_inputs(workload, int(seed)).members
-    return [validate(member.halfspaces(), member.dim) for member in members]
-
-
 MEMBER_CASES = ["quad", "triangle"] + [f"{workload}-{seed}" for workload in (
     "setup-tangent", "eval-cli") for seed in range(1, 11)]
 # with strip winners, counted and skipped where a strip wins
@@ -146,7 +127,7 @@ def test_winning_simplex_ellipse_lies_in_K(monkeypatch, case):
     supports the set holds.  Points where a strip wins are counted and
     skipped; the benchmark members have no strips, and every tested point
     lies off K, so V > 0 there."""
-    for polytope in _cases(monkeypatch, case):
+    for polytope in case_polytopes(monkeypatch, case):
         support_set = enumerate_supports(polytope)
         rng = np.random.default_rng([len(support_set), polytope.dim])
         certified, strips = 0, 0

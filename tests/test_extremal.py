@@ -32,9 +32,9 @@ from polyextremal.extremal import (
 from polyextremal.polytope import validate
 from polyextremal.supports import enumerate_supports
 
-from conftest import (KERNEL_CASES, corner_cut_hexagon, cube_polytope, load_fixture,
-                      ngon_polytope, quad_reference, symmetric_polytope, tangent_halfspaces,
-                      tilted_prism)
+from conftest import (KERNEL_CASES, case_polytopes, corner_cut_hexagon, cube_polytope,
+                      load_fixture, ngon_polytope, quad_reference, symmetric_polytope,
+                      tangent_halfspaces, tilted_prism)
 
 VALID_FIXTURES = ("quad", "square", "triangle", "cube", "prism", "quad_vertices")
 
@@ -1373,3 +1373,73 @@ def test_pickled_stack_table_gives_the_same_bytes(name):
     for got, expected in zip(extremal._eval_stack(table, supports.stack, points),
                              eval_extremal_many(supports, points)):
         assert got.tobytes() == expected.tobytes()
+
+
+def _routes(monkeypatch, support_set, points):
+    """``eval_extremal_many`` with the screen forced off, then on, each as
+    (values, argmax) or the message of the DomainError it raised."""
+    outputs = []
+    for screened in (False, True):
+        monkeypatch.setattr(extremal, "_screens", lambda table, count: screened)
+        try:
+            outputs.append(eval_extremal_many(support_set, points))
+        except DomainError as exc:
+            outputs.append(str(exc))
+    return outputs
+
+
+def _assert_same_routes(monkeypatch, support_set, points):
+    """Both routes give the same values, sign bits included, and argmax."""
+    exact, screened = _routes(monkeypatch, support_set, points)
+    assert not isinstance(exact, str)
+    assert exact[0].tobytes() == screened[0].tobytes()
+    assert exact[1].tobytes() == screened[1].tobytes()
+
+
+ROUTE_CASES = [*KERNEL_CASES, *(f"tilted-{seed}" for seed in range(12)
+                                if f"tilted-{seed}" not in KERNEL_CASES), *(
+    f"{workload}-{seed}" for workload in ("setup-tangent", "grid-ngon", "eval-cli")
+    for seed in range(1, 11))]
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_screened_route_matches_the_exact_route(monkeypatch, case):
+    """V and argmax are the exact route's, bit for bit, where the BLAS bound
+    picks which supports get exact sums: at mixed points, at them times
+    1e200, at 1.7e308 (1 + i), where sums overflow, at real points of K,
+    where V = 0, and 1e-9 i off each facet, where the sums sit at the zero
+    band."""
+    for polytope in case_polytopes(monkeypatch, case):
+        support_set = enumerate_supports(polytope)
+        rng = np.random.default_rng(len(support_set))
+        dim, vertices = polytope.dim, polytope.vertices
+        mixed = _mixed_points(polytope, 90, rng)
+        far = np.full((dim + 1, dim), 0.25 - 0.5j)
+        far[np.arange(dim), np.arange(dim)] = 1.7e308 * (1 + 1j)
+        far[dim] = 1.7e308 * (1 + 1j)
+        inside = rng.dirichlet(np.ones(len(vertices)), 40) @ vertices
+        active = polytope.incidence.active
+        on_facets = np.array([vertices[active[:, k]].mean(axis=0) for k in range(active.shape[1])])
+        scaled = mixed[np.abs(mixed).max(axis=1) < 1e100] * 1e200
+        for points in (mixed, scaled, far, inside, on_facets + 1e-9j):
+            _assert_same_routes(monkeypatch, support_set, points)
+
+
+def test_screened_route_keeps_ties_and_the_domain_error(monkeypatch):
+    """On the quad's tie lines x = y and x + y = 1, and off them by 1e-15
+    to 1e-11 relative, where two supports' sums lie inside or just outside
+    the argmax band, the screened route names the exact route's support; on
+    the quad moved by (1e7, 1e7) both raise the same DomainError."""
+    quad = enumerate_supports(load_fixture("quad"))
+    t = np.linspace(-2.0, 3.0, 41)[:, None] + 1j * np.array([0.0, 1e-6, 0.3, 2.0])
+    t = t.ravel()
+    offsets = np.concatenate([[0.0], np.outer([1, -1], 10.0 ** np.arange(-15, -10.5, 0.5)).ravel()])
+    lines = [np.stack([t, t * (1 + e)], axis=1) for e in offsets]
+    lines += [np.stack([t, (1 - t) * (1 + e)], axis=1) for e in offsets]
+    _assert_same_routes(monkeypatch, quad, np.vstack(lines))
+    moved = enumerate_supports(_translated(load_fixture("quad"), (1e7, 1e7)))
+    rng = np.random.default_rng(5)
+    points = np.vstack([moved.polytope.interior,
+                        _mixed_points(moved.polytope, 40, rng) + 1e7 * (1 + 0j)])
+    exact, screened = _routes(monkeypatch, moved, points)
+    assert isinstance(exact, str) and exact == screened
