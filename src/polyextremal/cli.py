@@ -15,9 +15,9 @@ forms every support's sums and reads value and argmax off the stack's rows
 of those same sums, so each line's first two fields are the plain bytes.
 ``grid --jobs K`` sends one contiguous chunk of the points, the stack's
 ``FacetTable`` and the stack to each of at most min(K, points,
-os.cpu_count()) workers, one per 16 million sums (points times the stack's
-width), in a process pool imported only then; a point's values do not
-depend on its chunk, so the bytes are the same at any --jobs level.
+os.cpu_count()) workers, in a process pool imported only then and only
+where ``_pool_pays``; a point's values do not depend on its chunk, so the
+bytes are the same at any --jobs level.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -40,7 +40,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import DomainError, _diagnose, _eval_stack, eval_extremal_many
+from .extremal import _WIDE, DomainError, _diagnose, _eval_stack, _screens, eval_extremal_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -67,9 +67,7 @@ EXIT_CODES = {
 }
 
 
-# Sums (points x stack width) per grid worker: on 2 cores, two workers lost
-# at 30.5M (tangent d=3 n=14, 401x401) and gained at 36.8M (d=3 n=46, 41x41).
-_POOL_ENTRIES = 16_000_000
+_POOL_ENTRIES = 16_000_000  # sums (points x stack width) from which a pool pays
 
 
 def _coordinate_index(name: str, dim: int) -> tuple[int, bool]:
@@ -164,15 +162,22 @@ def cmd_eval(args, tol: Tolerances) -> int:
     return 0
 
 
+def _pool_pays(table, width: int, count: int) -> bool:
+    """Whether ``count`` points against a stack of ``width`` supports and its
+    ``table`` are worth a pool: a wide stack that is not screened, over
+    _POOL_ENTRIES sums or more."""
+    return (count * width >= _POOL_ENTRIES and width > _WIDE * (table.normals.shape[0] + 1)
+            and not _screens(table, count))
+
+
 def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
     """``eval_extremal_many`` over the points, one contiguous chunk, the
     ``stack_table`` and the ``stack``, not the support set, per worker
-    process when more than one is worth starting, one per _POOL_ENTRIES
-    sums.  The pool is imported here: ``multiprocessing`` and its kin cost
-    every other command start-up time for nothing."""
-    entries = points.shape[0] * len(supports.stack)
-    workers = min(jobs, points.shape[0], entries // _POOL_ENTRIES, os.cpu_count() or 1)
-    if workers <= 1:
+    process when more than one is worth starting.  The pool is imported
+    here: ``multiprocessing`` and its kin cost every other command start-up
+    time for nothing."""
+    workers = min(jobs, points.shape[0], os.cpu_count() or 1)
+    if workers <= 1 or not _pool_pays(supports.stack_table, len(supports.stack), points.shape[0]):
         return eval_extremal_many(supports, points)
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -36,12 +36,12 @@ bounds every sum of a pass by one product t = W |l|.  A sum s and its t
 are within a factor 1 + g(d+1) and 1 + g(R+3) of one real sum,
 g(k) = ku / (1 - ku), u = 2^-53 (d+1 quotients and d additions; a
 reciprocal, a product and R additions in any order, blocking or FMA), so
-delta = 4 (R + d + 8) u covers s / t, both ways, twice, and the tests'
-roundings.  A pass whose least t is not finite or below
+delta = 4 (R + d + 8) u covers s / t, both ways, twice, and the band
+tests' roundings.  A pass whose least t is not finite or below
 (1 - 1e-9)(1 + delta) takes the exact route.  Otherwise V = argmax = 0
-where the largest t, T, has T (1 + delta) <= 1 + 1e-12; the supports with
-t >= (1 - 1e-12)(1 - delta) T hold all the band flags: the exact sum of
-that one, or if several all of them, are formed.
+where the largest t, T, has T (1 + delta) <= 1 + 1e-12, and only the
+supports with t >= (1 - 1e-12)(1 - delta) T, which hold every band flag,
+have their exact sums formed.
 
 A symmetric K's slabs have cross-section normals +-1 exactly, so the
 second lifted normal of each is its first negated, and the stack's table
@@ -223,13 +223,14 @@ def _facet_values(table, points, work) -> np.ndarray:
 def _sums(table, magnitudes, work) -> np.ndarray:
     """(S, m) barycentric magnitude sums of the ``table``'s S supports, in the
     ``work`` array for them: |l_r| / heights[j] with r = facets[j], added in
-    j order."""
+    j order, and checked against the domain band."""
     (_, _, facets, heights, _), (total, term) = table, work[3:5]
     np.divide(magnitudes.take(facets[0], axis=0, out=total, mode="clip"),
               heights[0][:, None], out=total)
     for j in range(1, facets.shape[0]):
         total += np.divide(magnitudes.take(facets[j], axis=0, out=term, mode="clip"),
                            heights[j][:, None], out=term)
+    _check_domain(total)
     return total
 
 
@@ -241,18 +242,12 @@ def _chunk_points(rows: int, width: int) -> int:
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
-def _chunked_sums(table, points: np.ndarray, screen: bool = False):
-    """(chunk slice, its (S, points) sums, the work arrays) per pass over
-    checked points against the S supports of ``table``, ``_chunk_points``
-    points a pass, a pass of one with M = 0, each sum checked against the
-    domain band, or if ``screen``, the bounds W @ |l| unchecked.  The sums
-    sit in work arrays the next pass overwrites, cut from three buffers
-    allocated once: fresh ones per chunk had their pages faulted anew."""
+def _passes(table, points: np.ndarray):
+    """(chunk slice, its facet magnitudes |l|, the work arrays) per pass over
+    checked points against ``table``, ``_chunk_points`` points a pass, a pass
+    of one with M = 0, in work arrays the next pass overwrites, cut from three
+    buffers allocated once: fresh ones per chunk had their pages faulted anew."""
     rows, width = table.normals.shape[0], table.facets.shape[1]
-    if screen:  # W: fl(1 / height) at each support's rows, 0 in the padding column
-        weights = np.zeros((width, rows + 1))
-        weights[np.arange(width), table.facets] = np.divide(1.0, table.heights)
-        weights[:, rows] = 0.0
     step = _chunk_points(rows, width)
     size = min(step, points.shape[0])
     if size == 1 and table.mirrored:
@@ -267,12 +262,7 @@ def _chunked_sums(table, points: np.ndarray, screen: bool = False):
         chunk = points[start:start + step]
         if chunk.shape[0] < size:
             work = tuple(array[..., :chunk.shape[0]] for array in work)
-        magnitudes = _facet_values(table, chunk, work)
-        sums = np.matmul(weights, magnitudes, out=work[3]) if screen else _sums(
-            table, magnitudes, work)
-        if not screen:
-            _check_domain(sums)
-        yield slice(start, start + step), sums, work
+        yield slice(start, start + step), _facet_values(table, chunk, work), work
 
 
 def _stack_max(stack, sums, work, values, argmax) -> None:
@@ -299,17 +289,16 @@ def _screens(table, count: int) -> bool:
             and 8 * width * (rows + 1) <= _CHUNK)
 
 
-def _screened_max(table, stack, bounds, work, values, argmax) -> None:
-    """``_stack_max`` of a pass, bit for bit, from its ``bounds`` W @ |l|,
-    one row per stack entry, by the module docstring's rule; ``slack`` is
-    its delta."""
+def _screened_max(table, stack, weights, magnitudes, work, values, argmax) -> bool:
+    """``_stack_max`` of a pass, bit for bit, from its bounds W @ |l| by the
+    module docstring's rule, and True; or False, writing nothing, where the
+    rule sends the pass to the exact route.  ``slack`` is its delta."""
     slack = 4 * (sum(table.normals.shape) + 8) * 2.0 ** -53  # R + d + 8
-    magnitudes, top = work[0], np.maximum.reduce(bounds, axis=0, out=work[5])
+    bounds = np.matmul(weights, magnitudes, out=work[3])
+    top = np.maximum.reduce(bounds, axis=0, out=work[5])
     if not (np.minimum.reduce(bounds, axis=None) >= (1.0 - _DOMAIN_BAND) * (1.0 + slack)
             and top.max() < math.inf):
-        sums = _sums(table, magnitudes, work)
-        _check_domain(sums)
-        return _stack_max(stack, sums, work, values, argmax)
+        return False
     flags = np.greater_equal(bounds, np.multiply(top, (1.0 - _ZERO_BAND) * (1.0 - slack),
                                                  out=values), out=work[6])
     best, columns = flags.argmax(axis=0), np.arange(bounds.shape[1])
@@ -321,9 +310,8 @@ def _screened_max(table, stack, bounds, work, values, argmax) -> None:
     several = (several & ~zero).nonzero()[0]
     if several.size:
         part = tuple(array[..., :several.size] for array in work)
-        sums = _sums(table, magnitudes[:, several], part)
         out, index = np.empty(several.size), np.empty(several.size, dtype=np.intp)
-        _stack_max(stack, sums, part, out, index)
+        _stack_max(stack, _sums(table, magnitudes[:, several], part), part, out, index)
         values[several], argmax[several] = out, index
     if one.size:
         best = best[one]
@@ -333,6 +321,7 @@ def _screened_max(table, stack, bounds, work, values, argmax) -> None:
             sums += np.divide(magnitudes[facets[j], one], heights[j])
         clamped = _inv_joukowski_log_many(sums, out)
         values[one], argmax[one] = out, np.where(clamped, 0, stack[best])
+    return True
 
 
 def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
@@ -344,17 +333,22 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
             return _evaluate(table, points, False, stack, values, argmax, matrix)
-    screen = matrix is None and _screens(table, points.shape[0])
-    for chunk, sums, work in _chunked_sums(table, points, screen):
+    weights = None  # W: fl(1 / height) at each support's rows; the padding row's |l| is 0
+    if matrix is None and _screens(table, points.shape[0]):
+        weights = np.zeros((table.facets.shape[1], table.normals.shape[0] + 1))
+        weights[np.arange(weights.shape[0]), table.facets] = np.divide(1.0, table.heights)
+    for chunk, magnitudes, work in _passes(table, points):
         try:
-            if screen:
-                _screened_max(table, stack, sums, work, values[chunk], argmax[chunk])
-            elif values is not None:
+            if weights is not None and _screened_max(table, stack, weights, magnitudes, work,
+                                                     values[chunk], argmax[chunk]):
+                continue
+            sums = _sums(table, magnitudes, work)
+            if values is not None:
                 _stack_max(stack, sums, work, values[chunk], argmax[chunk])
             if matrix is not None:
                 _inv_joukowski_log_many(sums, matrix[chunk].T)
         except _Overflow:
-            for j in range(chunk.start, chunk.start + sums.shape[1]):
+            for j in range(chunk.start, chunk.start + magnitudes.shape[1]):
                 _far_point(table, points[j], stack, *[
                     None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
 
@@ -365,8 +359,9 @@ def _far_point(table, z, stack, values, argmax, matrix) -> None:
     sum is 2^k s(w) but for the offsets' negligible share, and its arccosh
     is arccosh s(w) + k log 2."""
     k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
-    direct, work = next(_chunked_sums(table, z[None, :]))[1:]
-    scaled = next(_chunked_sums(table, z[None, :] * math.ldexp(1.0, -k)))[1]
+    _, magnitudes, work = next(_passes(table, z[None, :]))
+    scaled = _sums(table, *next(_passes(table, z[None, :] * math.ldexp(1.0, -k)))[1:])
+    direct = _sums(table, magnitudes, work)
     if values is not None:
         try:
             _stack_max(stack, direct, work, values, argmax)

@@ -596,8 +596,8 @@ def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
     """Any --jobs gives the bytes of --jobs 1: 3 does not divide the rows,
     and 5 asks for more workers than a resolution-2 grid has points.  The
     square's and the cube's stacks have mirrored rows, which reach the
-    workers in their table.  One sum a worker starts the pool here."""
-    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
+    workers in their table.  The pool is forced on for these narrow stacks."""
+    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
     for name in ("quad", "square", "cube"):
         for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
             outputs = []
@@ -649,7 +649,7 @@ def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "tasks", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
+    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
     for name in ("quad", "cube"):
         code, _, _ = run_cli(
             capsys, "grid", fixture_path(name), "--plane", "re1,re2", "--bounds=-1,4,-1,4",
@@ -668,10 +668,10 @@ def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
 def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected):
     """--jobs 100000 starts at most min(points, os.cpu_count()) workers, and
     none at all when only one is worth it; the bytes stay those of --jobs 1.
-    One sum a worker lifts the bound on sums."""
+    The pool is forced on for the prism's narrow stack."""
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(cli, "_POOL_ENTRIES", 1)
+    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     outputs = []
     for jobs in ("1", "100000"):
@@ -692,7 +692,9 @@ def test_grid_starts_the_pool_only_for_enough_sums(capsys, tmp_path, monkeypatch
     """--jobs 2 maps no task for the 24-gon's 12 slabs on a 41x41 grid,
     20,172 sums, and two workers' tasks for the 21,901 supports of 46
     tangent facets in R^3 there, 36.8 million; the bytes are those of
-    --jobs 1 both times."""
+    --jobs 1 both times.  ``_pool_pays`` holds only for a wide stack the
+    kernel does not screen, over 16 million sums: never for the 24-gon's
+    narrow stack or the screened 190 supports of tangent d=3 n=14."""
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
     monkeypatch.setattr(_SerialPool, "tasks", [])
@@ -701,10 +703,14 @@ def test_grid_starts_the_pool_only_for_enough_sums(capsys, tmp_path, monkeypatch
     inputs = __import__("inputs")
     normals = {"ngon": inputs.ngon_normals(24),
                "wide": inputs.tangent_normals(3, 46, np.random.default_rng(3))}
+    stacks = {}
     for name, rows in normals.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"dim": rows.shape[1], "halfspaces": [
-            {"normal": row.tolist(), "offset": 1.0} for row in rows]}))
+        document = {"dim": rows.shape[1], "halfspaces": [
+            {"normal": row.tolist(), "offset": 1.0} for row in rows]}
+        path.write_text(json.dumps(document))
+        supports = enumerate_supports(from_json(document))
+        stacks[name] = supports.stack_table, len(supports.stack)
         outputs = []
         for jobs in ("1", "2"):
             out_path = tmp_path / f"{name}-{jobs}.csv"
@@ -716,6 +722,14 @@ def test_grid_starts_the_pool_only_for_enough_sums(capsys, tmp_path, monkeypatch
         assert outputs[0] == outputs[1]
         assert _SerialPool.created == ([] if name == "ngon" else [2])
         assert len(_SerialPool.tasks) == (0 if name == "ngon" else 2)
+    screened = enumerate_supports(from_json(
+        inputs.make_inputs("setup-tangent", 3).members[0].document()))
+    stacks["screened"] = screened.stack_table, len(screened.stack)
+    assert stacks["screened"][1] == 189 and extremal._screens(stacks["screened"][0], 10 ** 6)
+    assert cli._pool_pays(*stacks["wide"], 731)
+    assert not cli._pool_pays(*stacks["wide"], 730)
+    assert not cli._pool_pays(*stacks["ngon"], 10 ** 9)
+    assert not cli._pool_pays(*stacks["screened"], 10 ** 7)
 
 
 def test_cli_import_leaves_the_process_pool_out():

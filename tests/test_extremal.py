@@ -17,8 +17,9 @@ from polyextremal import cli, extremal, from_json
 from polyextremal.extremal import (
     DomainError,
     EvalResult,
-    _chunked_sums,
     _inv_joukowski_log_many,
+    _passes,
+    _sums,
     barycentric,
     eval_extremal,
     eval_extremal_many,
@@ -254,9 +255,11 @@ def _kernel_coordinates(support_set, points):
     return values[:, table.facets].transpose(1, 0, 2) / table.heights[:, None, :]
 
 
-def _kernel_sums(support_set, points):
-    """The kernel's (supports, points) magnitude sums, chunk by chunk."""
-    return np.hstack([sums.copy() for _, sums, _ in _chunked_sums(support_set.table, points)])
+def _kernel_sums(table, points):
+    """The kernel's (supports, points) magnitude sums over a ``FacetTable``,
+    chunk by chunk."""
+    return np.hstack([_sums(table, magnitudes, work).copy()
+                      for _, magnitudes, work in _passes(table, points)])
 
 
 def test_kernel_coordinates_match_barycentric_oracle():
@@ -270,7 +273,7 @@ def test_kernel_coordinates_match_barycentric_oracle():
         supports = enumerate_supports(load_fixture(name))
         dim = supports.polytope.dim
         points = rng.uniform(-4, 4, (30, dim)) + 1j * rng.uniform(-3, 3, (30, dim))
-        coords, sums = _kernel_coordinates(supports, points), _kernel_sums(supports, points)
+        coords, sums = _kernel_coordinates(supports, points), _kernel_sums(supports.table, points)
         for i, support in enumerate(supports):
             for z, lam, total in zip(points, coords[:, :, i].T, sums[i]):
                 if support.kind == "strip":
@@ -1270,8 +1273,7 @@ def test_slot_count_keeps_every_output(name, tmp_path, capsys):
     assert table.facets.shape[0] == max(len(s.heights) for s in supports) <= dim + 1
     points = _mixed_points(supports.polytope, 40, np.random.default_rng(len(supports)))
     facets, heights = _padded(table.facets, table.heights, rows, dim + 1)
-    sums = np.hstack([chunk.copy() for _, chunk, _ in _chunked_sums(
-        table._replace(facets=facets, heights=heights), points)])
+    sums = _kernel_sums(table._replace(facets=facets, heights=heights), points)
     stack = sums[supports.stack]
     best = stack.max(axis=0)
     argmax = supports.stack[np.argmax(stack >= best * (1.0 - 1e-12), axis=0)]
