@@ -10,9 +10,8 @@ appear row-major with u varying fastest, floats serialized with repr
 comment so identical inputs give byte-identical files.
 
 Every evaluation is one ``eval_extremal_many`` call over all of a command's
-points, or for ``eval --diagnostics`` one ``extremal._diagnose`` call, which
-forms every support's sums and reads value and argmax off the stack's rows
-of those same sums, so each line's first two fields are the plain bytes.
+points, so the first two fields of an ``eval --diagnostics`` line are the
+plain bytes; its per-support columns are one ``eval_supports_many`` call.
 ``grid --jobs K`` sends one contiguous chunk of the points, the stack's
 ``FacetTable`` and the stack to each of at most min(K, points,
 os.cpu_count()) workers, in a process pool imported only then and only
@@ -40,7 +39,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import _WIDE, DomainError, _diagnose, _eval_stack, _screens, eval_extremal_many
+from .extremal import (_WIDE, DomainError, _eval_stack, _screens, eval_extremal_many,
+                       eval_supports_many)
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -88,7 +88,7 @@ def _load_polytope(path: str, tol: Tolerances) -> PolytopeH:
             document = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     return from_json(document, tol)
 
@@ -152,13 +152,10 @@ def cmd_eval(args, tol: Tolerances) -> int:
         raise ParseError("no points given: use --point or --points-file")
     points = np.array([_parse_point(text, polytope.dim) for text in texts])
     supports = enumerate_supports(polytope)
-    if args.diagnostics:
-        values, argmax, matrix = _diagnose(supports, points)
-    else:
-        values, argmax = eval_extremal_many(supports, points)
-        matrix = np.empty((len(points), 0))
+    values, argmax = eval_extremal_many(supports, points)
+    rows = eval_supports_many(supports, points).tolist() if args.diagnostics else [[]] * len(points)
     print("\n".join(" ".join(map(repr, [value, index, *row])) for value, index, row
-                    in zip(values.tolist(), argmax.tolist(), matrix.tolist())))
+                    in zip(values.tolist(), argmax.tolist(), rows)))
     return 0
 
 

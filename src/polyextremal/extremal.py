@@ -27,7 +27,8 @@ per point, and ``argmax`` names the first stack entry whose sum is within
 the relative band 1e-12 of the largest, by its index in the sorted
 support order, and 0 where V = 0.  The band makes mathematical ties,
 which rounding would otherwise break either way, go to the lowest index.
-Only per-support values take arccosh of every sum.
+A call does one job: V and argmax from the stack's table, or every
+support's value, arccosh of its own sum, from the set's table.
 
 BLAS picks candidates, never values.  A call for V and argmax alone over
 a wide stack, S > 4 (R + 1) supports whose weights W, fl(1 / height) at
@@ -268,13 +269,10 @@ def _passes(table, points: np.ndarray):
 def _stack_max(stack, sums, work, values, argmax) -> None:
     """V_K and argmax, as ``EvalResult`` defines them, into ``values`` and
     ``argmax`` from ``sums``, one column per point and one row per stack
-    entry, or per support, of which the stack's are read: the arccosh of
-    each column's largest sum, and the sorted support index of the first
-    entry whose sum is (1 - _ZERO_BAND) times the largest or more, 0 where
-    V = 0."""
-    if sums.shape[0] > stack.shape[0]:
-        sums = sums[stack]
-    best, flags = work[5], work[6][:sums.shape[0]]
+    entry: the arccosh of each column's largest sum, and the sorted support
+    index of the first entry whose sum is (1 - _ZERO_BAND) times the largest
+    or more, 0 where V = 0."""
+    best, flags = work[5], work[6]
     np.maximum.reduce(sums, axis=0, out=best)
     np.greater_equal(sums, np.multiply(best, 1.0 - _ZERO_BAND, out=values), out=flags)
     flags.argmax(axis=0, out=argmax)
@@ -325,11 +323,11 @@ def _screened_max(table, stack, weights, magnitudes, work, values, argmax) -> bo
 
 
 def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
-    """The evaluators' one chunk loop: over ``points`` against the supports of
-    the ``FacetTable`` ``table``, V and argmax over ``stack`` into ``values``
-    and ``argmax``, and every value into ``matrix``.  Only ``far`` points can
-    overflow a sum, and they run without numpy's overflow warnings; a pass
-    where a sum overflowed is done again point by point by ``_far_point``."""
+    """The evaluators' one chunk loop over ``points`` against the supports of
+    the ``FacetTable`` ``table``: V and argmax over them, the ``stack``, into
+    ``values`` and ``argmax``, or else every value into ``matrix``.  Only
+    ``far`` points can overflow a sum, and they run without numpy's overflow
+    warnings; a pass where a sum overflowed is redone by ``_far_point``."""
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
             return _evaluate(table, points, False, stack, values, argmax, matrix)
@@ -339,14 +337,12 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
         weights[np.arange(weights.shape[0]), table.facets] = np.divide(1.0, table.heights)
     for chunk, magnitudes, work in _passes(table, points):
         try:
-            if weights is not None and _screened_max(table, stack, weights, magnitudes, work,
-                                                     values[chunk], argmax[chunk]):
-                continue
-            sums = _sums(table, magnitudes, work)
-            if values is not None:
-                _stack_max(stack, sums, work, values[chunk], argmax[chunk])
             if matrix is not None:
-                _inv_joukowski_log_many(sums, matrix[chunk].T)
+                _inv_joukowski_log_many(_sums(table, magnitudes, work), matrix[chunk].T)
+            elif weights is None or not _screened_max(table, stack, weights, magnitudes, work,
+                                                      values[chunk], argmax[chunk]):
+                _stack_max(stack, _sums(table, magnitudes, work), work, values[chunk],
+                           argmax[chunk])
         except _Overflow:
             for j in range(chunk.start, chunk.start + magnitudes.shape[1]):
                 _far_point(table, points[j], stack, *[
@@ -362,18 +358,18 @@ def _far_point(table, z, stack, values, argmax, matrix) -> None:
     _, magnitudes, work = next(_passes(table, z[None, :]))
     scaled = _sums(table, *next(_passes(table, z[None, :] * math.ldexp(1.0, -k)))[1:])
     direct = _sums(table, magnitudes, work)
-    if values is not None:
+    if matrix is None:
         try:
             _stack_max(stack, direct, work, values, argmax)
         except _Overflow:
             _stack_max(stack, scaled, work, values, argmax)
             values += k * math.log(2.0)
-    if matrix is not None:
-        far, overflowed = np.empty_like(scaled), ~np.isfinite(direct)
-        _inv_joukowski_log_many(scaled, far)
-        direct[overflowed] = 1.0
-        _inv_joukowski_log_many(direct, matrix.T)
-        matrix.T[overflowed] = far[overflowed] + k * math.log(2.0)
+        return
+    far, overflowed = np.empty_like(scaled), ~np.isfinite(direct)
+    _inv_joukowski_log_many(scaled, far)
+    direct[overflowed] = 1.0
+    _inv_joukowski_log_many(direct, matrix.T)
+    matrix.T[overflowed] = far[overflowed] + k * math.log(2.0)
 
 
 def eval_simplex_many(support, points: np.ndarray) -> np.ndarray:
@@ -405,20 +401,9 @@ def eval_supports_many(support_set: SupportSet, points: np.ndarray) -> np.ndarra
     return matrix
 
 
-def _diagnose(support_set: SupportSet, points: np.ndarray):
-    """``eval_extremal_many`` and ``eval_supports_many`` in one kernel pass per
-    chunk: V and argmax are read off the stack's rows of every support's
-    sums, the same sums, so they are bitwise the plain ones."""
-    points, far = _as_points(points, support_set.polytope.dim)
-    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
-    matrix = np.empty((points.shape[0], len(support_set)))
-    _evaluate(support_set.table, points, far, support_set.stack, values, argmax, matrix)
-    return values, argmax, matrix
-
-
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of V_K at a point, which support attains it, optional diagnostics.
+    """Value of V_K at a point, and which support attains it.
 
     ``value`` is arccosh of the largest barycentric sum s over the set's
     evaluation stack, taken once per point.  ``argmax`` is the sorted
@@ -432,13 +417,12 @@ class EvalResult:
     where s approaches 1, the band is wide in value: the named support's
     own value lies between V - 2e-12 cosh V / sinh(V / 2), about
     V - 4e-12 / V, and V.  At real points of K every value is exactly 0, so
-    argmax is 0 there.  ``per_support`` holds every support's value,
-    arccosh of its own sum, in the stack or not.
+    argmax is 0 there.  Every support's value, in the stack or not, is a
+    row of ``eval_supports_many``.
     """
 
     value: float
     argmax: int
-    per_support: tuple[float, ...] | None = None
 
 
 def _eval_stack(table, stack, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -459,18 +443,10 @@ def eval_extremal_many(support_set: SupportSet,
     return _eval_stack(support_set.stack_table, support_set.stack, points)
 
 
-def eval_extremal(support_set: SupportSet, z: np.ndarray,
-                  diagnostics: bool = False) -> EvalResult:
-    """V_K(z) at one point, (d,) or (1, d): ``eval_extremal_many`` on it or,
-    when ``diagnostics`` is set, the same value and argmax read off every
-    support's sums, whose values are all reported."""
-    z = _one_point(z)
-    if not diagnostics:
-        values, argmax = eval_extremal_many(support_set, z)
-        return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
-    values, argmax, matrix = _diagnose(support_set, z)
-    return EvalResult(value=float(values[0]), argmax=int(argmax[0]),
-                      per_support=tuple(matrix[0].tolist()))
+def eval_extremal(support_set: SupportSet, z: np.ndarray) -> EvalResult:
+    """V_K(z) at one point, (d,) or (1, d): ``eval_extremal_many`` on it."""
+    values, argmax = eval_extremal_many(support_set, _one_point(z))
+    return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
 
 
 def lundin_ball(z: np.ndarray, radius: float) -> float:

@@ -490,8 +490,8 @@ def from_json(document: dict, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
         if not isinstance(vertices, list) or not vertices:
             raise ParseError("'vertices' must be a nonempty list")
         try:
-            cloud = np.array(vertices, dtype=float)
-        except (TypeError, ValueError) as exc:
+            cloud = np.array(_json_numbers(vertices), dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("vertices must be lists of numbers") from exc
         if cloud.ndim != 2 or cloud.shape[1] != 2 or not np.all(np.isfinite(cloud)):
             raise ParseError("vertices must be finite pairs [x, y]")
@@ -505,11 +505,20 @@ def from_json(document: dict, tol: Tolerances = DEFAULT_TOL) -> PolytopeH:
         if not isinstance(entry, dict) or "normal" not in entry or "offset" not in entry:
             raise ParseError("each halfspace needs 'normal' and 'offset'")
         try:
-            normal = np.array(entry["normal"], dtype=float)
-            offset = float(entry["offset"])
-        except (TypeError, ValueError) as exc:
+            normal = np.array(_json_numbers(entry["normal"]), dtype=float)
+            offset = float(_json_numbers(entry["offset"]))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("halfspace entries must be numeric") from exc
         if normal.shape != (dim,) or not np.all(np.isfinite(normal)) or not math.isfinite(offset):
             raise ParseError(f"normals must be finite vectors of length {dim}")
         raw.append((normal, offset))
     return validate(raw, dim, tol)
+
+
+def _json_numbers(value):
+    """``value`` when it is a JSON number, an int or a float but not a bool, or
+    lists of them; TypeError when it holds anything else, a string say."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in np.array(value, dtype=object).flat):
+        raise TypeError("an entry is not a JSON number")
+    return value

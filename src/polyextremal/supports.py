@@ -354,10 +354,12 @@ def enumerate_supports(polytope: PolytopeH) -> SupportSet:
     strips = _antipodal_strips(polytope, ordered)
     if strips is None:
         return SupportSet(polytope, ordered, table, np.arange(len(ordered), dtype=np.intp), table)
-    stack_table = _facet_table((), [ordered[i] for i in strips])
-    first, second = np.split(stack_table.normals, 2)
-    if np.array_equal(second, -first):
-        stack_table = stack_table._replace(mirrored=len(strips))
+    rows = table.facets[:2].take(strips, axis=1)
+    first, second = table.normals[rows]
+    stack_table = FacetTable(table.normals[rows.ravel()], table.offsets[rows.ravel()],
+                             np.arange(rows.size, dtype=np.intp).reshape(rows.shape),
+                             table.heights[:2].take(strips, axis=1),
+                             len(strips) if np.array_equal(second, -first) else 0)
     return SupportSet(polytope, ordered, table, np.array(strips, dtype=np.intp), stack_table)
 
 

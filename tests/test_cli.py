@@ -15,8 +15,7 @@ from polyextremal import cli, extremal, polytope
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
                           SupportSet, Unbounded, ZeroNormal, enumerate_supports, from_json)
-from polyextremal.extremal import (eval_extremal, eval_extremal_many, eval_interval,
-                                   eval_simplex_many)
+from polyextremal.extremal import eval_extremal_many, eval_interval, eval_simplex_many
 
 from conftest import fixture_path, load_fixture, quad_reference
 
@@ -92,6 +91,21 @@ def test_validate_malformed_json(capsys, tmp_path):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 1' + b"0" * 5000 + b"}]}",
+    b'{"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": \xff}]}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["5001-digit-integer", "not-utf-8", "nested-100000-deep"])
+def test_validate_undecodable_json(capsys, tmp_path, content):
+    """A file json cannot decode, as text or into Python values, exits 2
+    with one ``error:`` line."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2
@@ -116,8 +130,24 @@ def test_validate_schema_error(capsys, tmp_path):
     ('{"dim": 2, "halfspaces": []}', "'halfspaces' must be a nonempty list"),
     ('{"dim": 2, "halfspaces": [{"normal": [1, "x"], "offset": 0}]}',
      "halfspace entries must be numeric"),
+    # entries are JSON numbers: not strings or booleans, nor integers beyond a float
+    ('{"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 1%s}]}' % ("0" * 400),
+     "halfspace entries must be numeric"),
+    ('{"dim": 2, "halfspaces": [{"normal": [1, 1%s], "offset": 0}]}' % ("0" * 400),
+     "halfspace entries must be numeric"),
+    ('{"dim": 2, "vertices": [[0, 0], [1%s, 0], [0, 1]]}' % ("0" * 400),
+     "vertices must be lists of numbers"),
+    ('{"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": "1"}]}',
+     "halfspace entries must be numeric"),
+    ('{"dim": 2, "halfspaces": [{"normal": ["1", "0"], "offset": 0}]}',
+     "halfspace entries must be numeric"),
+    ('{"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": true}]}',
+     "halfspace entries must be numeric"),
+    ('{"dim": 2, "vertices": [[0, 0], [true, false], [0, 1]]}',
+     "vertices must be lists of numbers"),
 ], ids=["list", "no-vertices", "text-vertex", "infinite-vertex", "no-halfspaces",
-        "text-normal"])
+        "text-normal", "huge-offset", "huge-normal", "huge-vertex", "string-offset",
+        "string-normal", "boolean-offset", "boolean-vertex"])
 def test_validate_off_schema_document(capsys, tmp_path, text, message):
     """Each documented schema error exits 2 with its one ``error:`` line."""
     path = tmp_path / "doc.json"
@@ -296,33 +326,11 @@ def test_eval_diagnostics_stdout_is_unchanged(capsys, name):
     assert out == expected
 
 
-def test_diagnostics_run_the_kernel_once_per_chunk(capsys, monkeypatch):
-    """``eval --diagnostics`` and ``eval_extremal(diagnostics=True)`` read the
-    value and argmax off every support's sums: one kernel pass per chunk,
-    half the passes of evaluating the points twice."""
-    calls = []
-    original = extremal._sums
-    monkeypatch.setattr(extremal, "_sums", lambda *args: calls.append(args) or original(*args))
-    support_set = enumerate_supports(load_fixture("quad"))
-    eval_extremal(support_set, np.array([2.0 + 0j, 2.0 + 0j]), diagnostics=True)
-    assert len(calls) == 1
-    calls.clear()
-    # two points a pass: the quad has 4 facets and 2 supports
-    monkeypatch.setattr(extremal, "_CHUNK", 2 * (8 * 5 + 32 * 4 + 16 * 2))
-    assert extremal._chunk_points(4, 2) == 2
-    points = DIAGNOSTICS_STDOUT["quad"][0] + ["1,0,1,0"]
-    code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--diagnostics",
-                             *[f"--point={point}" for point in points])
-    assert code == 0, err
-    assert out.startswith(DIAGNOSTICS_STDOUT["quad"][1])
-    assert len(calls) == 3
-
-
 def test_eval_diagnostics_keep_the_value_and_argmax_of_a_screened_stack(
         capsys, tmp_path, monkeypatch):
-    """On tangent d=3 n=14, whose 190 supports make a wide stack, a plain
-    ``eval`` of 1,200 points, six passes, takes the screened route and
-    ``--diagnostics`` the exact one; each line's first two fields agree."""
+    """On tangent d=3 n=14, whose 190 supports make a wide stack, ``eval``
+    of 1,200 points, six passes, takes the screened route with and without
+    ``--diagnostics``; each line's first two fields agree."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     inputs = __import__("inputs")
     member = inputs.make_inputs("setup-tangent", 3).members[0]
@@ -365,8 +373,8 @@ def test_eval_diagnostics_keep_the_value_and_argmax_of_a_pruned_set(capsys, tmp_
 @pytest.mark.parametrize("name", ["quad", "quad_vertices", "square", "triangle", "cube", "prism"])
 def test_eval_diagnostics_and_plain_eval_agree(capsys, tmp_path, name):
     """On every fixture, each ``eval --diagnostics`` line begins with the value
-    and argmax bytes of plain ``eval``: both read them off the same sums.
-    The points include ties on the quad's lines x = y and x + y = 1."""
+    and argmax bytes of plain ``eval``.  The points include ties on the
+    quad's lines x = y and x + y = 1."""
     polytope = load_fixture(name)
     rng = np.random.default_rng(71)
     points = (rng.uniform(-3.0, 3.0, (60, polytope.dim))
@@ -791,6 +799,20 @@ def test_grid_flag_validation(capsys, tmp_path, extra):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_path.exists()
+
+
+def test_grid_skips_an_empty_fixed_entry(capsys, tmp_path):
+    """An empty --fixed entry, as after a trailing comma, adds nothing: the
+    grid's bytes are those without it."""
+    outputs = []
+    for fixed in ("im1=0.5", "im1=0.5,"):
+        out_path = tmp_path / "grid.json"
+        code, _, err = run_cli(capsys, "grid", fixture_path("quad"), "--plane", "re1,re2",
+                               "--bounds", "0,1,0,1", "--resolution", "3", "--fixed", fixed,
+                               "--format", "json", "--out", str(out_path), "--reproducible")
+        assert code == 0, err
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_grid_unspecified_coordinates_default_to_zero(capsys, tmp_path):

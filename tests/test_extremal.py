@@ -153,11 +153,9 @@ def test_single_point_evaluators_take_exactly_one_point(quad_supports, z):
     (1, d), and both give the same value; more points, none, or a scalar
     are a ValueError."""
     point = np.array([0.5 + 0j, 2j])
-    for diagnostics in (False, True):
-        assert eval_extremal(quad_supports, point[None, :], diagnostics) == eval_extremal(
-            quad_supports, point, diagnostics)
-        with pytest.raises(ValueError, match="one point"):
-            eval_extremal(quad_supports, z, diagnostics)
+    assert eval_extremal(quad_supports, point[None, :]) == eval_extremal(quad_supports, point)
+    with pytest.raises(ValueError, match="one point"):
+        eval_extremal(quad_supports, z)
     assert eval_simplex(quad_supports[0], point[None, :]) == eval_simplex(quad_supports[0], point)
     with pytest.raises(ValueError, match="one point"):
         eval_simplex(quad_supports[0], z)
@@ -417,28 +415,29 @@ def test_eval_strip_translation_invariance(square_supports, prism_supports):
 
 
 def test_eval_extremal_quad_tie(quad_supports):
-    result = eval_extremal(quad_supports, np.array([2.0 + 0j, 2.0 + 0j]), diagnostics=True)
+    z = np.array([2.0 + 0j, 2.0 + 0j])
+    result = eval_extremal(quad_supports, z)
     assert result.value == pytest.approx(QUAD_AT_2_2, abs=1e-12)
-    assert result.per_support is not None
-    assert len(result.per_support) == 2
-    assert result.per_support[0] == pytest.approx(result.per_support[1], abs=1e-12)
+    per_support = eval_supports_many(quad_supports, z)[0]
+    assert len(per_support) == 2
+    assert per_support[0] == pytest.approx(per_support[1], abs=1e-12)
     assert result.argmax == 0
 
 
 def test_eval_extremal_interior_zero(quad_supports, quad):
     result = eval_extremal(quad_supports, quad.interior.astype(complex))
     assert result.value == 0.0
-    assert result.per_support is None
 
 
 def test_eval_extremal_value_is_max_of_diagnostics(quad_supports):
     rng = np.random.default_rng(23)
     for _ in range(25):
         z = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)
-        result = eval_extremal(quad_supports, z, diagnostics=True)
-        assert result.value == max(result.per_support)
+        result = eval_extremal(quad_supports, z)
+        per_support = eval_supports_many(quad_supports, z)[0].tolist()
+        assert result.value == max(per_support)
         assert result.value >= 0.0
-        assert result.value == result.per_support[result.argmax]
+        assert result.value == per_support[result.argmax]
 
 
 def test_eval_extremal_matches_closed_form_samples(quad_supports):
@@ -838,15 +837,16 @@ def test_support_matrix_memory_is_bounded_by_its_result():
 
 @pytest.mark.parametrize("name", VALID_FIXTURES)
 def test_per_support_diagnostics_match_eval_simplex(name):
-    """``EvalResult.per_support`` comes from one stacked kernel call; each entry
-    equals ``eval_simplex`` of that support alone, bit for bit."""
+    """A row of ``eval_supports_many`` at one point comes from one stacked
+    kernel call; each entry equals ``eval_simplex`` of that support alone, bit
+    for bit, and V is the largest entry of the stack."""
     supports = enumerate_supports(load_fixture(name))
     points = _mixed_points(supports.polytope, 25, np.random.default_rng(41))
     for z in points:
-        result = eval_extremal(supports, z, diagnostics=True)
+        row = eval_supports_many(supports, z)[0]
         expected = [eval_simplex(support, z) for support in supports]
-        assert np.array(result.per_support).tobytes() == np.array(expected).tobytes()
-        assert result.value == max(result.per_support[i] for i in supports.stack)
+        assert row.tobytes() == np.array(expected).tobytes()
+        assert eval_extremal(supports, z).value == max(row[i] for i in supports.stack)
 
 
 def _lundin(polytope, points):
@@ -938,8 +938,8 @@ def test_argmax_breaks_quad_ties_for_the_lowest_index(quad_supports):
 
 @pytest.mark.parametrize("name", SYMMETRIC_CASES)
 def test_pruned_argmax_contract(name):
-    """The argmax contract over the slabs alone; diagnostics read the same
-    value and argmax off the same sums, and report every column."""
+    """The argmax contract over the slabs alone; one point gives alone the
+    value, argmax and support values it has in its batch."""
     supports = enumerate_supports(SYMMETRIC_CASES[name]())
     points = _mixed_points(supports.polytope, 300, np.random.default_rng(13))
     values, argmax = _assert_argmax_contract(supports, points)
@@ -947,9 +947,9 @@ def test_pruned_argmax_contract(name):
     assert zero.any() and not zero.all()
     matrix = eval_supports_many(supports, points)
     for k in (0, 1, 2, 150, 299):
-        result = eval_extremal(supports, points[k], diagnostics=True)
+        result = eval_extremal(supports, points[k])
         assert (result.value, result.argmax) == (values[k], argmax[k])
-        assert np.array(result.per_support).tobytes() == matrix[k].tobytes()
+        assert eval_supports_many(supports, points[k]).tobytes() == matrix[k].tobytes()
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -974,7 +974,8 @@ def test_argmax_value_gap_is_bounded_near_the_boundary(name):
         points.append(weights @ corners - steps * halfspace.normal
                       + 1j * rng.choice([0.0, 1e-9, 1e-5], (20, polytope.dim)))
     points = np.vstack(points)
-    values, argmax, matrix = extremal._diagnose(supports, points)
+    values, argmax = eval_extremal_many(supports, points)
+    matrix = eval_supports_many(supports, points)
     named = matrix[np.arange(len(points)), argmax]
     outside = values > 0.0
     assert outside.sum() > len(points) // 2
@@ -1167,10 +1168,8 @@ def test_every_evaluator_is_finite_at_extreme_points(t):
     point = np.array([t])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = eval_extremal(segment, point, diagnostics=True)
-        values = [result.value, *result.per_support, eval_extremal(segment, point).value,
-                  eval_extremal_many(segment, point)[0][0],
-                  eval_supports_many(segment, point)[0, 0], eval_simplex(segment[0], point),
+        values = [eval_extremal(segment, point).value, eval_extremal_many(segment, point)[0][0],
+                  *eval_supports_many(segment, point)[0], eval_simplex(segment[0], point),
                   eval_simplex_many(segment[0], point)[0]]
     for value in values:
         assert abs(value - expected) <= 4 * eps * expected, values
@@ -1178,9 +1177,8 @@ def test_every_evaluator_is_finite_at_extreme_points(t):
     points = np.array([[t, 0.5, -0.25j], [2.0, t, 1e300], [0.0, 0.0, t]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, argmax, matrix = extremal._diagnose(cube, points)
-        plain = eval_extremal_many(cube, points)
-    assert values.tobytes() == plain[0].tobytes() and argmax.tobytes() == plain[1].tobytes()
+        values, argmax = eval_extremal_many(cube, points)
+        matrix = eval_supports_many(cube, points)
     for z, value, index, row in zip(points, values, argmax, matrix):
         reference = [eval_interval(-1.0, 1.0, c) for c in z]
         assert abs(value - max(reference)) <= 4 * eps * value
@@ -1200,10 +1198,11 @@ def test_overflowing_points_leave_their_batch_alone():
     rng = np.random.default_rng(97)
     points = _mixed_points(supports.polytope, 30, rng)
     points[[4, 17]] = [1.7e308 * (1 - 1j), 0.5, 2.0], [-1e308, 1.7e308j, 1e308]
-    values, argmax, matrix = extremal._diagnose(supports, points)
+    values, argmax = eval_extremal_many(supports, points)
+    matrix = eval_supports_many(supports, points)
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(matrix))
     for k in range(len(points)):
-        alone = extremal._diagnose(supports, points[k])
+        alone = (*eval_extremal_many(supports, points[k]), eval_supports_many(supports, points[k]))
         assert (alone[0].tobytes(), alone[1].tobytes(), alone[2].tobytes()) == (
             values[k:k + 1].tobytes(), argmax[k:k + 1].tobytes(), matrix[k:k + 1].tobytes())
     for k in (0, 4, 17, 29):
@@ -1281,13 +1280,11 @@ def test_slot_count_keeps_every_output(name, tmp_path, capsys):
     argmax[values == 0.0] = 0
     matrix = _batch_arccosh(sums.copy()).T
     assert eval_supports_many(supports, points).tobytes() == matrix.tobytes()
-    for got in (extremal._diagnose(supports, points), eval_extremal_many(supports, points)):
-        assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == argmax.tobytes()
+    got = eval_extremal_many(supports, points)
+    assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == argmax.tobytes()
     for k in range(len(points)):
-        result = eval_extremal(supports, points[k], diagnostics=True)
-        assert (result.value, result.argmax) == (values[k], argmax[k])
-        assert np.array(result.per_support).tobytes() == matrix[k].tobytes()
         assert eval_extremal(supports, points[k]) == EvalResult(values[k], argmax[k])
+        assert eval_supports_many(supports, points[k]).tobytes() == matrix[k].tobytes()
     texts = [",".join(f"{c.real!r},{c.imag!r}" for c in z) for z in points.tolist()]
     assert cli.main(["eval", str(path), "--diagnostics", *[f"--point={t}" for t in texts]]) == 0
     assert capsys.readouterr().out == "".join(

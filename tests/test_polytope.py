@@ -928,8 +928,11 @@ def test_from_vertices_2d_interior_points_dropped():
 
 
 def test_from_vertices_2d_collinear():
+    """Three collinear points, or three points of which two coincide."""
     with pytest.raises(Degenerate):
         from_vertices_2d([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    with pytest.raises(Degenerate):
+        from_vertices_2d([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1021,6 +1024,13 @@ def test_from_json_fixture_file_round_trip():
         {"dim": 2, "halfspaces": [{"normal": [np.inf, 0.0], "offset": 0.0}]},
         {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
         {"dim": 2, "vertices": [[0, 0], [1, 0], [0, "x"]]},
+        {"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 10 ** 400}]},
+        {"dim": 2, "halfspaces": [{"normal": [10 ** 400, 0], "offset": 0}]},
+        {"dim": 2, "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]},
+        {"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": "1"}]},
+        {"dim": 2, "halfspaces": [{"normal": ["1", "0"], "offset": 0}]},
+        {"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": True}]},
+        {"dim": 2, "vertices": [[0, 0], [True, False], [0, 1]]},
     ],
 )
 def test_from_json_schema_errors(doc):
