@@ -146,7 +146,7 @@ def cmd_eval(args, tol: Tolerances) -> int:
                     line = line.strip()
                     if line and not line.startswith("#"):
                         texts.append(line)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.points_file}: {exc}") from exc
     if not texts:
         raise ParseError("no points given: use --point or --points-file")

@@ -49,7 +49,11 @@ second lifted normal of each is its first negated, and the stack's table
 ends in these M mirrored rows: each is b - t from its mirror's sum t of
 products, formed once.  No bit moves: negation commutes with rounding, so
 -t is the row's own sum but for a zero's sign, which the modulus drops.
-A pass of one point reads M = 0: there the extra calls only cost time.
+
+A call of one point, as every ``eval_extremal`` and ``eval_simplex`` is,
+and each point of a pass where a sum overflowed, takes ``_point``: its
+sums come from ``_point_sums``, a fixed number of numpy calls whatever d,
+and are the chunk kernel's bit for bit.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -67,7 +71,7 @@ which u(u+2) is finite, a test against that constant, not an overflow
 caught under ``np.errstate``, takes the far branch, log 2 + log s, exact
 there to double precision.  An infinite or NaN sum gets there only where
 a finite point's sum overflowed, as |1 + t| does on [-1, 1] at
-t = 1.7e308(1 + i): the branch raises ``_Overflow``, and ``_far_point``
+t = 1.7e308(1 + i): the branch raises ``_Overflow``, and ``_point``
 takes that point's value from the point scaled by a power of two.  Points
 must be finite: NaN or infinite coordinates raise ValueError.
 """
@@ -243,16 +247,30 @@ def _chunk_points(rows: int, width: int) -> int:
     return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
+def _point_sums(table, z: np.ndarray) -> np.ndarray:
+    """``_sums`` at one checked point z, (S, 1), bit for bit, in numpy calls
+    whose number does not grow with d: the products n_rc z_c in a
+    C-contiguous (d, R) array and the quotients in a (slots, S) one, each
+    added over its leading axis row by row, as the chunk kernel's loops add
+    them, from each row's own normal.  numpy adds a single column (S = 1)
+    pairwise, in order below 8 rows; there are at most MAX_DIM + 1 = 6."""
+    normals, offsets, facets, heights = table[:4]
+    products = np.multiply(normals.T, z[:, None], out=np.empty(normals.shape[::-1], complex))
+    magnitudes = np.zeros(len(offsets) + 1)  # row R is the padding's 0
+    np.abs(np.add(np.add.reduce(products, axis=0), offsets), out=magnitudes[:-1])
+    sums = np.add.reduce(np.divide(magnitudes.take(facets), heights), axis=0)[:, None]
+    _check_domain(sums)
+    return sums
+
+
 def _passes(table, points: np.ndarray):
     """(chunk slice, its facet magnitudes |l|, the work arrays) per pass over
-    checked points against ``table``, ``_chunk_points`` points a pass, a pass
-    of one with M = 0, in work arrays the next pass overwrites, cut from three
-    buffers allocated once: fresh ones per chunk had their pages faulted anew."""
+    checked points against ``table``, ``_chunk_points`` points a pass, in
+    work arrays the next pass overwrites, cut from three buffers allocated
+    once: fresh ones per chunk had their pages faulted anew."""
     rows, width = table.normals.shape[0], table.facets.shape[1]
     step = _chunk_points(rows, width)
     size = min(step, points.shape[0])
-    if size == 1 and table.mirrored:
-        table = FacetTable(*table[:4])
     floats, complexes = np.zeros((rows + 2 + 2 * width, size)), np.empty((2 * rows, size), complex)
     # magnitudes (row ``rows`` the padding's 0), facet values and a term, sums
     # and a term, each point's largest sum, the max rule's flags
@@ -266,15 +284,14 @@ def _passes(table, points: np.ndarray):
         yield slice(start, start + step), _facet_values(table, chunk, work), work
 
 
-def _stack_max(stack, sums, work, values, argmax) -> None:
+def _stack_max(stack, sums, values, argmax, best=None, flags=None) -> None:
     """V_K and argmax, as ``EvalResult`` defines them, into ``values`` and
     ``argmax`` from ``sums``, one column per point and one row per stack
     entry: the arccosh of each column's largest sum, and the sorted support
     index of the first entry whose sum is (1 - _ZERO_BAND) times the largest
-    or more, 0 where V = 0."""
-    best, flags = work[5], work[6]
-    np.maximum.reduce(sums, axis=0, out=best)
-    np.greater_equal(sums, np.multiply(best, 1.0 - _ZERO_BAND, out=values), out=flags)
+    or more, 0 where V = 0.  ``best`` and ``flags`` are optional work arrays."""
+    best = np.maximum.reduce(sums, axis=0, out=best)
+    flags = np.greater_equal(sums, np.multiply(best, 1.0 - _ZERO_BAND, out=values), out=flags)
     flags.argmax(axis=0, out=argmax)
     stack.take(argmax, out=argmax, mode="clip")
     argmax[_inv_joukowski_log_many(best, values)] = 0
@@ -309,7 +326,7 @@ def _screened_max(table, stack, weights, magnitudes, work, values, argmax) -> bo
     if several.size:
         part = tuple(array[..., :several.size] for array in work)
         out, index = np.empty(several.size), np.empty(several.size, dtype=np.intp)
-        _stack_max(stack, _sums(table, magnitudes[:, several], part), part, out, index)
+        _stack_max(stack, _sums(table, magnitudes[:, several], part), out, index, *part[5:])
         values[several], argmax[several] = out, index
     if one.size:
         best = best[one]
@@ -325,12 +342,15 @@ def _screened_max(table, stack, weights, magnitudes, work, values, argmax) -> bo
 def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=None) -> None:
     """The evaluators' one chunk loop over ``points`` against the supports of
     the ``FacetTable`` ``table``: V and argmax over them, the ``stack``, into
-    ``values`` and ``argmax``, or else every value into ``matrix``.  Only
-    ``far`` points can overflow a sum, and they run without numpy's overflow
-    warnings; a pass where a sum overflowed is redone by ``_far_point``."""
+    ``values`` and ``argmax``, or else every value into ``matrix``.  A call
+    of one point is ``_point``'s alone.  Only ``far`` points can overflow a
+    sum, and they run without numpy's overflow warnings; a pass where a sum
+    overflowed is redone point by point."""
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
             return _evaluate(table, points, False, stack, values, argmax, matrix)
+    if points.shape[0] == 1:
+        return _point(table, points[0], stack, values, argmax, matrix)
     weights = None  # W: fl(1 / height) at each support's rows; the padding row's |l| is 0
     if matrix is None and _screens(table, points.shape[0]):
         weights = np.zeros((table.facets.shape[1], table.normals.shape[0] + 1))
@@ -341,30 +361,34 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
                 _inv_joukowski_log_many(_sums(table, magnitudes, work), matrix[chunk].T)
             elif weights is None or not _screened_max(table, stack, weights, magnitudes, work,
                                                       values[chunk], argmax[chunk]):
-                _stack_max(stack, _sums(table, magnitudes, work), work, values[chunk],
-                           argmax[chunk])
+                _stack_max(stack, _sums(table, magnitudes, work), values[chunk], argmax[chunk],
+                           *work[5:])
         except _Overflow:
             for j in range(chunk.start, chunk.start + magnitudes.shape[1]):
-                _far_point(table, points[j], stack, *[
+                _point(table, points[j], stack, *[
                     None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
 
 
-def _far_point(table, z, stack, values, argmax, matrix) -> None:
-    """``_evaluate`` at one finite point z, bit for bit but where a sum
-    overflows.  Then z = 2^k w with w's largest part in [2^511, 2^512), the
-    sum is 2^k s(w) but for the offsets' negligible share, and its arccosh
-    is arccosh s(w) + k log 2."""
-    k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
-    _, magnitudes, work = next(_passes(table, z[None, :]))
-    scaled = _sums(table, *next(_passes(table, z[None, :] * math.ldexp(1.0, -k)))[1:])
-    direct = _sums(table, magnitudes, work)
-    if matrix is None:
-        try:
-            _stack_max(stack, direct, work, values, argmax)
-        except _Overflow:
-            _stack_max(stack, scaled, work, values, argmax)
-            values += k * math.log(2.0)
+def _point(table, z, stack, values, argmax, matrix) -> None:
+    """``_evaluate`` at one finite point z, from ``_point_sums``, bit for bit
+    the chunk kernel's values but where a sum overflows.  Then z = 2^k w
+    with w's largest part in [2^511, 2^512), the sum is 2^k s(w) but for
+    the offsets' negligible share, and its arccosh is arccosh s(w) + k log 2."""
+    try:
+        sums = _point_sums(table, z)
+        if matrix is None:
+            _stack_max(stack, sums, values, argmax)
+        else:
+            _inv_joukowski_log_many(sums, matrix.T)
         return
+    except _Overflow:
+        k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
+    scaled = _point_sums(table, z * math.ldexp(1.0, -k))
+    if matrix is None:
+        _stack_max(stack, scaled, values, argmax)
+        values += k * math.log(2.0)
+        return
+    direct = _point_sums(table, z)  # the arccosh in the try overwrote ``sums``
     far, overflowed = np.empty_like(scaled), ~np.isfinite(direct)
     _inv_joukowski_log_many(scaled, far)
     direct[overflowed] = 1.0
@@ -444,7 +468,8 @@ def eval_extremal_many(support_set: SupportSet,
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray) -> EvalResult:
-    """V_K(z) at one point, (d,) or (1, d): ``eval_extremal_many`` on it."""
+    """V_K(z) at one point, (d,) or (1, d): ``eval_extremal_many`` on it,
+    which takes the one-point kernel, bit for bit its value in any batch."""
     values, argmax = eval_extremal_many(support_set, _one_point(z))
     return EvalResult(value=float(values[0]), argmax=int(argmax[0]))
 

@@ -106,6 +106,16 @@ def test_validate_undecodable_json(capsys, tmp_path, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_eval_undecodable_points_file(capsys, tmp_path):
+    """A points file that is not UTF-8 exits 2 with one ``error:`` line
+    naming it, as an undecodable polytope file does."""
+    path = tmp_path / "points.txt"
+    path.write_bytes(b"2,0,2,0\n\xff\n")
+    code, out, err = run_cli(capsys, "eval", fixture_path("quad"), "--points-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2

@@ -1306,7 +1306,7 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
     """The stack's table read with its mirrored rows, whose products are not
     formed, and read with none gives the same V and argmax bit for bit: on
     grid points, on them scaled by 1e200, and at 1.7e308 (1 + i), where sums
-    overflow and ``_far_point`` takes the value."""
+    overflow and ``_point`` takes the value."""
     supports = enumerate_supports(MIRRORED_CASES[name]())
     table, stack = supports.stack_table, supports.stack
     mirrored = table.mirrored
@@ -1320,9 +1320,9 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
     far[np.arange(dim), np.arange(dim)] = 1.7e308 * (1 + 1j)
     far[dim] = 1.7e308 * (1 + 1j)
     far_calls = []
-    far_point = extremal._far_point
-    monkeypatch.setattr(extremal, "_far_point",
-                        lambda *args: far_calls.append(args[0].mirrored) or far_point(*args))
+    point = extremal._point
+    monkeypatch.setattr(extremal, "_point",
+                        lambda *args: far_calls.append(args[0].mirrored) or point(*args))
     for points in (grid, grid * 1e200, far):
         plain = extremal._eval_stack(table._replace(mirrored=0), stack, points)
         both = [extremal._eval_stack(table, stack, points),
@@ -1334,21 +1334,35 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
 
 
 def test_one_point_forms_no_mirrored_row(monkeypatch):
-    """A pass of one point reads the stack's table with M = 0: a single
-    ``eval_extremal`` on the 24-gon makes the calls of the unmirrored route,
-    where a pass of two points reads its 12 slabs' mirrored rows."""
+    """A call of one point takes ``_point_sums``, which forms every row from
+    its own normal, and no pass of the chunk kernel: on the 24-gon, single
+    ``eval_extremal``, ``eval_extremal_many``, ``eval_supports_many`` and
+    ``eval_simplex`` calls form no facet values there, where a pass of two
+    points reads its 12 slabs' mirrored rows.  A pass of two where a sum
+    overflows redoes each of its points by ``_point``: the far one's sums
+    overflow again, so it forms them once more from the point scaled by a
+    power of two."""
     supports = enumerate_supports(ngon_polytope(24))
     assert supports.stack_table.mirrored == len(supports.stack) == 12
     seen = []
-    facet_values = extremal._facet_values
-    monkeypatch.setattr(extremal, "_facet_values", lambda table, points, work: seen.append(
-        (table.mirrored, points.shape[0])) or facet_values(table, points, work))
+    for name in ("_facet_values", "_point_sums"):
+        kernel = getattr(extremal, name)
+        monkeypatch.setattr(extremal, name, lambda table, points, *work, name=name, kernel=kernel:
+                            seen.append((name, table.mirrored, points.shape))
+                            or kernel(table, points, *work))
     z = np.array([1.5 + 0.5j, -0.25 + 2j])
     eval_extremal(supports, z)
-    eval_extremal_many(supports, z)
-    assert seen == [(0, 1), (0, 1)]
+    eval_extremal_many(supports, z[None, :])
+    eval_supports_many(supports, z)
+    eval_simplex(supports[0], z)
+    assert [entry[0] for entry in seen] == ["_point_sums"] * 4
+    assert [entry[2] for entry in seen] == [(2,)] * 4
+    seen.clear()
     eval_extremal_many(supports, np.stack([z, 2 * z]))
-    assert seen[2:] == [(12, 2)]
+    assert seen == [("_facet_values", 12, (2, 2))]
+    seen.clear()
+    eval_extremal_many(supports, np.stack([z, np.full(2, 1.7e308 * (1 + 1j))]))
+    assert seen == [("_facet_values", 12, (2, 2))] + [("_point_sums", 12, (2,))] * 3
 
 
 PICKLE_CASES = {
@@ -1401,27 +1415,91 @@ ROUTE_CASES = [*KERNEL_CASES, *(f"tilted-{seed}" for seed in range(12)
     for seed in range(1, 11))]
 
 
+def _route_families(polytope, rng):
+    """Mixed points, them times 1e200, points at 1.7e308 (1 + i), where sums
+    overflow, real points of K, where V = 0, and points 1e-9 i off each
+    facet, where the sums sit at the zero band."""
+    dim, vertices = polytope.dim, polytope.vertices
+    mixed = _mixed_points(polytope, 90, rng)
+    far = np.full((dim + 1, dim), 0.25 - 0.5j)
+    far[np.arange(dim), np.arange(dim)] = 1.7e308 * (1 + 1j)
+    far[dim] = 1.7e308 * (1 + 1j)
+    inside = rng.dirichlet(np.ones(len(vertices)), 40) @ vertices
+    active = polytope.incidence.active
+    on_facets = np.array([vertices[active[:, k]].mean(axis=0) for k in range(active.shape[1])])
+    scaled = mixed[np.abs(mixed).max(axis=1) < 1e100] * 1e200
+    return mixed, scaled, far, inside, on_facets + 1e-9j
+
+
 @pytest.mark.parametrize("case", ROUTE_CASES)
 def test_screened_route_matches_the_exact_route(monkeypatch, case):
     """V and argmax are the exact route's, bit for bit, where the BLAS bound
-    picks which supports get exact sums: at mixed points, at them times
-    1e200, at 1.7e308 (1 + i), where sums overflow, at real points of K,
-    where V = 0, and 1e-9 i off each facet, where the sums sit at the zero
-    band."""
+    picks which supports get exact sums, on every family of
+    ``_route_families``."""
     for polytope in case_polytopes(monkeypatch, case):
         support_set = enumerate_supports(polytope)
-        rng = np.random.default_rng(len(support_set))
-        dim, vertices = polytope.dim, polytope.vertices
-        mixed = _mixed_points(polytope, 90, rng)
-        far = np.full((dim + 1, dim), 0.25 - 0.5j)
-        far[np.arange(dim), np.arange(dim)] = 1.7e308 * (1 + 1j)
-        far[dim] = 1.7e308 * (1 + 1j)
-        inside = rng.dirichlet(np.ones(len(vertices)), 40) @ vertices
-        active = polytope.incidence.active
-        on_facets = np.array([vertices[active[:, k]].mean(axis=0) for k in range(active.shape[1])])
-        scaled = mixed[np.abs(mixed).max(axis=1) < 1e100] * 1e200
-        for points in (mixed, scaled, far, inside, on_facets + 1e-9j):
+        for points in _route_families(polytope, np.random.default_rng(len(support_set))):
             _assert_same_routes(monkeypatch, support_set, points)
+
+
+def _outcome(evaluate, support_set, points):
+    """``evaluate(support_set, points)``, or the message of the DomainError
+    it raised."""
+    try:
+        return evaluate(support_set, points)
+    except DomainError as exc:
+        return str(exc)
+
+
+SIMPLEX_POINTS = 3  # points of each family at which every stack support's eval_simplex is read
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_one_point_route_matches_the_batch(monkeypatch, case):
+    """A point alone takes ``_point_sums``; inside a batch of two or more it
+    takes the chunk kernel, screened or not.  On every family of
+    ``_route_families``, V and argmax, the one-point row of
+    ``eval_supports_many`` and ``eval_simplex`` of each stack support are
+    the batch's, bit for bit."""
+    for polytope in case_polytopes(monkeypatch, case):
+        support_set = enumerate_supports(polytope)
+        for points in _route_families(polytope, np.random.default_rng(len(support_set))):
+            assert len(points) >= 2
+            values, argmax = eval_extremal_many(support_set, points)
+            matrix = eval_supports_many(support_set, points)
+            for k, z in enumerate(points):
+                alone = eval_extremal(support_set, z)
+                assert np.float64(alone.value).tobytes() == values[k].tobytes()
+                assert alone.argmax == argmax[k]
+                assert eval_supports_many(support_set, z).tobytes() == matrix[k].tobytes()
+                if k < SIMPLEX_POINTS:
+                    for i in support_set.stack:
+                        value = eval_simplex(support_set[i], z)
+                        assert np.float64(value).tobytes() == matrix[k, i].tobytes()
+
+
+def test_one_point_route_keeps_the_domain_error():
+    """On the quad moved by (1e7, 1e7), where roundoff takes an interior
+    point's sums below the domain band, each point alone raises the
+    DomainError it raises in a batch of itself twice, or gives its values."""
+    moved = enumerate_supports(_translated(load_fixture("quad"), (1e7, 1e7)))
+    rng = np.random.default_rng(5)
+    points = np.vstack([moved.polytope.interior,
+                        _mixed_points(moved.polytope, 40, rng) + 1e7 * (1 + 0j)])
+    raised = 0
+    for z in points:
+        pair = np.stack([z, z])
+        alone, batch = _outcome(eval_extremal, moved, z), _outcome(eval_extremal_many, moved, pair)
+        row, rows = _outcome(eval_supports_many, moved, z), _outcome(eval_supports_many, moved, pair)
+        if isinstance(batch, str):
+            assert alone == batch and row == rows
+            raised += 1
+        else:
+            assert np.float64(alone.value).tobytes() == batch[0][0].tobytes()
+            assert alone.argmax == batch[1][0]
+            assert row.tobytes() == rows[0].tobytes()
+    assert raised
+
 
 
 def test_screened_route_keeps_ties_and_the_domain_error(monkeypatch):
