@@ -10,13 +10,11 @@ appear row-major with u varying fastest, floats serialized with repr
 comment so identical inputs give byte-identical files.
 
 Every evaluation is one ``eval_extremal_many`` call over all of a command's
-points, so the first two fields of an ``eval --diagnostics`` line are the
-plain bytes; its per-support columns are one ``eval_supports_many`` call.
-``grid --jobs K`` sends one contiguous chunk of the points, the stack's
-``FacetTable`` and the stack to each of at most min(K, points,
-os.cpu_count()) workers, in a process pool imported only then and only
-where ``_pool_pays``; a point's values do not depend on its chunk, so the
-bytes are the same at any --jobs level.
+points, in this process, so the first two fields of an ``eval --diagnostics``
+line are the plain bytes; its per-support columns are one
+``eval_supports_many`` call.  ``grid --jobs K`` is accepted for any K >= 1
+and changes nothing: a wide stack's grid is screened in passes of 64 points
+or more, which left no input where a process pool paid.
 
 Exit codes come from one table, ``EXIT_CODES``, applied by ``main``, the only
 place that catches: 0 success, 2 ill-formed input (an unreadable file, bad
@@ -39,8 +37,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .extremal import (_WIDE, DomainError, _eval_stack, _screens, eval_extremal_many,
-                       eval_supports_many)
+from .extremal import DomainError, eval_extremal_many, eval_supports_many
 # Unused here, but kept: the benchmark's tracer wraps ``cli.eval_extremal`` by name.
 from .extremal import eval_extremal  # noqa: F401
 from .linalg import Tolerances, DEFAULT_TOL
@@ -56,7 +53,7 @@ from .polytope import (
     ZeroNormal,
     from_json,
 )
-from .supports import NoCover, SupportSet, enumerate_supports, support_records
+from .supports import NoCover, enumerate_supports, support_records
 
 # Exit code of each failure a command may raise; the first row the exception
 # is an instance of decides.  Anything else is a bug and keeps its traceback.
@@ -65,9 +62,6 @@ EXIT_CODES = {
     Unbounded: 3, NotFullDimensional: 4, RedundantHalfspace: 5, Empty: 6,
     PolytopeError: 1, NoCover: 1, DomainError: 1, OSError: 1, MemoryError: 1,
 }
-
-
-_POOL_ENTRIES = 16_000_000  # sums (points x stack width) from which a pool pays
 
 
 def _coordinate_index(name: str, dim: int) -> tuple[int, bool]:
@@ -159,30 +153,6 @@ def cmd_eval(args, tol: Tolerances) -> int:
     return 0
 
 
-def _pool_pays(table, width: int, count: int) -> bool:
-    """Whether ``count`` points against a stack of ``width`` supports and its
-    ``table`` are worth a pool: a wide stack that is not screened, over
-    _POOL_ENTRIES sums or more."""
-    return (count * width >= _POOL_ENTRIES and width > _WIDE * (table.normals.shape[0] + 1)
-            and not _screens(table, count))
-
-
-def _eval_chunks(supports: SupportSet, points: np.ndarray, jobs: int):
-    """``eval_extremal_many`` over the points, one contiguous chunk, the
-    ``stack_table`` and the ``stack``, not the support set, per worker
-    process when more than one is worth starting.  The pool is imported
-    here: ``multiprocessing`` and its kin cost every other command start-up
-    time for nothing."""
-    workers = min(jobs, points.shape[0], os.cpu_count() or 1)
-    if workers <= 1 or not _pool_pays(supports.stack_table, len(supports.stack), points.shape[0]):
-        return eval_extremal_many(supports, points)
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_eval_stack, [supports.stack_table] * workers,
-                              [supports.stack] * workers, np.array_split(points, workers)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 def cmd_grid(args, tol: Tolerances) -> int:
     polytope = _load_polytope(args.file, tol)
     dim = polytope.dim
@@ -227,7 +197,7 @@ def cmd_grid(args, tol: Tolerances) -> int:
     re, im = np.tile(fixed_re, (n * n, 1)), np.tile(fixed_im, (n * n, 1))
     for (index, imaginary), axis in zip(axes, (us, vs)):
         (im if imaginary else re)[:, index] = axis
-    values, argmax = _eval_chunks(supports, re + 1j * im, args.jobs)
+    values, argmax = eval_extremal_many(supports, re + 1j * im)
     rows = zip(us.tolist(), vs.tolist(), values.tolist(), argmax.tolist())
 
     if args.format == "csv":
@@ -293,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="samples per axis (>= 2)")
     p_grid.add_argument("--out", required=True, help="output path")
     p_grid.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_grid.add_argument("--jobs", type=int, default=1)
+    p_grid.add_argument("--jobs", type=int, default=1,
+                        help="accepted (>= 1); evaluation runs in one process")
     p_grid.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp header for byte-stable output")
     return parser

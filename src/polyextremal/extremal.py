@@ -31,18 +31,18 @@ A call does one job: V and argmax from the stack's table, or every
 support's value, arccosh of its own sum, from the set's table.
 
 BLAS picks candidates, never values.  A call for V and argmax alone over
-a wide stack, S > 4 (R + 1) supports whose weights W, fl(1 / height) at
-their rows, fit _CHUNK, and more than one pass of points (``_screens``)
-bounds every sum of a pass by one product t = W |l|.  A sum s and its t
-are within a factor 1 + g(d+1) and 1 + g(R+3) of one real sum,
-g(k) = ku / (1 - ku), u = 2^-53 (d+1 quotients and d additions; a
-reciprocal, a product and R additions in any order, blocking or FMA), so
-delta = 4 (R + d + 8) u covers s / t, both ways, twice, and the band
-tests' roundings.  A pass whose least t is not finite or below
-(1 - 1e-9)(1 + delta) takes the exact route.  Otherwise V = argmax = 0
-where the largest t, T, has T (1 + delta) <= 1 + 1e-12, and only the
-supports with t >= (1 - 1e-12)(1 - delta) T, which hold every band flag,
-have their exact sums formed.
+a wide stack, S > 4 (R + 1) supports, and more than one pass of points
+(``_screens``) bounds every sum of a pass by one product t = W |l|, W
+fl(1 / height) at each support's rows.  A sum s and its t are within a
+factor 1 + g(d+1) and 1 + g(R+3) of one real sum, g(k) = ku / (1 - ku),
+u = 2^-53 (d+1 quotients and d additions; a reciprocal, a product and R
+additions in any order, blocking or FMA), so delta = 4 (R + d + 8) u
+covers s / t, both ways, twice, and the band tests' roundings.  A pass
+whose least t is not finite or below (1 - 1e-9)(1 + delta) takes the
+exact route.  Otherwise V = argmax = 0 where the largest t, T, has
+T (1 + delta) <= 1 + 1e-12, and only the supports with
+t >= (1 - 1e-12)(1 - delta) T, which hold every band flag, have their
+exact sums formed.
 
 A symmetric K's slabs have cross-section normals +-1 exactly, so the
 second lifted normal of each is its first negated, and the stack's table
@@ -50,10 +50,11 @@ ends in these M mirrored rows: each is b - t from its mirror's sum t of
 products, formed once.  No bit moves: negation commutes with rounding, so
 -t is the row's own sum but for a zero's sign, which the modulus drops.
 
-A call of one point, as every ``eval_extremal`` and ``eval_simplex`` is,
-and each point of a pass where a sum overflowed, takes ``_point``: its
-sums come from ``_point_sums``, a fixed number of numpy calls whatever d,
-and are the chunk kernel's bit for bit.
+A pass holds at least _PASS_FLOOR points, past _CHUNK for a stack too
+wide for that many.  A call of one point, as every ``eval_extremal`` and
+``eval_simplex`` is, and each point of a pass whose sums overflowed,
+takes ``_point``: its sums come from ``_point_sums``, a fixed number of
+numpy calls whatever d, and are the chunk kernel's bit for bit.
 
 Numerical contract worth spelling out: barycentric magnitude sums are >= 1
 in exact arithmetic, equal to 1 exactly on the real simplex.  Floating-point
@@ -72,8 +73,9 @@ caught under ``np.errstate``, takes the far branch, log 2 + log s, exact
 there to double precision.  An infinite or NaN sum gets there only where
 a finite point's sum overflowed, as |1 + t| does on [-1, 1] at
 t = 1.7e308(1 + i): the branch raises ``_Overflow``, and ``_point``
-takes that point's value from the point scaled by a power of two.  Points
-must be finite: NaN or infinite coordinates raise ValueError.
+takes that point's value from the point scaled by a power of two; the
+other points of its pass keep their sums.  Points must be finite: NaN or
+infinite coordinates raise ValueError.
 """
 
 from __future__ import annotations
@@ -106,6 +108,7 @@ _DOMAIN_BAND = 1e-9  # sums below 1 by more than this signal an internal bug
 _CHUNK = 786_432     # bytes of work arrays per kernel pass; fastest on the benchmark
 _FAR = 1.3407807929942596e154  # the largest u with (u + 2) u finite, found by bisection
 _WIDE = 4            # S > _WIDE (R + 1) is a wide stack; 2 lost up to 30 % in a sweep
+_PASS_FLOOR = 64     # the fewest points a pass takes; 16 and 256 were slower at the guard edges
 
 
 class DomainError(Exception):
@@ -241,10 +244,11 @@ def _sums(table, magnitudes, work) -> np.ndarray:
 
 def _chunk_points(rows: int, width: int) -> int:
     """Points a kernel pass takes against ``rows`` facet functions and
-    ``width`` supports: its work arrays, rows+1 float and 2 * rows complex
-    facet values and 2 * width float sums per point, fill at most _CHUNK
-    bytes, besides the max rule's float and width flags per point."""
-    return max(1, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
+    ``width`` supports: as many as keep its work arrays, rows+1 float and
+    2 * rows complex facet values and 2 * width float sums per point, in
+    _CHUNK bytes, besides the max rule's float and width flags per point,
+    but at least _PASS_FLOOR: past the budget from about 768 - 2.5 rows."""
+    return max(_PASS_FLOOR, _CHUNK // (8 * (rows + 1) + 32 * rows + 16 * width))
 
 
 def _point_sums(table, z: np.ndarray) -> np.ndarray:
@@ -298,10 +302,10 @@ def _stack_max(stack, sums, values, argmax, best=None, flags=None) -> None:
 
 
 def _screens(table, count: int) -> bool:
-    """The module docstring's route rule; a slab stack, S = R/2, is never wide."""
+    """The module docstring's route rule, whatever W's size; a slab stack,
+    S = R/2, is never wide."""
     rows, width = table.normals.shape[0], table.facets.shape[1]
-    return (count > _chunk_points(rows, width) and width > _WIDE * (rows + 1)
-            and 8 * width * (rows + 1) <= _CHUNK)
+    return count > _chunk_points(rows, width) and width > _WIDE * (rows + 1)
 
 
 def _screened_max(table, stack, weights, magnitudes, work, values, argmax) -> bool:
@@ -344,8 +348,7 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
     the ``FacetTable`` ``table``: V and argmax over them, the ``stack``, into
     ``values`` and ``argmax``, or else every value into ``matrix``.  A call
     of one point is ``_point``'s alone.  Only ``far`` points can overflow a
-    sum, and they run without numpy's overflow warnings; a pass where a sum
-    overflowed is redone point by point."""
+    sum, and they run without numpy's overflow warnings."""
     if far:
         with np.errstate(over="ignore", invalid="ignore"):
             return _evaluate(table, points, False, stack, values, argmax, matrix)
@@ -356,17 +359,34 @@ def _evaluate(table, points, far, stack=None, values=None, argmax=None, matrix=N
         weights = np.zeros((table.facets.shape[1], table.normals.shape[0] + 1))
         weights[np.arange(weights.shape[0]), table.facets] = np.divide(1.0, table.heights)
     for chunk, magnitudes, work in _passes(table, points):
+        outs = [None if out is None else out[chunk] for out in (values, argmax, matrix)]
         try:
-            if matrix is not None:
-                _inv_joukowski_log_many(_sums(table, magnitudes, work), matrix[chunk].T)
-            elif weights is None or not _screened_max(table, stack, weights, magnitudes, work,
-                                                      values[chunk], argmax[chunk]):
-                _stack_max(stack, _sums(table, magnitudes, work), values[chunk], argmax[chunk],
-                           *work[5:])
+            if weights is None or not _screened_max(table, stack, weights, magnitudes, work,
+                                                    *outs[:2]):
+                _values(stack, _sums(table, magnitudes, work), *outs, work)
         except _Overflow:
-            for j in range(chunk.start, chunk.start + magnitudes.shape[1]):
-                _point(table, points[j], stack, *[
-                    None if out is None else out[j:j + 1] for out in (values, argmax, matrix)])
+            _overflowed(table, points[chunk], stack, magnitudes, work, outs)
+
+
+def _values(stack, sums, values, argmax, matrix, work=()) -> None:
+    """V and argmax over the ``stack`` from ``sums`` into ``values`` and
+    ``argmax``, or else each sum's arccosh into ``matrix``, a row a column."""
+    if matrix is None:
+        _stack_max(stack, sums, values, argmax, *work[5:])
+    else:
+        _inv_joukowski_log_many(sums, matrix.T)
+
+
+def _overflowed(table, points, stack, magnitudes, work, outs) -> None:
+    """A pass where a sum overflowed: its sums formed again, the arccosh
+    having overwritten them, and kept, bit for bit, at each point whose sums
+    are all finite; the others read 1.0 there, then take ``_point``."""
+    sums = _sums(table, magnitudes, work)
+    far = np.flatnonzero(~np.isfinite(np.maximum.reduce(sums, axis=0)))  # NaN propagates
+    sums[:, far] = 1.0
+    _values(stack, sums, *outs, work)
+    for j in far.tolist():
+        _point(table, points[j], stack, *[None if out is None else out[j:j + 1] for out in outs])
 
 
 def _point(table, z, stack, values, argmax, matrix) -> None:
@@ -375,12 +395,7 @@ def _point(table, z, stack, values, argmax, matrix) -> None:
     with w's largest part in [2^511, 2^512), the sum is 2^k s(w) but for
     the offsets' negligible share, and its arccosh is arccosh s(w) + k log 2."""
     try:
-        sums = _point_sums(table, z)
-        if matrix is None:
-            _stack_max(stack, sums, values, argmax)
-        else:
-            _inv_joukowski_log_many(sums, matrix.T)
-        return
+        return _values(stack, _point_sums(table, z), values, argmax, matrix)
     except _Overflow:
         k = max(max(math.frexp(x)[1] for x in z.view(float).tolist()) - 512, 0)
     scaled = _point_sums(table, z * math.ldexp(1.0, -k))
@@ -449,22 +464,16 @@ class EvalResult:
     argmax: int
 
 
-def _eval_stack(table, stack, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V_K and argmax at points from a set's ``stack_table`` and ``stack``:
-    the work of ``eval_extremal_many`` and of each ``grid --jobs`` worker."""
-    points, far = _as_points(points, table.normals.shape[1])
-    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
-    _evaluate(table, points, far, stack, values, argmax)
-    return values, argmax
-
-
 def eval_extremal_many(support_set: SupportSet,
                        points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V_K and argmax at each point, as ``EvalResult`` defines them: only the
     evaluation stack's sums are formed, chunk by chunk."""
     if len(support_set) == 0:
         raise ValueError("support set is empty")
-    return _eval_stack(support_set.stack_table, support_set.stack, points)
+    points, far = _as_points(points, support_set.polytope.dim)
+    values, argmax = np.empty(points.shape[0]), np.empty(points.shape[0], dtype=np.intp)
+    _evaluate(support_set.stack_table, points, far, support_set.stack, values, argmax)
+    return values, argmax
 
 
 def eval_extremal(support_set: SupportSet, z: np.ndarray) -> EvalResult:

@@ -14,7 +14,7 @@ import pytest
 from polyextremal import cli, extremal, polytope
 from polyextremal import (DomainError, Degenerate, Empty, GuardExceeded, NoCover,
                           NotFullDimensional, ParseError, PolytopeError, RedundantHalfspace,
-                          SupportSet, Unbounded, ZeroNormal, enumerate_supports, from_json)
+                          Unbounded, ZeroNormal, enumerate_supports, from_json)
 from polyextremal.extremal import eval_extremal_many, eval_interval, eval_simplex_many
 
 from conftest import fixture_path, load_fixture, quad_reference
@@ -610,12 +610,10 @@ def test_grid_timestamp_header_unless_reproducible(capsys, tmp_path):
     assert datetime.fromisoformat(generated).utcoffset() == timedelta(0)
 
 
-def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
+def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path):
     """Any --jobs gives the bytes of --jobs 1: 3 does not divide the rows,
-    and 5 asks for more workers than a resolution-2 grid has points.  The
-    square's and the cube's stacks have mirrored rows, which reach the
-    workers in their table.  The pool is forced on for these narrow stacks."""
-    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
+    and 5 is more than a resolution-2 grid has points.  The square's and
+    the cube's stacks have mirrored rows."""
     for name in ("quad", "square", "cube"):
         for resolution, jobs_values in (("15", ("1", "2", "3")), ("2", ("1", "5"))):
             outputs = []
@@ -632,128 +630,42 @@ def test_grid_parallel_runs_are_byte_identical(capsys, tmp_path, monkeypatch):
             assert all(output == outputs[0] for output in outputs)
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the
-    function and arguments of every task, and maps in process."""
-
-    created: list = []
-    tasks: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, function, *iterables):
-        tasks = [(function, *arguments) for arguments in zip(*iterables)]
-        self.tasks.extend(tasks)
-        return [function(*arguments) for _, *arguments in tasks]
-
-
-def _leaves(value):
-    """The objects inside tuples and lists, recursively."""
-    if isinstance(value, (tuple, list)):
-        return [leaf for item in value for leaf in _leaves(item)]
-    return [value]
-
-
-def test_grid_workers_get_the_stack_table_alone(capsys, tmp_path, monkeypatch):
-    """A worker is sent the evaluation stack's arrays and counts, never the
-    support set or its polytope, which pickle to a hundred times the bytes."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "tasks", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
-    for name in ("quad", "cube"):
-        code, _, _ = run_cli(
-            capsys, "grid", fixture_path(name), "--plane", "re1,re2", "--bounds=-1,4,-1,4",
-            "--resolution", "5", "--out", str(tmp_path / f"{name}.csv"), "--jobs", "2",
-        )
-        assert code == 0
-    assert len(_SerialPool.tasks) == 4
-    leaves = _leaves(_SerialPool.tasks)
-    assert not any(isinstance(leaf, (SupportSet, polytope.PolytopeH, polytope.Halfspace))
-                   for leaf in leaves)
-    assert all(isinstance(leaf, (np.ndarray, int)) or leaf is extremal._eval_stack
-               for leaf in leaves)
-
-
-@pytest.mark.parametrize("cpus,expected", [(3, 3), (None, None), (64, 25)])
-def test_grid_workers_are_bounded(capsys, tmp_path, monkeypatch, cpus, expected):
-    """--jobs 100000 starts at most min(points, os.cpu_count()) workers, and
-    none at all when only one is worth it; the bytes stay those of --jobs 1.
-    The pool is forced on for the prism's narrow stack."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(cli, "_pool_pays", lambda *args: True)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+def test_grid_runs_in_one_process_at_any_jobs(tmp_path, monkeypatch):
+    """``grid --jobs 2`` over the 21,901 supports of 46 tangent facets in
+    R^3, too wide a stack for 64 points to fit a pass's budget, imports
+    neither ``multiprocessing`` nor ``concurrent.futures.process``: its
+    41x41 grid is screened in passes of 64 points in one process, and its
+    bytes are those of ``--jobs 1``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    rows = __import__("inputs").tangent_normals(3, 46, np.random.default_rng(3))
+    path = tmp_path / "t46.json"
+    path.write_text(json.dumps({"dim": 3, "halfspaces": [
+        {"normal": row.tolist(), "offset": 1.0} for row in rows]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; from polyextremal.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('multiprocessing', 'concurrent.futures.process')))); "
+             "sys.exit(code)")
     outputs = []
-    for jobs in ("1", "100000"):
+    for jobs in ("1", "2"):
         out_path = tmp_path / f"jobs{jobs}.csv"
-        code, _, _ = run_cli(
-            capsys, "grid", fixture_path("prism"),
-            "--plane", "re1,im3", "--bounds=-2,2,-2,2", "--fixed", "re2=0.1",
-            "--resolution", "5", "--out", str(out_path),
-            "--jobs", jobs, "--reproducible",
-        )
-        assert code == 0
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "grid", str(path), "--plane", "re1,im2",
+             "--bounds=-2,2,-2,2", "--resolution", "41", "--out", str(out_path),
+             "--jobs", jobs, "--reproducible"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
         outputs.append(out_path.read_bytes())
     assert outputs[0] == outputs[1]
-    assert _SerialPool.created == ([] if expected is None else [expected])
-
-
-def test_grid_starts_the_pool_only_for_enough_sums(capsys, tmp_path, monkeypatch):
-    """--jobs 2 maps no task for the 24-gon's 12 slabs on a 41x41 grid,
-    20,172 sums, and two workers' tasks for the 21,901 supports of 46
-    tangent facets in R^3 there, 36.8 million; the bytes are those of
-    --jobs 1 both times.  ``_pool_pays`` holds only for a wide stack the
-    kernel does not screen, over 16 million sums: never for the 24-gon's
-    narrow stack or the screened 190 supports of tangent d=3 n=14."""
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.setattr(_SerialPool, "tasks", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    inputs = __import__("inputs")
-    normals = {"ngon": inputs.ngon_normals(24),
-               "wide": inputs.tangent_normals(3, 46, np.random.default_rng(3))}
-    stacks = {}
-    for name, rows in normals.items():
-        path = tmp_path / f"{name}.json"
-        document = {"dim": rows.shape[1], "halfspaces": [
-            {"normal": row.tolist(), "offset": 1.0} for row in rows]}
-        path.write_text(json.dumps(document))
-        supports = enumerate_supports(from_json(document))
-        stacks[name] = supports.stack_table, len(supports.stack)
-        outputs = []
-        for jobs in ("1", "2"):
-            out_path = tmp_path / f"{name}-{jobs}.csv"
-            code, _, _ = run_cli(
-                capsys, "grid", str(path), "--plane", "re1,im2", "--bounds=-2,2,-2,2",
-                "--resolution", "41", "--out", str(out_path), "--jobs", jobs, "--reproducible")
-            assert code == 0
-            outputs.append(out_path.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert _SerialPool.created == ([] if name == "ngon" else [2])
-        assert len(_SerialPool.tasks) == (0 if name == "ngon" else 2)
-    screened = enumerate_supports(from_json(
-        inputs.make_inputs("setup-tangent", 3).members[0].document()))
-    stacks["screened"] = screened.stack_table, len(screened.stack)
-    assert stacks["screened"][1] == 189 and extremal._screens(stacks["screened"][0], 10 ** 6)
-    assert cli._pool_pays(*stacks["wide"], 731)
-    assert not cli._pool_pays(*stacks["wide"], 730)
-    assert not cli._pool_pays(*stacks["ngon"], 10 ** 9)
-    assert not cli._pool_pays(*stacks["screened"], 10 ** 7)
+    assert outputs[0].count(b"\n") == 41 * 41 + 1
 
 
 def test_cli_import_leaves_the_process_pool_out():
     """A fresh ``import polyextremal.cli`` loads neither ``multiprocessing`` nor
-    ``concurrent.futures.process``: only ``grid`` with more than one worker
-    imports the pool, and every other command starts without it."""
+    ``concurrent.futures.process``, which cost start-up time and no command
+    uses."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, polyextremal.cli; print(sorted(m for m in sys.modules "

@@ -1,12 +1,14 @@
 """Tests for the simplex, strip, ball, and interval extremal-function evaluators."""
 
 import cmath
+import dataclasses
 import decimal
+import importlib
 import json
 import math
-import pickle
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from polyextremal.extremal import (
     inv_joukowski_log,
     lundin_ball,
 )
-from polyextremal.polytope import validate
+from polyextremal.polytope import SUBSET_GUARD, validate
 from polyextremal.supports import enumerate_supports
 
 from conftest import (KERNEL_CASES, case_polytopes, corner_cut_hexagon, cube_polytope,
@@ -1323,14 +1325,13 @@ def test_mirrored_rows_move_no_bit(name, monkeypatch):
     point = extremal._point
     monkeypatch.setattr(extremal, "_point",
                         lambda *args: far_calls.append(args[0].mirrored) or point(*args))
+    unmirrored = dataclasses.replace(supports, stack_table=table._replace(mirrored=0))
     for points in (grid, grid * 1e200, far):
-        plain = extremal._eval_stack(table._replace(mirrored=0), stack, points)
-        both = [extremal._eval_stack(table, stack, points),
-                eval_extremal_many(supports, points)]
-        for values, argmax in both:
-            assert values.tobytes() == plain[0].tobytes()
-            assert argmax.tobytes() == plain[1].tobytes()
-    assert far_calls == [0] * (dim + 1) + [mirrored] * (2 * dim + 2)
+        plain = eval_extremal_many(unmirrored, points)
+        values, argmax = eval_extremal_many(supports, points)
+        assert values.tobytes() == plain[0].tobytes()
+        assert argmax.tobytes() == plain[1].tobytes()
+    assert far_calls == [0] * (dim + 1) + [mirrored] * (dim + 1)
 
 
 def test_one_point_forms_no_mirrored_row(monkeypatch):
@@ -1339,9 +1340,9 @@ def test_one_point_forms_no_mirrored_row(monkeypatch):
     ``eval_extremal``, ``eval_extremal_many``, ``eval_supports_many`` and
     ``eval_simplex`` calls form no facet values there, where a pass of two
     points reads its 12 slabs' mirrored rows.  A pass of two where a sum
-    overflows redoes each of its points by ``_point``: the far one's sums
-    overflow again, so it forms them once more from the point scaled by a
-    power of two."""
+    overflows keeps the other point's sums and redoes the far one alone by
+    ``_point``: its sums overflow again, so it forms them once more from the
+    point scaled by a power of two."""
     supports = enumerate_supports(ngon_polytope(24))
     assert supports.stack_table.mirrored == len(supports.stack) == 12
     seen = []
@@ -1362,30 +1363,7 @@ def test_one_point_forms_no_mirrored_row(monkeypatch):
     assert seen == [("_facet_values", 12, (2, 2))]
     seen.clear()
     eval_extremal_many(supports, np.stack([z, np.full(2, 1.7e308 * (1 + 1j))]))
-    assert seen == [("_facet_values", 12, (2, 2))] + [("_point_sums", 12, (2,))] * 3
-
-
-PICKLE_CASES = {
-    **MIRRORED_CASES,
-    "quad": lambda: load_fixture("quad"),
-    "prism": lambda: load_fixture("prism"),
-    "tilted-3": lambda: tilted_prism(3),
-}
-
-
-@pytest.mark.parametrize("name", PICKLE_CASES)
-def test_pickled_stack_table_gives_the_same_bytes(name):
-    """A ``grid --jobs`` worker gets the stack's table and the stack through
-    pickle: the reloaded table, mirrored count included, gives the same V
-    and argmax bytes as the set's own."""
-    supports = enumerate_supports(PICKLE_CASES[name]())
-    table = pickle.loads(pickle.dumps(supports.stack_table))
-    assert type(table) is type(supports.stack_table)
-    assert table.mirrored == supports.stack_table.mirrored
-    points = _mixed_points(supports.polytope, 50, np.random.default_rng(7))
-    for got, expected in zip(extremal._eval_stack(table, supports.stack, points),
-                             eval_extremal_many(supports, points)):
-        assert got.tobytes() == expected.tobytes()
+    assert seen == [("_facet_values", 12, (2, 2))] + [("_point_sums", 12, (2,))] * 2
 
 
 def _routes(monkeypatch, support_set, points):
@@ -1440,6 +1418,27 @@ def test_screened_route_matches_the_exact_route(monkeypatch, case):
         support_set = enumerate_supports(polytope)
         for points in _route_families(polytope, np.random.default_rng(len(support_set))):
             _assert_same_routes(monkeypatch, support_set, points)
+
+
+def test_a_stack_past_the_pass_budget_is_screened(monkeypatch):
+    """Tangent d=5 n=24 has 7,041 supports, whose weights W take 1.4 MB,
+    past the 768 KiB a pass's work arrays fill: a pass still takes 64
+    points, so 65 points take the screen, and both routes give the same
+    bytes on every family of ``_route_families``.  No width the guards
+    admit gets a pass of fewer than 64 points."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    normals = importlib.import_module("inputs").tangent_normals(5, 24, np.random.default_rng(3))
+    support_set = enumerate_supports(validate([(row, 1.0) for row in normals], 5))
+    table = support_set.stack_table
+    rows, width = table.normals.shape[0], table.facets.shape[1]
+    assert width == len(support_set) == 7_041
+    assert 8 * width * (rows + 1) > extremal._CHUNK
+    assert extremal._chunk_points(rows, width) == 64
+    assert extremal._screens(table, 65) and not extremal._screens(table, 64)
+    for points in _route_families(support_set.polytope, np.random.default_rng(width)):
+        _assert_same_routes(monkeypatch, support_set, points)
+    assert min(extremal._chunk_points(rows, w) for rows in (1, 24, 1_000)
+               for w in range(1, SUBSET_GUARD + 1)) == 64
 
 
 def _outcome(evaluate, support_set, points):
